@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .convert import convert_table, identity_mapping, load_mapping
+from .convert import convert_table, load_mapping
 from .mincover import build_coverage, min_cover
 from .pairscore import ScoreMatrix, borda
 from .portfolio import perf
@@ -83,6 +83,65 @@ def _print_warnings(ds_warnings: Sequence[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# table builders: one per analysis, each returning (header, rows)
+
+
+def _borda_table(matrix: ScoreMatrix):
+    rows = [
+        [sid, fmt_sig(matrix.totals[sid]), fmt_sig(matrix.averages[sid]), str(rank)]
+        for rank, sid in matrix.ranking()
+    ]
+    return ("solver", "total", "average", "rank"), rows
+
+
+def _oracle_table(results):
+    """One row per (label, dataset, participant-oracle ratio) triple."""
+    rows = [
+        [label, str(len(ds.participant_ids)), str(len(ds.solver_ids)),
+         fmt_sig(ratio.value), fmt_pct(ratio.value)]
+        for label, ds, ratio in results
+    ]
+    return ("dataset", "participants", "solvers", "ratio", "percent"), rows
+
+
+def _mincover_table(ds: Dataset, portfolio):
+    rows = [[sid, "participant" if ds.solvers[sid] else "non-participant"] for sid in portfolio]
+    return ("solver", "role"), rows
+
+
+def _tradeoff_table(curve):
+    rows = [
+        [str(e.k), fmt_pct(e.value), fmt_sig(e.value), " ".join(e.subset)]
+        for e in curve.entries
+    ]
+    return ("k", "percent", "ratio", "subset"), rows
+
+
+def _thresholds_table(levels, reached):
+    rows = [
+        [fmt_pct(level), str(reached[level]) if level in reached else "unreached"]
+        for level in levels
+    ]
+    return ("level", "smallest_k"), rows
+
+
+def _shapley_table(attribution, all_borda: ScoreMatrix, portfolio_borda: ScoreMatrix):
+    rows = [
+        [sid, _fmt_value(attribution.values[sid]), fmt_sig(all_borda.averages[sid]),
+         fmt_sig(portfolio_borda.averages[sid])]
+        for sid in attribution.portfolio
+    ]
+    return ("solver", "attribution", "borda_avg_all", "borda_avg_portfolio"), rows
+
+
+def _render(fmt: str, *tables) -> str:
+    """Tables as consecutive CSV blocks, or as aligned text separated by a blank line."""
+    if fmt == "csv":
+        return "".join(csv_text(header, rows) for header, rows in tables)
+    return "\n".join(align_table(header, rows) for header, rows in tables)
+
+
+# ---------------------------------------------------------------------------
 # simple subcommands
 
 
@@ -94,51 +153,31 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    mapping = load_mapping(args.mapping) if args.mapping else identity_mapping()
-    text, warnings = convert_table(args.data, mapping)
+    text, warnings = convert_table(args.data, load_mapping(args.mapping) if args.mapping else None)
     _print_warnings(warnings)
     _emit(text, args.out)
     return 0
 
 
-def _borda_rows(matrix: ScoreMatrix) -> list[list[str]]:
-    return [
-        [sid, fmt_sig(matrix.totals[sid]), fmt_sig(matrix.averages[sid]), str(rank)]
-        for rank, sid in matrix.ranking()
-    ]
-
-
 def cmd_borda(args) -> int:
     ds = _scenario_dataset(ingest(args.data), args.scenario)
-    matrix = borda(ds)
-    header = ("solver", "total", "average", "rank")
-    rows = _borda_rows(matrix)
-    text = csv_text(header, rows) if args.format == "csv" else align_table(header, rows)
-    _emit(text, args.out)
+    _emit(_render(args.format, _borda_table(borda(ds))), args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    header = ("dataset", "participants", "solvers", "ratio", "percent")
-    rows = []
-    notes = []
+    results = []
     for path in args.data:
         ds = ingest(path)
-        ratio = perf(ds, ds.participant_ids, ds.solver_ids)
-        label = Path(path).stem
-        rows.append(
-            [label, str(len(ds.participant_ids)), str(len(ds.solver_ids)),
-             fmt_sig(ratio.value), fmt_pct(ratio.value)]
-        )
+        results.append((Path(path).stem, ds, perf(ds, ds.participant_ids, ds.solver_ids)))
+    _emit(_render(args.format, _oracle_table(results)), args.out)
+    for label, _, ratio in results:
         if ratio.tied_unsolved:
-            notes.append(
+            print(
                 f"note: {label}: {ratio.tied_unsolved} instance(s) unsolved by both "
-                "oracles scored as symmetric ties"
+                "oracles scored as symmetric ties",
+                file=sys.stderr,
             )
-    text = csv_text(header, rows) if args.format == "csv" else align_table(header, rows)
-    _emit(text, args.out)
-    for note in notes:
-        print(note, file=sys.stderr)
     return 0
 
 
@@ -152,54 +191,41 @@ def cmd_mincover(args) -> int:
     solvers = _scenario_solvers(ds, args.scenario)
     epsilon = parse_rational(args.epsilon, what="epsilon")
     coverage, solution = _cover_for(ds, solvers, epsilon, args.cap)
-    chosen = solution.portfolios[0]
-    header = ("solver", "role")
-    rows = [[sid, "participant" if ds.solvers[sid] else "non-participant"] for sid in chosen]
-    summary = [
-        f"solvers considered: {len(solvers)}",
-        f"minimum portfolio size: {solution.size}",
-        f"size ratio: {fmt_sig(Fraction(solution.size, len(solvers)))} "
-        f"({fmt_pct(Fraction(solution.size, len(solvers)))})",
-        f"optimal portfolios: {len(solution.portfolios)}"
-        + (" (cap reached)" if solution.cap_reached else ""),
-        f"unique optimum: {'yes' if solution.is_unique else 'no'}",
-        f"instances unsolved by every solver: {len(coverage.unsolvable)}",
-    ]
+    table = _mincover_table(ds, solution.portfolios[0])
     if args.format == "csv":
-        text = csv_text(header, rows)
+        text = _render("csv", table)
     else:
-        text = "\n".join(summary) + "\n\n" + align_table(header, rows)
+        size_ratio = Fraction(solution.size, len(solvers))
+        summary = [
+            f"solvers considered: {len(solvers)}",
+            f"minimum portfolio size: {solution.size}",
+            f"size ratio: {fmt_sig(size_ratio)} ({fmt_pct(size_ratio)})",
+            f"optimal portfolios: {len(solution.portfolios)}"
+            + (" (cap reached)" if solution.cap_reached else ""),
+            f"unique optimum: {'yes' if solution.is_unique else 'no'}",
+            f"instances unsolved by every solver: {len(coverage.unsolvable)}",
+        ]
+        text = "\n".join(summary) + "\n\n" + _render("text", table)
     _emit(text, args.out)
     return 0
+
+
+def _cover_or_full(args, ds: Dataset, solvers: tuple[str, ...], choice: str):
+    """The first minimum cover of ``solvers`` for choice ``cover``, else all of them."""
+    epsilon = parse_rational(args.epsilon, what="epsilon")
+    if choice == "full":
+        return solvers
+    _, solution = _cover_for(ds, solvers, epsilon, args.cap)
+    return solution.portfolios[0]
 
 
 def cmd_tradeoff(args) -> int:
     ds = ingest(args.data)
     solvers = _scenario_solvers(ds, args.scenario)
-    epsilon = parse_rational(args.epsilon, what="epsilon")
-    if args.space == "cover":
-        _, solution = _cover_for(ds, solvers, epsilon, args.cap)
-        space = solution.portfolios[0]
-    else:
-        space = solvers
-    curve = best_subsets(ds, space, solvers)
+    curve = best_subsets(ds, _cover_or_full(args, ds, solvers, args.space), solvers)
     levels = _parse_levels(args.levels)
     reached = thresholds(curve, levels)
-
-    header = ("k", "percent", "ratio", "subset")
-    rows = [
-        [str(e.k), fmt_pct(e.value), fmt_sig(e.value), " ".join(e.subset)]
-        for e in curve.entries
-    ]
-    thr_header = ("level", "smallest_k")
-    thr_rows = [
-        [fmt_pct(level), str(reached[level]) if level in reached else "unreached"]
-        for level in levels
-    ]
-    if args.format == "csv":
-        text = csv_text(header, rows) + csv_text(thr_header, thr_rows)
-    else:
-        text = align_table(header, rows) + "\n" + align_table(thr_header, thr_rows)
+    text = _render(args.format, _tradeoff_table(curve), _thresholds_table(levels, reached))
     _emit(text, args.out)
     return 0
 
@@ -207,29 +233,12 @@ def cmd_tradeoff(args) -> int:
 def cmd_shapley(args) -> int:
     ds = ingest(args.data)
     solvers = _scenario_solvers(ds, args.scenario)
-    epsilon = parse_rational(args.epsilon, what="epsilon")
-    if args.portfolio == "cover":
-        _, solution = _cover_for(ds, solvers, epsilon, args.cap)
-        portfolio = solution.portfolios[0]
-    else:
-        portfolio = solvers
+    portfolio = _cover_or_full(args, ds, solvers, args.portfolio)
     report = _attribution(ds, portfolio, solvers, args.mode, args.samples, args.seed)
-
-    scenario_ds = filter_solvers(ds, solvers)
-    full_borda = borda(scenario_ds)
-    sub_borda = borda(filter_solvers(ds, portfolio))
-    header = ("solver", "attribution", "borda_avg_all", "borda_avg_portfolio")
-    rows = [
-        [
-            sid,
-            _fmt_value(report.values[sid]),
-            fmt_sig(full_borda.averages[sid]),
-            fmt_sig(sub_borda.averages[sid]),
-        ]
-        for sid in report.portfolio
-    ]
-    text = csv_text(header, rows) if args.format == "csv" else align_table(header, rows)
-    _emit(text, args.out)
+    table = _shapley_table(
+        report, borda(filter_solvers(ds, solvers)), borda(filter_solvers(ds, portfolio))
+    )
+    _emit(_render(args.format, table), args.out)
     return 0
 
 
@@ -294,39 +303,24 @@ def run_pipeline(cfg: ReportConfig) -> dict[str, str]:
     attribution = _stage(
         "shapley", _attribution, ds, core, solvers, cfg.mode, cfg.samples, cfg.seed
     )
-    core_borda = _stage("shapley", lambda: borda(filter_solvers(ds, core)))
 
     files: dict[str, str] = {}
+    if "csv" in cfg.formats or "text" in cfg.formats:
+        core_borda = _stage("shapley", lambda: borda(filter_solvers(ds, core)))
+        tables = {
+            "borda": _borda_table(matrix),
+            "oracle": _oracle_table([(Path(cfg.data).stem, ds, oracle)]),
+            "mincover": _mincover_table(ds, core),
+            "tradeoff": _tradeoff_table(curve),
+            "thresholds": _thresholds_table(cfg.levels, reached),
+            "shapley": _shapley_table(attribution, matrix, core_borda),
+        }
     if "csv" in cfg.formats:
-        files["borda.csv"] = csv_text(("solver", "total", "average", "rank"), _borda_rows(matrix))
-        files["oracle.csv"] = csv_text(
-            ("dataset", "participants", "solvers", "ratio", "percent"),
-            [[Path(cfg.data).stem, str(len(ds.participant_ids)), str(len(ds.solver_ids)),
-              fmt_sig(oracle.value), fmt_pct(oracle.value)]],
-        )
-        files["mincover.csv"] = csv_text(
-            ("solver", "role"),
-            [[sid, "participant" if ds.solvers[sid] else "non-participant"] for sid in core],
-        )
-        files["tradeoff.csv"] = csv_text(
-            ("k", "percent", "ratio", "subset"),
-            [[str(e.k), fmt_pct(e.value), fmt_sig(e.value), " ".join(e.subset)]
-             for e in curve.entries],
-        )
-        files["thresholds.csv"] = csv_text(
-            ("level", "smallest_k"),
-            [[fmt_pct(level), str(reached[level]) if level in reached else "unreached"]
-             for level in cfg.levels],
-        )
-        files["shapley.csv"] = csv_text(
-            ("solver", "attribution", "borda_avg_all", "borda_avg_portfolio"),
-            [[sid, _fmt_value(attribution.values[sid]), fmt_sig(matrix.averages[sid]),
-              fmt_sig(core_borda.averages[sid])] for sid in attribution.portfolio],
-        )
+        for name, table in tables.items():
+            files[f"{name}.csv"] = _render("csv", table)
     if "text" in cfg.formats:
         files["report.txt"] = _text_report(
-            cfg, ds, matrix, oracle, coverage.unsolvable, solution, curve, reached, attribution,
-            core_borda,
+            cfg, ds, matrix, oracle, coverage.unsolvable, solution, attribution, tables
         )
     if "json" in cfg.formats:
         files["exact.json"] = _json_sidecar(
@@ -335,75 +329,41 @@ def run_pipeline(cfg: ReportConfig) -> dict[str, str]:
     return files
 
 
-def _text_report(cfg, ds, matrix, oracle, unsolvable, solution, curve, reached,
-                 attribution, core_borda) -> str:
-    sections = []
-    sections.append(
-        f"dataset: {cfg.data}\n"
-        f"scenario: {cfg.scenario}\n"
-        f"solvers: {len(ds.solver_ids)} ({len(ds.participant_ids)} participants)\n"
-        f"instances: {len(ds.instance_ids)}\n"
-        f"ingestion warnings: {len(ds.warnings)}\n"
-    )
-    sections.append(
-        "participant-oracle vs oracle\n"
-        + align_table(
-            ("ratio", "percent", "tied_unsolved"),
-            [[fmt_sig(oracle.value), fmt_pct(oracle.value), str(oracle.tied_unsolved)]],
-        )
-    )
-    sections.append(
-        "borda ranking\n"
-        + align_table(("solver", "total", "average", "rank"), _borda_rows(matrix))
-    )
-    chosen = solution.portfolios[0]
-    sections.append(
-        "minimum oracle-equivalent portfolio\n"
-        f"size {solution.size} of {len(matrix.totals)} "
-        f"({fmt_pct(Fraction(solution.size, len(matrix.totals)))}), "
-        f"optima {len(solution.portfolios)}"
-        + (" (cap reached)" if solution.cap_reached else "")
-        + f", unique {'yes' if solution.is_unique else 'no'}, "
-        f"uncoverable instances {len(unsolvable)}\n"
-        + align_table(
-            ("solver", "role"),
-            [[sid, "participant" if ds.solvers[sid] else "non-participant"] for sid in chosen],
-        )
-    )
-    sections.append(
-        "size/performance trade-off\n"
-        + align_table(
-            ("k", "percent", "ratio", "subset"),
-            [[str(e.k), fmt_pct(e.value), fmt_sig(e.value), " ".join(e.subset)]
-             for e in curve.entries],
-        )
-        + "\n"
-        + align_table(
-            ("level", "smallest_k"),
-            [[fmt_pct(level), str(reached[level]) if level in reached else "unreached"]
-             for level in cfg.levels],
-        )
-    )
+def _text_report(cfg, ds, matrix, oracle, unsolvable, solution, attribution, tables) -> str:
+    _, _, _, ratio, percent = tables["oracle"][1][0]
+    n_solvers = len(matrix.totals)
     mode_note = {
         "exact": "weighted average over coalitions",
         "sum": "unweighted sum over coalitions",
         "sampled": f"sampled over {attribution.sample_count} permutations, seed {cfg.seed}",
     }[cfg.mode]
-    sections.append(
-        f"solver attribution ({mode_note})\n"
+    sections = [
+        f"dataset: {cfg.data}\n"
+        f"scenario: {cfg.scenario}\n"
+        f"solvers: {len(ds.solver_ids)} ({len(ds.participant_ids)} participants)\n"
+        f"instances: {len(ds.instance_ids)}\n"
+        f"ingestion warnings: {len(ds.warnings)}\n",
+        "participant-oracle vs oracle\n"
         + align_table(
-            ("solver", "attribution", "borda_avg_all", "borda_avg_portfolio"),
-            [[sid, _fmt_value(attribution.values[sid]), fmt_sig(matrix.averages[sid]),
-              fmt_sig(core_borda.averages[sid])] for sid in attribution.portfolio],
-        )
-    )
+            ("ratio", "percent", "tied_unsolved"), [[ratio, percent, str(oracle.tied_unsolved)]]
+        ),
+        "borda ranking\n" + _render("text", tables["borda"]),
+        "minimum oracle-equivalent portfolio\n"
+        f"size {solution.size} of {n_solvers} "
+        f"({fmt_pct(Fraction(solution.size, n_solvers))}), "
+        f"optima {len(solution.portfolios)}"
+        + (" (cap reached)" if solution.cap_reached else "")
+        + f", unique {'yes' if solution.is_unique else 'no'}, "
+        f"uncoverable instances {len(unsolvable)}\n"
+        + _render("text", tables["mincover"]),
+        "size/performance trade-off\n"
+        + _render("text", tables["tradeoff"], tables["thresholds"]),
+        f"solver attribution ({mode_note})\n" + _render("text", tables["shapley"]),
+    ]
     return "\n".join(sections)
 
 
 def _json_sidecar(cfg, ds, matrix, oracle, solution, curve, reached, attribution) -> str:
-    def frac(value: Fraction) -> str:
-        return frac_str(value)
-
     payload = {
         "dataset": {
             "path": cfg.data,
@@ -413,21 +373,21 @@ def _json_sidecar(cfg, ds, matrix, oracle, solution, curve, reached, attribution
             "instances": len(ds.instance_ids),
         },
         "oracle": {
-            "numerator": frac(oracle.numerator),
-            "denominator": frac(oracle.denominator),
-            "value": frac(oracle.value),
+            "numerator": frac_str(oracle.numerator),
+            "denominator": frac_str(oracle.denominator),
+            "value": frac_str(oracle.value),
             "tied_unsolved": oracle.tied_unsolved,
         },
         "borda": {
-            "totals": {sid: frac(v) for sid, v in sorted(matrix.totals.items())},
-            "averages": {sid: frac(v) for sid, v in sorted(matrix.averages.items())},
+            "totals": {sid: frac_str(v) for sid, v in sorted(matrix.totals.items())},
+            "averages": {sid: frac_str(v) for sid, v in sorted(matrix.averages.items())},
         },
         "mincover": {
             "size": solution.size,
             "unique": solution.is_unique,
             "cap_reached": solution.cap_reached,
             "optima": [list(p) for p in solution.portfolios],
-            "epsilon": frac(cfg.epsilon),
+            "epsilon": frac_str(cfg.epsilon),
         },
         "tradeoff": {
             "search_space": list(curve.search_space),
@@ -436,21 +396,21 @@ def _json_sidecar(cfg, ds, matrix, oracle, solution, curve, reached, attribution
                 {
                     "k": e.k,
                     "subset": list(e.subset),
-                    "numerator": frac(e.ratio.numerator),
-                    "denominator": frac(e.ratio.denominator),
-                    "value": frac(e.value),
+                    "numerator": frac_str(e.ratio.numerator),
+                    "denominator": frac_str(e.ratio.denominator),
+                    "value": frac_str(e.value),
                 }
                 for e in curve.entries
             ],
             "thresholds": {
-                frac(level): reached.get(level) for level in cfg.levels
+                frac_str(level): reached.get(level) for level in cfg.levels
             },
         },
         "attribution": {
             "mode": attribution.mode.value,
             "samples": attribution.sample_count,
             "values": {
-                sid: frac(v) if isinstance(v, Fraction) else v
+                sid: frac_str(v) if isinstance(v, Fraction) else v
                 for sid, v in sorted(attribution.values.items())
             },
         },
@@ -509,6 +469,12 @@ def _add_cover_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, default=1000, help="max optima to enumerate")
 
 
+def _add_attribution_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=("exact", "sum", "sampled"), default="exact")
+    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="portview",
@@ -555,20 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_cover_flags(p)
     p.add_argument("--portfolio", choices=("cover", "full"), default="cover")
-    p.add_argument("--mode", choices=("exact", "sum", "sampled"), default="exact")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_attribution_flags(p)
     p.set_defaults(func=cmd_shapley)
 
     p = sub.add_parser("report", help="run the full pipeline into a bundle")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scenario", choices=SCENARIOS, default="participants")
-    p.add_argument("--epsilon", default="0")
-    p.add_argument("--cap", type=int, default=1000)
-    p.add_argument("--mode", choices=("exact", "sum", "sampled"), default="exact")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_cover_flags(p)
+    _add_attribution_flags(p)
     p.add_argument("--levels", default="0.8,0.9,0.95")
     p.add_argument("--formats", default="csv,text,json")
     p.set_defaults(func=cmd_report)

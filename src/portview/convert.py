@@ -4,57 +4,22 @@ External competition result dumps rarely match the canonical schema, so a
 column-mapping config describes how to read them: which source columns feed
 each canonical column (several may be joined into one id), synonym tables for
 status and problem-kind tokens, and constant defaults for columns the source
-lacks (a global timeout, say). Conversion is best effort: rows that violate
-the data model are coerced to UNSOLVED with a warning instead of failing, so
-one bad line does not sink a whole table.
+lacks (a global timeout, say). Conversion uses the same reader as ``ingest``
+under its lenient policy: rows that violate the data model are coerced with a
+warning instead of failing, so one bad line does not sink a whole table.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
-from .runstore import (
-    CANONICAL_COLUMNS,
-    DataError,
-    InstanceMeta,
-    ProblemKind,
-    RunRecord,
-    Status,
-    build_dataset,
-    parse_duration,
-    parse_rational,
-    write_canonical,
-)
-
-_KIND_TOKENS = {k.value: k for k in ProblemKind}
-_STATUS_TOKENS = {s.value: s for s in Status}
-
-
-@dataclass
-class ColumnMapping:
-    """How to pull canonical columns out of an external table.
-
-    ``columns`` maps canonical names to one or more source column names
-    (multiple names are joined with ``join`` to form a single id). ``defaults``
-    supplies a constant cell value for canonical columns with no source column.
-    ``status_map`` / ``kind_map`` translate source tokens (case-insensitive)
-    to canonical ones before normal parsing.
-    """
-
-    columns: dict[str, list[str]] = field(default_factory=dict)
-    defaults: dict[str, str] = field(default_factory=dict)
-    status_map: dict[str, str] = field(default_factory=dict)
-    kind_map: dict[str, str] = field(default_factory=dict)
-    delimiter: str = ","
-    join: str = "/"
+from .runstore import CANONICAL_COLUMNS, ColumnMapping, DataError, read_table, write_canonical
 
 
 def identity_mapping() -> ColumnMapping:
-    return ColumnMapping(columns={name: [name] for name in CANONICAL_COLUMNS})
+    return ColumnMapping()
 
 
 def load_mapping(path: str | Path) -> ColumnMapping:
@@ -65,13 +30,9 @@ def load_mapping(path: str | Path) -> ColumnMapping:
         if name not in CANONICAL_COLUMNS:
             raise DataError(f"mapping: unknown canonical column {name!r}")
         columns[name] = [value] if isinstance(value, str) else list(value)
-    defaults = {str(k): str(v) for k, v in raw.get("defaults", {}).items()}
-    for name in CANONICAL_COLUMNS:
-        if name not in columns and name not in defaults:
-            columns[name] = [name]
     return ColumnMapping(
         columns=columns,
-        defaults=defaults,
+        defaults={str(k): str(v) for k, v in raw.get("defaults", {}).items()},
         status_map={k.upper(): v.upper() for k, v in raw.get("status", {}).items()},
         kind_map={k.upper(): v.upper() for k, v in raw.get("kind", {}).items()},
         delimiter=raw.get("delimiter", ","),
@@ -83,130 +44,5 @@ def convert_table(
     source: str | Path | IO[str], mapping: ColumnMapping | None = None
 ) -> tuple[str, list[str]]:
     """Convert an external table to canonical text; returns (text, warnings)."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-        return convert_table(io.StringIO(text), mapping)
-    mapping = mapping or identity_mapping()
-
-    import csv
-
-    reader = csv.reader(source, delimiter=mapping.delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty input: missing header row") from None
-    positions = {name.strip().lower(): idx for idx, name in enumerate(header)}
-    plan: dict[str, list[int]] = {}
-    for name in CANONICAL_COLUMNS:
-        sources = mapping.columns.get(name)
-        if sources is None:
-            if name not in mapping.defaults:
-                raise DataError(f"mapping: no source column or default for {name!r}")
-            continue
-        idxs = []
-        for col in sources:
-            key = col.strip().lower()
-            if key not in positions:
-                raise DataError(f"mapping: source column {col!r} not in header")
-            idxs.append(positions[key])
-        plan[name] = idxs
-
-    warnings: list[str] = []
-    instances: dict[str, InstanceMeta] = {}
-    solver_flags: dict[str, bool] = {}
-    records: list[RunRecord] = []
-    for row_no, cells in enumerate(reader, start=2):
-        if not cells or all(not c.strip() for c in cells):
-            continue
-
-        def cell(name: str) -> str:
-            if name in plan:
-                return mapping.join.join(cells[i].strip() for i in plan[name])
-            return mapping.defaults[name]
-
-        solver = cell("solver")
-        instance = cell("instance")
-        if not solver or not instance:
-            raise DataError(f"row {row_no}: empty solver or instance id")
-
-        kind_token = mapping.kind_map.get(cell("kind").upper(), cell("kind").upper())
-        kind = _KIND_TOKENS.get(kind_token)
-        if kind is None:
-            raise DataError(f"row {row_no}: unknown problem kind {cell('kind')!r}")
-        try:
-            timeout = parse_duration(cell("timeout"), what="timeout")
-            meta = InstanceMeta(instance, kind, timeout)
-        except DataError as exc:
-            raise DataError(f"row {row_no}: {exc}") from None
-        known = instances.get(instance)
-        if known is None:
-            instances[instance] = meta
-        elif known != meta:
-            raise DataError(
-                f"row {row_no}: instance {instance!r} redeclared with different "
-                "kind or timeout"
-            )
-
-        flag_token = cell("participant").strip().upper()
-        participant = flag_token in {"1", "TRUE", "YES"}
-        known_flag = solver_flags.get(solver)
-        if known_flag is None:
-            solver_flags[solver] = participant
-        elif known_flag != participant:
-            raise DataError(
-                f"row {row_no}: solver {solver!r} redeclared with different "
-                "participant flag"
-            )
-
-        status_token = mapping.status_map.get(cell("status").upper(), cell("status").upper())
-        status = _STATUS_TOKENS.get(status_token)
-        if status is None:
-            warnings.append(
-                f"row {row_no}: unknown status {cell('status')!r}, recorded as UNSOLVED"
-            )
-            status = Status.UNSOLVED
-
-        objective = None
-        if cell("objective"):
-            try:
-                objective = parse_rational(cell("objective"))
-            except DataError:
-                warnings.append(
-                    f"row {row_no}: unparseable objective {cell('objective')!r}, dropped"
-                )
-        try:
-            time = parse_duration(cell("time"))
-            if time < 0:
-                raise DataError("negative time")
-        except DataError:
-            warnings.append(
-                f"row {row_no}: unusable time {cell('time')!r}, recorded as UNSOLVED"
-            )
-            time = timeout
-            status = Status.UNSOLVED
-            objective = None
-
-        # coerce rows that violate the data model instead of failing
-        if kind.is_optimization:
-            if status is not Status.UNSOLVED and objective is None:
-                warnings.append(
-                    f"row {row_no}: {status.value} without an objective on an "
-                    "optimization instance, recorded as UNSOLVED"
-                )
-                status = Status.UNSOLVED
-        else:
-            if status is Status.INCOMPLETE:
-                warnings.append(
-                    f"row {row_no}: INCOMPLETE on a decision instance, recorded as UNSOLVED"
-                )
-                status = Status.UNSOLVED
-            if objective is not None:
-                warnings.append(f"row {row_no}: objective on a decision instance, dropped")
-                objective = None
-        if status is Status.UNSOLVED:
-            objective = None
-
-        records.append(RunRecord(solver, instance, status, time, objective))
-
-    ds = build_dataset(instances.values(), solver_flags, records, tuple(warnings))
+    ds = read_table(source, mapping or identity_mapping(), strict=False)
     return write_canonical(ds), list(ds.warnings)

@@ -35,7 +35,8 @@ def fmt_pct(value: Fraction) -> str:
 
 
 def frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    """Exact ``p/q`` text; ``Decimal`` has no 4300-digit limit, unlike ``str`` of an int."""
+    return str(Decimal(value.numerator)) + "/" + str(Decimal(value.denominator))
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

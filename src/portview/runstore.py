@@ -14,7 +14,9 @@ which keeps every downstream score ratio reproducible bit for bit.
 
 from __future__ import annotations
 
+import csv
 import io
+import operator
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
@@ -281,13 +283,6 @@ def build_dataset(
     return Dataset(inst_map, solver_map, run_map, tuple(warnings))
 
 
-def _parse_enum(token: str, table: Mapping[str, object], what: str, row: int):
-    key = token.strip().upper()
-    if key not in table:
-        raise DataError(f"row {row}: unknown {what} {token!r}")
-    return table[key]
-
-
 def _parse_flag(token: str, row: int) -> bool:
     key = token.strip().upper()
     if key in _TRUE_TOKENS:
@@ -297,76 +292,141 @@ def _parse_flag(token: str, row: int) -> bool:
     raise DataError(f"row {row}: unparseable participant flag {token!r}")
 
 
-def ingest(
-    source: str | Path | IO[str],
-    *,
-    delimiter: str = ",",
-    mapping: Mapping[str, str] | None = None,
-) -> Dataset:
-    """Read canonical delimiter-separated results into a validated Dataset.
+@dataclass
+class ColumnMapping:
+    """How to pull canonical columns out of a results table.
 
-    ``mapping`` renames canonical columns to the source file's header names
-    (canonical name -> source name); by default the header must carry the
-    canonical names. Row numbers in error messages count the header as row 1.
+    ``columns`` maps canonical names to one or more source column names
+    (multiple names are joined with ``join`` to form a single id). ``defaults``
+    supplies a constant cell value for canonical columns with no source column.
+    A canonical column listed in neither is read from the source column of the
+    same name. ``status_map`` / ``kind_map`` translate source tokens
+    (case-insensitive) to canonical ones before normal parsing.
+    """
+
+    columns: dict[str, list[str]] = field(default_factory=dict)
+    defaults: dict[str, str] = field(default_factory=dict)
+    status_map: dict[str, str] = field(default_factory=dict)
+    kind_map: dict[str, str] = field(default_factory=dict)
+    delimiter: str = ","
+    join: str = "/"
+
+
+def _column_plan(header: Sequence[str], mapping: ColumnMapping):
+    """Resolve ``mapping`` against ``header`` once.
+
+    Returns a function from a row's cells to the stripped canonical cells.
+    Joined and default columns are appended to the row; all are picked by index.
+    """
+    positions = {name.strip().lower(): idx for idx, name in enumerate(header)}
+    picks: list[int] = []
+    extras = []
+    for name in CANONICAL_COLUMNS:
+        if name not in mapping.columns and name in mapping.defaults:
+            picks.append(len(header) + len(extras))
+            extras.append(lambda cells, value=mapping.defaults[name]: value)
+            continue
+        idxs = []
+        for col in mapping.columns.get(name, [name]):
+            if col.strip().lower() not in positions:
+                raise DataError(f"missing required column {col!r}")
+            idxs.append(positions[col.strip().lower()])
+        if len(idxs) == 1:
+            picks.append(idxs[0])
+        else:
+            picks.append(len(header) + len(extras))
+            extras.append(
+                lambda cells, idxs=idxs: mapping.join.join(cells[i].strip() for i in idxs)
+            )
+    pick = operator.itemgetter(*picks)
+    if not extras:
+        return lambda cells: [text.strip() for text in pick(cells)]
+    return lambda cells: [text.strip() for text in pick(cells + [f(cells) for f in extras])]
+
+
+def _token_table(enum: type[Enum], synonyms: Mapping[str, str]) -> dict[str, Enum | None]:
+    """Upper-case token -> member; a synonym of no canonical token maps to None."""
+    table: dict[str, Enum | None] = {m.value: m for m in enum}
+    table.update({token: table.get(canonical) for token, canonical in synonyms.items()})
+    return table
+
+
+def read_table(
+    source: str | Path | IO[str], mapping: ColumnMapping, *, strict: bool
+) -> Dataset:
+    """Read a delimiter-separated results table into a validated Dataset.
+
+    Under the strict policy any data-model violation raises DataError. Under
+    the lenient policy an unknown status, an unparseable participant flag,
+    objective or time, and runs that break the data model are coerced
+    (to UNSOLVED, a non-participant, or a dropped objective) with a warning.
+    Both policies raise on a malformed header or row shape, an empty id, an
+    unknown problem kind, a bad timeout, and a redeclared instance or
+    participant flag. Row numbers in messages count the header as row 1.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-        return ingest(io.StringIO(text), delimiter=delimiter, mapping=mapping)
-
-    import csv
-
-    reader = csv.reader(source, delimiter=delimiter)
+        source = io.StringIO(Path(source).read_text(encoding="utf-8"))
+    reader = csv.reader(source, delimiter=mapping.delimiter)
     try:
         header = next(reader)
     except StopIteration:
         raise DataError("empty input: missing header row") from None
-    positions = {name.strip().lower(): idx for idx, name in enumerate(header)}
-    col: dict[str, int] = {}
-    for name in CANONICAL_COLUMNS:
-        source_name = (mapping or {}).get(name, name).strip().lower()
-        if source_name not in positions:
-            raise DataError(f"missing required column {source_name!r}")
-        col[name] = positions[source_name]
+    canonical_cells = _column_plan(header, mapping)
+    kinds = _token_table(ProblemKind, mapping.kind_map)
+    statuses = _token_table(Status, mapping.status_map)
 
-    kinds = {k.value: k for k in ProblemKind}
-    statuses = {s.value: s for s in Status}
+    warnings: list[str] = []
+
+    def violation(message: str, consequence: str) -> None:
+        if strict:
+            raise DataError(message)
+        warnings.append(f"{message}, {consequence}")
 
     instances: dict[str, InstanceMeta] = {}
     solver_flags: dict[str, bool] = {}
     records: list[RunRecord] = []
     for row_no, cells in enumerate(reader, start=2):
-        if not cells or all(not c.strip() for c in cells):
+        if not "".join(cells).strip():
             continue
         if len(cells) != len(header):
             raise DataError(f"row {row_no}: expected {len(header)} fields, got {len(cells)}")
-
-        def cell(name: str) -> str:
-            return cells[col[name]].strip()
-
-        solver = cell("solver")
-        instance = cell("instance")
+        solver, instance, kind_text, status_text, time_text, objective_text, flag_text, \
+            timeout_text = canonical_cells(cells)
         if not solver or not instance:
             raise DataError(f"row {row_no}: empty solver or instance id")
-        kind = _parse_enum(cell("kind"), kinds, "problem kind", row_no)
-        status = _parse_enum(cell("status"), statuses, "status", row_no)
-        participant = _parse_flag(cell("participant"), row_no)
+        kind = kinds.get(kind_text.upper())
+        if kind is None:
+            raise DataError(f"row {row_no}: unknown problem kind {kind_text!r}")
+        status = statuses.get(status_text.upper())
+        if status is None:
+            violation(f"row {row_no}: unknown status {status_text!r}", "recorded as UNSOLVED")
+            status = Status.UNSOLVED
         try:
-            time = parse_duration(cell("time"))
-            timeout = parse_duration(cell("timeout"), what="timeout")
-            objective = parse_rational(cell("objective")) if cell("objective") else None
-            meta = InstanceMeta(instance, kind, timeout)
-            record = RunRecord(solver, instance, status, time, objective)
+            participant = _parse_flag(flag_text, row_no)
+        except DataError as exc:
+            violation(str(exc), "recorded as non-participant")
+            participant = False
+        objective = None
+        if objective_text:
+            try:
+                objective = parse_rational(objective_text)
+            except DataError as exc:
+                violation(f"row {row_no}: {exc}", "dropped")
+        try:
+            timeout = parse_duration(timeout_text, what="timeout")
+            meta = instances.get(instance) or InstanceMeta(instance, kind, timeout)
+            if strict:
+                record = RunRecord(solver, instance, status, parse_duration(time_text), objective)
         except DataError as exc:
             raise DataError(f"row {row_no}: {exc}") from None
-
-        known = instances.get(instance)
-        if known is None:
-            instances[instance] = meta
-        elif known != meta:
+        if meta.kind is not kind or meta.timeout != timeout:
             raise DataError(
                 f"row {row_no}: instance {instance!r} redeclared with different "
                 "kind or timeout"
             )
+        instances[instance] = meta
+        if not strict:
+            record = _coerce_run(row_no, solver, meta, status, time_text, objective, warnings)
         known_flag = solver_flags.get(solver)
         if known_flag is None:
             solver_flags[solver] = participant
@@ -377,16 +437,62 @@ def ingest(
             )
         records.append(record)
 
+    return build_dataset(instances.values(), solver_flags, records, warnings)
+
+
+def _coerce_run(
+    row_no: int,
+    solver: str,
+    meta: InstanceMeta,
+    status: Status,
+    time_text: str,
+    objective: Fraction | None,
+    warnings: list[str],
+) -> RunRecord:
+    """Lenient run: coerce an unusable time and data-model violations, with a warning."""
     try:
-        return build_dataset(instances.values(), solver_flags, records)
-    except DataError as exc:
-        raise DataError(str(exc)) from None
+        time = parse_duration(time_text)
+        if time < 0:
+            raise DataError("negative time")
+    except DataError:
+        warnings.append(f"row {row_no}: unusable time {time_text!r}, recorded as UNSOLVED")
+        time = meta.timeout
+        status = Status.UNSOLVED
+        objective = None
+
+    if meta.kind.is_optimization:
+        if status is not Status.UNSOLVED and objective is None:
+            warnings.append(
+                f"row {row_no}: {status.value} without an objective on an "
+                "optimization instance, recorded as UNSOLVED"
+            )
+            status = Status.UNSOLVED
+    else:
+        if status is Status.INCOMPLETE:
+            warnings.append(
+                f"row {row_no}: INCOMPLETE on a decision instance, recorded as UNSOLVED"
+            )
+            status = Status.UNSOLVED
+        if objective is not None:
+            warnings.append(f"row {row_no}: objective on a decision instance, dropped")
+            objective = None
+    if status is Status.UNSOLVED:
+        objective = None
+    return RunRecord(solver, meta.instance_id, status, time, objective)
+
+
+def ingest(source: str | Path | IO[str], *, delimiter: str = ",") -> Dataset:
+    """Read a canonical results table into a validated Dataset.
+
+    The header must carry the canonical column names (any order, any case).
+    Strict: the first data-model violation raises DataError; see
+    ``read_table``. Row numbers in error messages count the header as row 1.
+    """
+    return read_table(source, ColumnMapping(delimiter=delimiter), strict=True)
 
 
 def write_canonical(ds: Dataset) -> str:
     """Emit the canonical form; deterministic for a given Dataset."""
-    import csv
-
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CANONICAL_COLUMNS)

@@ -178,3 +178,33 @@ def test_out_flag_writes_file(demo_path, tmp_path):
     ) == 0
     assert target.exists()
     assert target.read_text(encoding="utf-8").startswith("solver,total,average,rank")
+
+
+def test_report_exact_sidecar_at_realistic_size(tmp_path):
+    import random
+    from decimal import Decimal
+    from fractions import Fraction
+
+    from portview.runstore import write_canonical
+    from portview.shapley import shapley_exact
+    from randgen import make_dataset
+
+    data = tmp_path / "m100.csv"
+    data.write_text(
+        write_canonical(make_dataset(random.Random(7), n_solvers=7, n_instances=100)),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "bundle"
+    assert main(
+        ["report", "--data", str(data), "--scenario", "all", "--out", str(out_dir)]
+    ) == 0
+    sidecar = json.loads((out_dir / "exact.json").read_text(encoding="utf-8"))
+    ds = ingest(data)
+    core = tuple(sidecar["mincover"]["optima"][0])
+    expected = shapley_exact(ds, core, ds.solver_ids).values
+    got = {}
+    for sid, text in sidecar["attribution"]["values"].items():
+        numerator, denominator = text.split("/")
+        got[sid] = Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
+    assert got == expected
+    assert max(len(text) for text in sidecar["attribution"]["values"].values()) > 4300

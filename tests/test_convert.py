@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from portview.cli import main
 from portview.convert import convert_table, identity_mapping, load_mapping
 from portview.runstore import DataError, Status, ingest, write_canonical
 from randgen import make_dataset
@@ -153,3 +154,38 @@ def test_converted_output_reingests_cleanly():
     assert warnings  # clamped time, dropped objective, unknown status
     ds = ingest(io.StringIO(converted))
     assert len(ds.runs) == len(ds.solvers) * len(ds.instances)
+
+
+def test_short_row_rejected_with_field_count():
+    raw = (
+        "solver,instance,kind,status,time,objective,participant,timeout\n"
+        "a,i1,DECISION,COMPLETE,1.000\n"
+    )
+    with pytest.raises(DataError, match="row 2: expected 8 fields, got 5"):
+        convert_table(io.StringIO(raw))
+
+
+def test_short_row_is_a_validation_error_in_cli(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        "solver,instance,kind,status,time,objective,participant,timeout\n"
+        "a,i1,DECISION,COMPLETE,1.000\n",
+        encoding="utf-8",
+    )
+    assert main(["convert", "--data", str(raw)]) == 1
+    assert "row 2: expected 8 fields, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["maybe", ""])
+def test_unparseable_participant_flag_warns(flag):
+    raw = (
+        "solver,instance,kind,status,time,objective,participant,timeout\n"
+        f"a,i1,DECISION,COMPLETE,1.000,,{flag},10.000\n"
+    )
+    converted, warnings = convert_table(io.StringIO(raw))
+    assert warnings == [
+        f"row 2: unparseable participant flag {flag!r}, recorded as non-participant"
+    ]
+    assert ingest(io.StringIO(converted)).solvers == {"a": False}
+    with pytest.raises(DataError, match="unparseable participant flag"):
+        ingest(io.StringIO(raw))

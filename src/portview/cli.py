@@ -29,6 +29,7 @@ from .runstore import (
     DataError,
     Dataset,
     filter_solvers,
+    format_rational,
     ingest,
     parse_rational,
     write_canonical,
@@ -243,12 +244,9 @@ def cmd_shapley(args) -> int:
 
 
 def _attribution(ds, portfolio, baseline, mode: str, samples: int, seed: int):
-    if mode == "sampled":
+    if ShapleyMode(mode) is ShapleyMode.SAMPLED:
         return shapley_sampled(ds, portfolio, baseline, samples, seed)
-    return shapley_exact(
-        ds, portfolio, baseline,
-        ShapleyMode.EXACT if mode == "exact" else ShapleyMode.SUM,
-    )
+    return shapley_exact(ds, portfolio, baseline, ShapleyMode(mode))
 
 
 def _fmt_value(value) -> str:
@@ -456,23 +454,31 @@ def cmd_report(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, *, scenario: bool = True) -> None:
+# Flags that several subcommands take; report defaults come from ReportConfig.
+_SHARED_FLAGS = {
+    "--format": dict(choices=("text", "csv"), default="text"),
+    "--scenario": dict(choices=SCENARIOS, default=ReportConfig.scenario),
+    "--epsilon": dict(
+        default=format_rational(ReportConfig.epsilon), help="time-tie tolerance in seconds"
+    ),
+    "--cap": dict(type=int, default=ReportConfig.cap, help="max optima to enumerate"),
+    "--mode": dict(choices=[m.value for m in ShapleyMode], default=ReportConfig.mode),
+    "--samples": dict(type=int, default=ReportConfig.samples),
+    "--seed": dict(type=int, default=ReportConfig.seed),
+    "--levels": dict(default=",".join(map(format_rational, DEFAULT_LEVELS))),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """``--data``, ``--out``, ``--format`` and ``--scenario``, then the given shared flags."""
     p.add_argument("--data", required=True, help="canonical dataset file")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    if scenario:
-        p.add_argument("--scenario", choices=SCENARIOS, default="participants")
-
-
-def _add_cover_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", default="0", help="time-tie tolerance in seconds")
-    p.add_argument("--cap", type=int, default=1000, help="max optima to enumerate")
-
-
-def _add_attribution_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("exact", "sum", "sampled"), default="exact")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_shared(p, "--format", "--scenario", *flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,36 +508,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="participant-oracle vs oracle ratio")
     p.add_argument("--data", required=True, nargs="+")
     p.add_argument("--out")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
+    _add_shared(p, "--format")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("mincover", help="minimum oracle-equivalent portfolios")
-    _add_common(p)
-    _add_cover_flags(p)
+    _add_common(p, "--epsilon", "--cap")
     p.set_defaults(func=cmd_mincover)
 
     p = sub.add_parser("tradeoff", help="best subset per portfolio size")
-    _add_common(p)
-    _add_cover_flags(p)
+    _add_common(p, "--epsilon", "--cap")
     p.add_argument("--space", choices=("cover", "full"), default="cover")
-    p.add_argument("--levels", default="0.8,0.9,0.95")
+    _add_shared(p, "--levels")
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("shapley", help="per-solver contribution values")
-    _add_common(p)
-    _add_cover_flags(p)
+    _add_common(p, "--epsilon", "--cap")
     p.add_argument("--portfolio", choices=("cover", "full"), default="cover")
-    _add_attribution_flags(p)
+    _add_shared(p, "--mode", "--samples", "--seed")
     p.set_defaults(func=cmd_shapley)
 
     p = sub.add_parser("report", help="run the full pipeline into a bundle")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--scenario", choices=SCENARIOS, default="participants")
-    _add_cover_flags(p)
-    _add_attribution_flags(p)
-    p.add_argument("--levels", default="0.8,0.9,0.95")
-    p.add_argument("--formats", default="csv,text,json")
+    _add_shared(p, "--scenario", "--epsilon", "--cap", "--mode", "--samples", "--seed", "--levels")
+    p.add_argument("--formats", default=",".join(ReportConfig.formats))
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .pairscore import quality_key, run_comparable
 from .portfolio import vbs_run
-from .runstore import DataError, Dataset, Status
+from .runstore import DataError, Dataset, Status, known_solvers
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,7 @@ def build_coverage(
     quality and objective match the optimum exactly and its time is within
     ``epsilon`` of the fastest best-quality run.
     """
-    members = tuple(sorted(set(solvers))) if solvers is not None else ds.solver_ids
-    unknown = [s for s in members if s not in ds.solvers]
-    if unknown:
-        raise DataError(f"build_coverage: unknown solver ids {unknown}")
+    members = known_solvers(ds, solvers, "build_coverage") if solvers is not None else ds.solver_ids
     if epsilon < 0:
         raise DataError("build_coverage: epsilon must be non-negative")
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .runstore import DataError, Dataset, ProblemKind, Status
+from .runstore import DataError, Dataset, ProblemKind, Status, run_shape_violation
 
-_HALF = Fraction(1, 2)
+HALF = Fraction(1, 2)
 _STATUS_RANK = {Status.UNSOLVED: 0, Status.INCOMPLETE: 1, Status.COMPLETE: 2}
 
 
@@ -31,17 +31,9 @@ class Comparable:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise DataError("comparable: negative time")
-        if self.status is Status.UNSOLVED:
-            if self.objective is not None:
-                raise DataError("comparable: unsolved side must not carry an objective")
-        elif self.kind.is_optimization:
-            if self.objective is None:
-                raise DataError("comparable: solved optimization side requires an objective")
-        else:
-            if self.status is Status.INCOMPLETE:
-                raise DataError("comparable: INCOMPLETE is not valid on a decision instance")
-            if self.objective is not None:
-                raise DataError("comparable: decision side must not carry an objective")
+        broken = run_shape_violation(self.kind, self.status, self.objective)
+        if broken:
+            raise DataError(f"comparable: {broken}")
 
 
 def quality_key(c: Comparable) -> tuple[int, Fraction]:
@@ -73,7 +65,7 @@ def score_ordered(first: Comparable, second: Comparable) -> tuple[Fraction, Frac
         return Fraction(0), Fraction(1)
     total = first.time + second.time
     if total == 0:
-        return _HALF, _HALF
+        return HALF, HALF
     return second.time / total, first.time / total
 
 

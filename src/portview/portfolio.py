@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .pairscore import Comparable, quality_key, run_comparable, score_ordered
-from .runstore import DataError, Dataset, ProblemKind, Status
-
-_HALF = Fraction(1, 2)
+from .pairscore import HALF, Comparable, quality_key, run_comparable, score_ordered
+from .runstore import DataError, Dataset, ProblemKind, Status, known_solvers
 
 
 @dataclass(frozen=True)
@@ -27,19 +25,11 @@ class VirtualRun(Comparable):
     contributing_solvers: frozenset[str] = frozenset()
 
 
-def _check_known_solvers(ds: Dataset, solvers: Iterable[str], what: str) -> tuple[str, ...]:
-    ordered = tuple(sorted(set(solvers)))
-    unknown = [s for s in ordered if s not in ds.solvers]
-    if unknown:
-        raise DataError(f"{what}: unknown solver ids {unknown}")
-    return ordered
-
-
 def vbs_run(ds: Dataset, solvers: Iterable[str], instance_id: str) -> VirtualRun:
     """Per-instance best aggregation over a portfolio (empty portfolio: unsolved)."""
     if instance_id not in ds.instances:
         raise DataError(f"unknown instance {instance_id!r}")
-    members = _check_known_solvers(ds, solvers, "vbs_run")
+    members = known_solvers(ds, solvers, "vbs_run")
     meta = ds.instances[instance_id]
     if not members:
         return VirtualRun(Status.UNSOLVED, meta.timeout, None, meta.kind, frozenset())
@@ -82,15 +72,15 @@ class PerfRatio:
 
 def _pair_scores(mine: Comparable, base: Comparable) -> tuple[Fraction, Fraction, bool]:
     if mine.status is Status.UNSOLVED and base.status is Status.UNSOLVED:
-        return _HALF, _HALF, True
+        return HALF, HALF, True
     sa, sb = score_ordered(mine, base)
     return sa, sb, False
 
 
 def perf(ds: Dataset, portfolio: Iterable[str], baseline: Iterable[str]) -> PerfRatio:
     """Performance ratio of ``portfolio`` relative to ``baseline`` (a superset)."""
-    mine = _check_known_solvers(ds, portfolio, "perf portfolio")
-    base = _check_known_solvers(ds, baseline, "perf baseline")
+    mine = known_solvers(ds, portfolio, "perf portfolio")
+    base = known_solvers(ds, baseline, "perf baseline")
     if not set(mine) <= set(base):
         raise DataError("perf: portfolio must be a subset of the baseline")
     instances = ds.instance_ids
@@ -126,8 +116,8 @@ class SubsetScorer:
     """
 
     def __init__(self, ds: Dataset, space: Iterable[str], baseline: Iterable[str]):
-        self.space = _check_known_solvers(ds, space, "scorer space")
-        self.baseline = _check_known_solvers(ds, baseline, "scorer baseline")
+        self.space = known_solvers(ds, space, "scorer space")
+        self.baseline = known_solvers(ds, baseline, "scorer baseline")
         if not set(self.space) <= set(self.baseline):
             raise DataError("scorer: space must be a subset of the baseline")
         self.instances = ds.instance_ids

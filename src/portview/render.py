@@ -16,12 +16,12 @@ from typing import Iterable, Sequence
 SIG_DIGITS = 6
 
 
-def fmt_sig(value: Fraction, digits: int = SIG_DIGITS) -> str:
-    """Decimal rendering at the given significant digits (exact if shorter)."""
+def fmt_sig(value: Fraction) -> str:
+    """Decimal rendering at ``SIG_DIGITS`` significant digits (exact if shorter)."""
     if value == 0:
         return "0"
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = SIG_DIGITS
         d = Decimal(value.numerator) / Decimal(value.denominator)
     return format(d, "f")
 

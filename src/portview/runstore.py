@@ -24,6 +24,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
+from .render import csv_text
+
 
 class DataError(ValueError):
     """Invalid input data or a violated operation precondition."""
@@ -143,11 +145,6 @@ class RunRecord:
             raise DataError(
                 f"run ({self.solver_id!r}, {self.instance_id!r}): negative time"
             )
-        if self.status is Status.UNSOLVED and self.objective is not None:
-            raise DataError(
-                f"run ({self.solver_id!r}, {self.instance_id!r}): "
-                "unsolved run must not carry an objective"
-            )
 
 
 @dataclass(frozen=True)
@@ -181,26 +178,33 @@ class Dataset:
         return self.runs[(solver_id, instance_id)]
 
 
+def run_shape_violation(
+    kind: ProblemKind, status: Status, objective: Fraction | None
+) -> str | None:
+    """The data-model rule a run of this shape breaks on a ``kind`` instance, or None."""
+    if status is Status.UNSOLVED:
+        if objective is not None:
+            return "unsolved run must not carry an objective"
+    elif kind.is_optimization:
+        if objective is None:
+            return "solved run on an optimization instance requires an objective"
+    elif status is Status.INCOMPLETE:
+        return "INCOMPLETE is not valid on a decision instance"
+    elif objective is not None:
+        return "decision instance must not carry an objective"
+    return None
+
+
+def _check_run_shape(run: RunRecord, kind: ProblemKind) -> None:
+    broken = run_shape_violation(kind, run.status, run.objective)
+    if broken:
+        raise DataError(f"run ({run.solver_id!r}, {run.instance_id!r}): {broken}")
+
+
 def _validate_run(run: RunRecord, meta: InstanceMeta) -> tuple[RunRecord, list[str]]:
     """Check one run against its instance metadata; clamp overlong times."""
     warnings: list[str] = []
-    if meta.kind.is_optimization:
-        if run.status is not Status.UNSOLVED and run.objective is None:
-            raise DataError(
-                f"run ({run.solver_id!r}, {run.instance_id!r}): solved run on an "
-                "optimization instance requires an objective"
-            )
-    else:
-        if run.status is Status.INCOMPLETE:
-            raise DataError(
-                f"run ({run.solver_id!r}, {run.instance_id!r}): INCOMPLETE is not "
-                "valid on a decision instance"
-            )
-        if run.objective is not None:
-            raise DataError(
-                f"run ({run.solver_id!r}, {run.instance_id!r}): decision instance "
-                "must not carry an objective"
-            )
+    _check_run_shape(run, meta.kind)
     if run.time > meta.timeout:
         warnings.append(
             f"run ({run.solver_id}, {run.instance_id}): time "
@@ -417,6 +421,7 @@ def read_table(
             meta = instances.get(instance) or InstanceMeta(instance, kind, timeout)
             if strict:
                 record = RunRecord(solver, instance, status, parse_duration(time_text), objective)
+                _check_run_shape(record, kind)
         except DataError as exc:
             raise DataError(f"row {row_no}: {exc}") from None
         if meta.kind is not kind or meta.timeout != timeout:
@@ -493,37 +498,38 @@ def ingest(source: str | Path | IO[str], *, delimiter: str = ",") -> Dataset:
 
 def write_canonical(ds: Dataset) -> str:
     """Emit the canonical form; deterministic for a given Dataset."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CANONICAL_COLUMNS)
-    for sid, iid in sorted(ds.runs):
-        run = ds.runs[(sid, iid)]
-        meta = ds.instances[iid]
-        writer.writerow(
-            (
-                sid,
-                iid,
-                meta.kind.value,
-                run.status.value,
-                format_duration(run.time),
-                format_rational(run.objective) if run.objective is not None else "",
-                "1" if ds.solvers[sid] else "0",
-                format_duration(meta.timeout),
-            )
+    rows = (
+        (
+            sid,
+            iid,
+            ds.instances[iid].kind.value,
+            run.status.value,
+            format_duration(run.time),
+            format_rational(run.objective) if run.objective is not None else "",
+            "1" if ds.solvers[sid] else "0",
+            format_duration(ds.instances[iid].timeout),
         )
-    return out.getvalue()
+        for (sid, iid), run in sorted(ds.runs.items())
+    )
+    return csv_text(CANONICAL_COLUMNS, rows)
 
 
 def save_canonical(ds: Dataset, path: str | Path) -> None:
     Path(path).write_text(write_canonical(ds), encoding="utf-8")
 
 
+def known_solvers(ds: Dataset, solvers: Iterable[str], what: str) -> tuple[str, ...]:
+    """``solvers`` deduplicated and sorted; DataError naming ``what`` if any is not in ``ds``."""
+    ordered = tuple(sorted(set(solvers)))
+    unknown = [s for s in ordered if s not in ds.solvers]
+    if unknown:
+        raise DataError(f"{what}: unknown solver ids {unknown}")
+    return ordered
+
+
 def filter_solvers(ds: Dataset, keep: Iterable[str]) -> Dataset:
     """Restrict a dataset to the given solvers; instances are unchanged."""
-    keep_set = set(keep)
-    unknown = keep_set - set(ds.solvers)
-    if unknown:
-        raise DataError(f"unknown solver ids: {sorted(unknown)}")
+    keep_set = set(known_solvers(ds, keep, "filter_solvers"))
     solvers = {s: p for s, p in ds.solvers.items() if s in keep_set}
     runs = {key: r for key, r in ds.runs.items() if key[0] in keep_set}
     return Dataset(dict(ds.instances), solvers, runs)

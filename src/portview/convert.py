@@ -24,12 +24,20 @@ def identity_mapping() -> ColumnMapping:
 
 def load_mapping(path: str | Path) -> ColumnMapping:
     """Read a mapping config from JSON; unlisted columns default to themselves."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"mapping: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DataError("mapping: the top level must be a JSON object")
     columns: dict[str, list[str]] = {}
     for name, value in raw.get("columns", {}).items():
         if name not in CANONICAL_COLUMNS:
             raise DataError(f"mapping: unknown canonical column {name!r}")
-        columns[name] = [value] if isinstance(value, str) else list(value)
+        sources = [value] if isinstance(value, str) else value
+        if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
+            raise DataError(f"mapping: column {name!r} must be a string or a list of strings")
+        columns[name] = sources
     return ColumnMapping(
         columns=columns,
         defaults={str(k): str(v) for k, v in raw.get("defaults", {}).items()},

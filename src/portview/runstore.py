@@ -355,6 +355,14 @@ def _token_table(enum: type[Enum], synonyms: Mapping[str, str]) -> dict[str, Enu
     return table
 
 
+def _checked_rows(reader):
+    """The rows of a csv reader; a row the csv module cannot parse raises DataError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: {exc}") from None
+
+
 def read_table(
     source: str | Path | IO[str], mapping: ColumnMapping, *, strict: bool
 ) -> Dataset:
@@ -364,13 +372,21 @@ def read_table(
     the lenient policy an unknown status, an unparseable participant flag,
     objective or time, and runs that break the data model are coerced
     (to UNSOLVED, a non-participant, or a dropped objective) with a warning.
-    Both policies raise on a malformed header or row shape, an empty id, an
-    unknown problem kind, a bad timeout, and a redeclared instance or
-    participant flag. Row numbers in messages count the header as row 1.
+    Both policies raise on unreadable input (not UTF-8, or a field the csv
+    module rejects), a delimiter that is not one character, a malformed
+    header or row shape, an empty id, an unknown problem kind, a bad timeout,
+    and a redeclared instance or participant flag. Row numbers in messages
+    count the header as row 1.
     """
     if isinstance(source, (str, Path)):
-        source = io.StringIO(Path(source).read_text(encoding="utf-8"))
-    reader = csv.reader(source, delimiter=mapping.delimiter)
+        try:
+            source = io.StringIO(Path(source).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"input is not UTF-8 text: {exc}") from None
+    try:
+        reader = _checked_rows(csv.reader(source, delimiter=mapping.delimiter))
+    except TypeError:
+        raise DataError(f"delimiter {mapping.delimiter!r} is not a single character") from None
     try:
         header = next(reader)
     except StopIteration:
@@ -404,7 +420,6 @@ def read_table(
         status = statuses.get(status_text.upper())
         if status is None:
             violation(f"row {row_no}: unknown status {status_text!r}", "recorded as UNSOLVED")
-            status = Status.UNSOLVED
         try:
             participant = _parse_flag(flag_text, row_no)
         except DataError as exc:
@@ -449,12 +464,17 @@ def _coerce_run(
     row_no: int,
     solver: str,
     meta: InstanceMeta,
-    status: Status,
+    status: Status | None,
     time_text: str,
     objective: Fraction | None,
     warnings: list[str],
 ) -> RunRecord:
-    """Lenient run: coerce an unusable time and data-model violations, with a warning."""
+    """Lenient run: coerce an unusable time and data-model violations, with a warning.
+
+    ``status`` None is an unknown status token, already reported: UNSOLVED, objective dropped.
+    """
+    if status is None:
+        status, objective = Status.UNSOLVED, None
     try:
         time = parse_duration(time_text)
         if time < 0:
@@ -481,7 +501,8 @@ def _coerce_run(
         if objective is not None:
             warnings.append(f"row {row_no}: objective on a decision instance, dropped")
             objective = None
-    if status is Status.UNSOLVED:
+    if status is Status.UNSOLVED and objective is not None:
+        warnings.append(f"row {row_no}: objective on an UNSOLVED run, dropped")
         objective = None
     return RunRecord(solver, meta.instance_id, status, time, objective)
 

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+
+import pytest
+
 from portview.cli import main
 from portview.runstore import ingest
 
@@ -208,3 +211,31 @@ def test_report_exact_sidecar_at_realistic_size(tmp_path):
         got[sid] = Fraction(int(Decimal(numerator)), int(Decimal(denominator)))
     assert got == expected
     assert max(len(text) for text in sidecar["attribution"]["values"].values()) > 4300
+
+
+HEADER = "solver,instance,kind,status,time,objective,participant,timeout"
+UNREADABLE = {
+    "not-utf8": (b"solver,instance\n\xff\xfe\n", "input is not UTF-8 text"),
+    "huge-field": (
+        f"{HEADER}\na,{'x' * 140_000},DECISION,COMPLETE,1,,1,10\n".encode(),
+        "row 2: field larger than field limit",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_table_is_a_validation_error(name, tmp_path, capsys):
+    content, message = UNREADABLE[name]
+    data = tmp_path / "data.csv"
+    data.write_bytes(content)
+    for command in ("ingest", "convert", "borda", "mincover"):
+        assert main([command, "--data", str(data)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert main(["report", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+    assert f"error at stage ingest: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_bad_delimiter_is_a_validation_error(delimiter, demo_path, capsys):
+    assert main(["ingest", "--data", str(demo_path), "--delimiter", delimiter]) == 1
+    assert f"error: delimiter {delimiter!r} is not a single character" in capsys.readouterr().err

@@ -1,13 +1,17 @@
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from portview.cli import main
 from portview.convert import convert_table, identity_mapping, load_mapping
-from portview.runstore import DataError, Status, ingest, write_canonical
+from portview.pairscore import Comparable
+from portview.runstore import DataError, ProblemKind, Status, ingest, write_canonical
 from randgen import make_dataset
+
+HEADER = "solver,instance,kind,status,time,objective,participant,timeout"
 
 
 def test_identity_mapping_on_canonical_file_is_byte_identical():
@@ -189,3 +193,64 @@ def test_unparseable_participant_flag_warns(flag):
     assert ingest(io.StringIO(converted)).solvers == {"a": False}
     with pytest.raises(DataError, match="unparseable participant flag"):
         ingest(io.StringIO(raw))
+
+
+@pytest.mark.parametrize(
+    "kind, status, objective, rule, warning",
+    [
+        ("MINIMIZE", "UNSOLVED", "42", "unsolved run must not carry an objective",
+         "objective on an UNSOLVED run, dropped"),
+        ("MINIMIZE", "COMPLETE", "", "solved run on an optimization instance requires an objective",
+         "COMPLETE without an objective on an optimization instance, recorded as UNSOLVED"),
+        ("DECISION", "INCOMPLETE", "", "INCOMPLETE is not valid on a decision instance",
+         "INCOMPLETE on a decision instance, recorded as UNSOLVED"),
+        ("DECISION", "COMPLETE", "42", "decision instance must not carry an objective",
+         "objective on a decision instance, dropped"),
+    ],
+    ids=["unsolved-objective", "solved-without-objective", "decision-incomplete",
+         "decision-objective"],
+)
+def test_every_path_applies_the_same_run_shape_rule(kind, status, objective, rule, warning):
+    with pytest.raises(DataError, match=f"comparable: {rule}"):
+        Comparable(
+            Status(status), Fraction(5), Fraction(objective) if objective else None,
+            ProblemKind(kind),
+        )
+    raw = f"{HEADER}\na,i1,{kind},{status},5,{objective},1,10\n"
+    with pytest.raises(DataError, match=f"row 2: run \\('a', 'i1'\\): {rule}"):
+        ingest(io.StringIO(raw))
+    converted, warnings = convert_table(io.StringIO(raw))
+    assert warnings == [f"row 2: {warning}"]
+    ingest(io.StringIO(converted))
+
+
+@pytest.mark.parametrize(
+    "status, time, warning",
+    [
+        ("WEIRD", "5", "row 2: unknown status 'WEIRD', recorded as UNSOLVED"),
+        ("COMPLETE", "-1", "row 2: unusable time '-1', recorded as UNSOLVED"),
+    ],
+    ids=["unknown-status", "unusable-time"],
+)
+def test_repair_to_unsolved_drops_the_objective_with_one_warning(status, time, warning):
+    raw = f"{HEADER}\na,i1,MINIMIZE,{status},{time},42,1,10\n"
+    converted, warnings = convert_table(io.StringIO(raw))
+    assert warnings == [warning]
+    assert ingest(io.StringIO(converted)).run("a", "i1").objective is None
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ('{"delimiter": ";;"}', "delimiter ';;' is not a single character"),
+        ("{bad", "mapping: invalid JSON"),
+        ("[1, 2]", "mapping: the top level must be a JSON object"),
+        ('{"columns": {"solver": 5}}', "mapping: column 'solver' must be a string or a list"),
+    ],
+    ids=["delimiter", "invalid-json", "array", "column-value"],
+)
+def test_bad_mapping_is_a_validation_error(mapping, message, demo_path, tmp_path, capsys):
+    config = tmp_path / "map.json"
+    config.write_text(mapping, encoding="utf-8")
+    assert main(["convert", "--data", str(demo_path), "--mapping", str(config)]) == 1
+    assert message in capsys.readouterr().err

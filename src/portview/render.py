@@ -43,8 +43,7 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([str(cell) for cell in row])
+    writer.writerows(rows)
     return out.getvalue()
 
 

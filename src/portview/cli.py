@@ -15,6 +15,7 @@ import argparse
 import json
 import logging
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -52,10 +53,14 @@ class StageError(RuntimeError):
 
 
 def _stage(name: str, fn, *args, **kwargs):
+    """Run one pipeline stage; log its wall time (shown under ``-v``, on stderr)."""
+    started = time.perf_counter()
     try:
         return fn(*args, **kwargs)
     except DataError as exc:
         raise StageError(name, exc) from exc
+    finally:
+        log.info("stage %s: %.3f s", name, time.perf_counter() - started)
 
 
 def _scenario_solvers(ds: Dataset, scenario: str) -> tuple[str, ...]:

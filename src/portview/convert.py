@@ -22,6 +22,21 @@ def identity_mapping() -> ColumnMapping:
     return ColumnMapping()
 
 
+def _object(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise DataError(f"mapping: {key!r} must be a JSON object")
+    return value
+
+
+def _synonyms(raw: dict, key: str) -> dict[str, str]:
+    table = _object(raw, key)
+    for token, canonical in table.items():
+        if not isinstance(canonical, str):
+            raise DataError(f"mapping: {key!r} synonym for {token!r} must be a string")
+    return {token.upper(): canonical.upper() for token, canonical in table.items()}
+
+
 def load_mapping(path: str | Path) -> ColumnMapping:
     """Read a mapping config from JSON; unlisted columns default to themselves."""
     try:
@@ -31,20 +46,23 @@ def load_mapping(path: str | Path) -> ColumnMapping:
     if not isinstance(raw, dict):
         raise DataError("mapping: the top level must be a JSON object")
     columns: dict[str, list[str]] = {}
-    for name, value in raw.get("columns", {}).items():
+    for name, value in _object(raw, "columns").items():
         if name not in CANONICAL_COLUMNS:
             raise DataError(f"mapping: unknown canonical column {name!r}")
         sources = [value] if isinstance(value, str) else value
         if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
             raise DataError(f"mapping: column {name!r} must be a string or a list of strings")
         columns[name] = sources
+    join = raw.get("join", "/")
+    if not isinstance(join, str):
+        raise DataError("mapping: 'join' must be a string")
     return ColumnMapping(
         columns=columns,
-        defaults={str(k): str(v) for k, v in raw.get("defaults", {}).items()},
-        status_map={k.upper(): v.upper() for k, v in raw.get("status", {}).items()},
-        kind_map={k.upper(): v.upper() for k, v in raw.get("kind", {}).items()},
+        defaults={str(k): str(v) for k, v in _object(raw, "defaults").items()},
+        status_map=_synonyms(raw, "status"),
+        kind_map=_synonyms(raw, "kind"),
         delimiter=raw.get("delimiter", ","),
-        join=raw.get("join", "/"),
+        join=join,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .pairscore import HALF, Comparable, quality_key, run_comparable, score_ordered
@@ -106,13 +107,20 @@ def perf(ds: Dataset, portfolio: Iterable[str], baseline: Iterable[str]) -> Perf
 
 
 class SubsetScorer:
-    """Fast evaluator of many subsets of a solver space against one baseline.
+    """Exact integer evaluator of many subsets of a solver space against one baseline.
 
     For each candidate solver and instance, the pairwise score of that solver's
     run against the baseline VBS is precomputed once. Because candidates never
     beat the baseline they sit inside, a subset's per-instance score is the
-    maximum of its members' precomputed scores, so each subset costs
-    O(|subset| * |instances|) with no rescans of raw runs.
+    maximum of its members' precomputed scores.
+
+    The scores are kept as ``int`` rows over one common denominator
+    ``denominator`` (D, the lcm of every score's denominator): ``rows[j][i]``
+    is solver j's score on instance i times D. A subset's total score is then
+    the integer ``sum(max over members)`` over D, costing
+    O(|subset| * |instances|) plain integer operations. A ``Fraction`` is built
+    only at the boundary (``value_from_numerator``, ``ratio_from_numerator``,
+    ``evaluate``), so every result is exact.
     """
 
     def __init__(self, ds: Dataset, space: Iterable[str], baseline: Iterable[str]):
@@ -126,7 +134,7 @@ class SubsetScorer:
 
         self.tied_unsolved = 0
         baseline_solves = False
-        rows: list[list[Fraction]] = [[] for _ in self.space]
+        scores: list[list[Fraction]] = [[] for _ in self.space]
         for iid in self.instances:
             vb = vbs_run(ds, self.baseline, iid)
             if vb.status is not Status.UNSOLVED:
@@ -135,22 +143,34 @@ class SubsetScorer:
                 self.tied_unsolved += 1
             for idx, sid in enumerate(self.space):
                 sa, _, _ = _pair_scores(run_comparable(ds, sid, iid), vb)
-                rows[idx].append(sa)
+                scores[idx].append(sa)
         if not baseline_solves:
             raise DataError("scorer: baseline portfolio solves no instance")
-        self.scores = rows
-        self._n_instances = len(self.instances)
+        self.denominator = lcm(*(x.denominator for row in scores for x in row))
+        self.rows = [
+            [x.numerator * (self.denominator // x.denominator) for x in row] for row in scores
+        ]
+        self._total = len(self.instances) * self.denominator
 
-    def ratio_from_numerator(self, numerator: Fraction) -> PerfRatio:
-        denominator = self._n_instances - numerator
-        return PerfRatio(numerator, denominator, numerator / denominator, self.tied_unsolved)
+    def value_from_numerator(self, numerator: int) -> Fraction:
+        """Performance ratio of a subset whose total score is ``numerator / denominator``."""
+        return Fraction(numerator, self._total - numerator)
 
-    def evaluate_mask(self, mask: int) -> Fraction:
-        """Numerator (total score) of the subset encoded as a bitmask over space."""
+    def ratio_from_numerator(self, numerator: int) -> PerfRatio:
+        """PerfRatio of a subset whose total score is ``numerator / denominator``."""
+        return PerfRatio(
+            Fraction(numerator, self.denominator),
+            Fraction(self._total - numerator, self.denominator),
+            self.value_from_numerator(numerator),
+            self.tied_unsolved,
+        )
+
+    def evaluate_mask(self, mask: int) -> int:
+        """Total score, times ``denominator``, of the subset encoded as a bitmask over space."""
         if mask == 0:
             raise DataError("scorer: cannot evaluate an empty subset")
-        member_rows = [self.scores[idx] for idx in range(len(self.space)) if mask >> idx & 1]
-        return sum(map(max, zip(*member_rows)), Fraction(0))
+        member_rows = [row for idx, row in enumerate(self.rows) if mask >> idx & 1]
+        return sum(map(max, zip(*member_rows)))
 
     def evaluate(self, subset: Iterable[str]) -> PerfRatio:
         """PerfRatio of a subset given by solver ids."""

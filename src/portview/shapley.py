@@ -59,11 +59,17 @@ def shapley_exact(
 ) -> AttributionReport:
     """Exact attribution over all 2^n coalitions (guarded at n <= 22).
 
-    The single pass over coalition bitmasks uses the identity that a coalition
-    S containing player a contributes +w(|S|-1)*v(S) to a, and one not
-    containing a contributes -w(|S|)*v(S); with w = 1 this yields the
-    unweighted sum mode. Runtime grows as 2^n, so sizes near the guard are
-    expensive.
+    Player a gains +w(|S|-1)*v(S) from each coalition S containing it and
+    -w(|S|)*v(S) from each non-empty S without it (w(n) = 0; with w = 1 this
+    is the unweighted sum mode). Grouping coalitions by size s, with
+    G_s = sum of v(S) over |S| = s and H_s[a] = the same sum over the S that
+    contain a, gives
+
+        phi_a = sum over s of (w(s-1) + w(s)) * H_s[a] - w(s) * G_s,
+
+    so each coalition value is built once, from the scorer's integer total,
+    and only added into its size's sums; the weights are applied n^2 times at
+    the end. Runtime grows as 2^n, so sizes near the guard are expensive.
     """
     if mode is ShapleyMode.SAMPLED:
         raise DataError("shapley_exact: use shapley_sampled for sampled mode")
@@ -77,17 +83,27 @@ def shapley_exact(
         )
 
     weights = _coalition_weights(n) if mode is ShapleyMode.EXACT else [Fraction(1)] * n
-    phi = [Fraction(0)] * n
+    weights.append(Fraction(0))  # nobody joins the grand coalition
+    by_size = [Fraction(0)] * (n + 1)
+    by_size_member = [[Fraction(0)] * n for _ in range(n + 1)]
     for mask in range(1, 1 << n):
-        value = scorer.ratio_from_numerator(scorer.evaluate_mask(mask)).value
+        value = scorer.value_from_numerator(scorer.evaluate_mask(mask))
         size = bin(mask).count("1")
-        w_in = weights[size - 1]
-        w_out = weights[size] if size < n else Fraction(0)
+        by_size[size] += value
+        member = by_size_member[size]
         for a in range(n):
             if mask >> a & 1:
-                phi[a] += w_in * value
-            else:
-                phi[a] -= w_out * value
+                member[a] += value
+    phi = [
+        sum(
+            (
+                (weights[s - 1] + weights[s]) * by_size_member[s][a] - weights[s] * by_size[s]
+                for s in range(1, n + 1)
+            ),
+            Fraction(0),
+        )
+        for a in range(n)
+    ]
     return AttributionReport(
         {players[a]: phi[a] for a in range(n)}, mode, players, scorer.baseline
     )
@@ -114,7 +130,8 @@ def shapley_sampled(
     if n == 0:
         return AttributionReport({}, ShapleyMode.SAMPLED, players, scorer.baseline, samples)
 
-    rows = [[float(x) for x in row] for row in scorer.scores]
+    # int / int is correctly rounded, so each entry equals float(score)
+    rows = [[x / scorer.denominator for x in row] for row in scorer.rows]
     m = len(scorer.instances)
     rng = random.Random(rng_seed)
     acc = [0.0] * n

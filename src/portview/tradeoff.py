@@ -9,6 +9,7 @@ combinatorial order; ties go to the lexicographically smallest solver list.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -42,7 +43,14 @@ class TradeoffCurve:
 
 
 def best_subsets(ds: Dataset, space: Iterable[str], baseline: Iterable[str]) -> TradeoffCurve:
-    """Exhaustively find the best subset of every size k in [1, |space|]."""
+    """Exhaustively find the best subset of every size k in [1, |space|].
+
+    Subsets are compared by their integer total score from
+    ``SubsetScorer.evaluate_mask`` (all totals share one denominator, so the
+    integer order is the ratio order); only the winner of each size becomes a
+    ``PerfRatio``. A later subset replaces the incumbent only when strictly
+    better, which keeps the first (lexicographically smallest) optimum.
+    """
     scorer = SubsetScorer(ds, space, baseline)
     names = scorer.space
     n = len(names)
@@ -56,9 +64,10 @@ def best_subsets(ds: Dataset, space: Iterable[str], baseline: Iterable[str]) -> 
 
     entries = []
     evaluated = 0
+    started = time.perf_counter()
     for k in range(1, n + 1):
         best_mask = -1
-        best_num = Fraction(-1)
+        best_num = -1
         for combo in combinations(range(n), k):
             mask = 0
             for idx in combo:
@@ -66,7 +75,11 @@ def best_subsets(ds: Dataset, space: Iterable[str], baseline: Iterable[str]) -> 
             num = scorer.evaluate_mask(mask)
             evaluated += 1
             if evaluated % _PROGRESS_EVERY == 0:
-                log.info("best_subsets: %d subsets evaluated (size %d)", evaluated, k)
+                rate = evaluated / (time.perf_counter() - started)
+                log.info(
+                    "best_subsets: %d subsets evaluated (size %d, %.0f subsets/s)",
+                    evaluated, k, rate,
+                )
             if num > best_num:
                 best_num = num
                 best_mask = mask

@@ -1,9 +1,17 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import portview
 from portview.cli import main
 from portview.runstore import ingest
 
@@ -239,3 +247,37 @@ def test_unreadable_table_is_a_validation_error(name, tmp_path, capsys):
 def test_bad_delimiter_is_a_validation_error(delimiter, demo_path, capsys):
     assert main(["ingest", "--data", str(demo_path), "--delimiter", delimiter]) == 1
     assert f"error: delimiter {delimiter!r} is not a single character" in capsys.readouterr().err
+
+
+def _bundle_digest(directory: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def test_verbose_report_times_stages_on_stderr_only(demo_path, tmp_path):
+    shutil.copyfile(demo_path, tmp_path / "demo.csv")
+    env = {**os.environ, "PYTHONPATH": str(Path(portview.__file__).resolve().parent.parent)}
+
+    def report(*flags: str) -> subprocess.CompletedProcess:
+        argv = [*flags, "report", "--data", "demo.csv", "--out", "bundle"]
+        shutil.rmtree(tmp_path / "bundle", ignore_errors=True)
+        done = subprocess.run(
+            [sys.executable, "-m", "portview.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        return done
+
+    quiet = report()
+    quiet_digest = _bundle_digest(tmp_path / "bundle")
+    loud = report("-v")
+    assert _bundle_digest(tmp_path / "bundle") == quiet_digest
+    assert loud.stdout == quiet.stdout
+    assert "stage" not in quiet.stderr
+    stages = re.findall(r"^stage (\w+): \d+\.\d{3} s$", loud.stderr, re.MULTILINE)
+    assert stages == [
+        "ingest", "filter", "borda", "oracle", "mincover",
+        "tradeoff", "tradeoff", "shapley", "shapley",
+    ]

@@ -254,3 +254,28 @@ def test_bad_mapping_is_a_validation_error(mapping, message, demo_path, tmp_path
     config.write_text(mapping, encoding="utf-8")
     assert main(["convert", "--data", str(demo_path), "--mapping", str(config)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ('{"status": {"S": 5}}', "mapping: 'status' synonym for 'S' must be a string"),
+        ('{"columns": ["solver"]}', "mapping: 'columns' must be a JSON object"),
+        ('{"kind": 3}', "mapping: 'kind' must be a JSON object"),
+        ('{"defaults": [1]}', "mapping: 'defaults' must be a JSON object"),
+        (
+            '{"columns": {"solver": ["solver", "instance"]}, "join": 5}',
+            "mapping: 'join' must be a string",
+        ),
+    ],
+    ids=["status-value", "columns-list", "kind-number", "defaults-list", "join-number"],
+)
+def test_malformed_mapping_shape_is_a_validation_error(
+    mapping, message, demo_path, tmp_path, capsys
+):
+    config = tmp_path / "map.json"
+    config.write_text(mapping, encoding="utf-8")
+    assert main(["convert", "--data", str(demo_path), "--mapping", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "internal error" not in err

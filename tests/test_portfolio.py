@@ -195,3 +195,23 @@ def test_scorer_matches_perf():
             slow = perf(ds, subset, baseline)
             assert (fast.numerator, fast.denominator) == (slow.numerator, slow.denominator)
             assert fast.value == slow.value
+
+
+def test_scorer_matches_perf_at_realistic_size():
+    """8 solvers x 100 instances: score denominators near 1,250 bits."""
+    ds = make_dataset(random.Random(7), n_solvers=8, n_instances=100)
+    baseline = ds.solver_ids
+    rng = random.Random(2718)
+    subsets = [baseline, *((sid,) for sid in baseline)]
+    subsets += [random_subset(rng, baseline, allow_empty=False) for _ in range(28)]
+    cases = [(SubsetScorer(ds, baseline, baseline), baseline, subsets)]
+    # with a two-solver baseline some instances are solved by nobody (tied unsolved)
+    pair = baseline[:2]
+    cases.append((SubsetScorer(ds, pair, pair), pair, [pair[:1], pair[1:], pair]))
+    assert cases[1][0].tied_unsolved > 0
+    for scorer, base, chosen in cases:
+        for subset in chosen:
+            fast = scorer.evaluate(subset)
+            slow = perf(ds, subset, base)
+            assert (fast.numerator, fast.denominator) == (slow.numerator, slow.denominator)
+            assert (fast.value, fast.tied_unsolved) == (slow.value, slow.tied_unsolved)

@@ -201,3 +201,47 @@ def test_guards():
     big = build_dataset(instances, solvers, runs)
     with pytest.raises(DataError, match="guard"):
         shapley_exact(big, big.solver_ids, big.solver_ids)
+
+
+def definitional_marginal_sum(ds, portfolio, baseline):
+    """Independent oracle for sum mode: every marginal contribution counted once."""
+    players = tuple(sorted(portfolio))
+
+    def v(subset):
+        return perf(ds, subset, baseline).value if subset else Fraction(0)
+
+    phi = {}
+    for player in players:
+        others = [p for p in players if p != player]
+        phi[player] = sum(
+            (
+                v(combo + (player,)) - v(combo)
+                for r in range(len(others) + 1)
+                for combo in combinations(others, r)
+            ),
+            Fraction(0),
+        )
+    return phi
+
+
+def test_exact_and_sum_match_definitional_loops_at_realistic_size(monkeypatch):
+    """Six of 8 solvers x 100 instances against the 8-solver baseline, both modes."""
+    ds = make_dataset(random.Random(7), n_solvers=8, n_instances=100)
+    portfolio = ds.solver_ids[:6]
+    baseline = ds.solver_ids
+    # the oracles ask for each coalition many times; compute each perf once
+    fresh_perf = perf
+    memo = {}
+
+    def perf_once(ds, subset, baseline):
+        key = frozenset(subset)
+        if key not in memo:
+            memo[key] = fresh_perf(ds, subset, baseline)
+        return memo[key]
+
+    monkeypatch.setitem(globals(), "perf", perf_once)
+    report = shapley_exact(ds, portfolio, baseline)
+    assert report.values == definitional_shapley(ds, portfolio, baseline)
+    assert sum(report.values.values()) == perf_once(ds, portfolio, baseline).value
+    summed = shapley_exact(ds, portfolio, baseline, ShapleyMode.SUM)
+    assert summed.values == definitional_marginal_sum(ds, portfolio, baseline)

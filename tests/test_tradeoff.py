@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from portview import tradeoff
 from portview.portfolio import perf
 from portview.runstore import (
     DataError,
@@ -143,3 +145,23 @@ def test_thresholds_require_sorted_levels():
     curve = best_subsets(ds, ds.solver_ids, ds.solver_ids)
     with pytest.raises(DataError, match="ascending"):
         thresholds(curve, [Fraction(9, 10), Fraction(1, 2)])
+
+
+def test_curve_matches_brute_force_at_realistic_size():
+    """Six of 8 solvers x 100 instances searched against the full 8-solver baseline."""
+    ds = make_dataset(random.Random(7), n_solvers=8, n_instances=100)
+    space = ds.solver_ids[:6]
+    curve = best_subsets(ds, space, ds.solver_ids)
+    got = [(e.k, e.subset, e.value) for e in curve.entries]
+    assert got == brute_force_curve(ds, space, ds.solver_ids)
+
+
+def test_progress_line_reports_a_rate(monkeypatch, caplog):
+    monkeypatch.setattr(tradeoff, "_PROGRESS_EVERY", 4)
+    ds = make_dataset(random.Random(5), n_solvers=4, n_instances=5, solve_all_solver=True)
+    with caplog.at_level("INFO", logger="portview.tradeoff"):
+        best_subsets(ds, ds.solver_ids, ds.solver_ids)
+    line = re.compile(r"best_subsets: \d+ subsets evaluated \(size \d, \d+ subsets/s\)")
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 15 // 4
+    assert all(line.fullmatch(m) for m in messages)

@@ -302,14 +302,14 @@ def run_pipeline(cfg: ReportConfig) -> dict[str, str]:
     coverage, solution = _stage("mincover", _cover_for, ds, solvers, cfg.epsilon, cfg.cap)
     core = solution.portfolios[0]
     curve = _stage("tradeoff", best_subsets, ds, core, solvers)
-    reached = _stage("tradeoff", thresholds, curve, list(cfg.levels))
+    reached = _stage("thresholds", thresholds, curve, list(cfg.levels))
     attribution = _stage(
         "shapley", _attribution, ds, core, solvers, cfg.mode, cfg.samples, cfg.seed
     )
 
     files: dict[str, str] = {}
     if "csv" in cfg.formats or "text" in cfg.formats:
-        core_borda = _stage("shapley", lambda: borda(filter_solvers(ds, core)))
+        core_borda = _stage("portfolio_borda", lambda: borda(filter_solvers(ds, core)))
         tables = {
             "borda": _borda_table(matrix),
             "oracle": _oracle_table([(Path(cfg.data).stem, ds, oracle)]),

@@ -7,13 +7,26 @@ falls through to a time-proportional split where each side receives the
 opponent's share of the combined running time. When both sides fail, the first
 of the pair takes the whole point; summed over both orderings of the pair this
 awards each side 1, marking them indistinguishable on that instance.
+
+``score_ordered`` states that rule for one ordered pair. ``borda`` reaches the
+same exact per-instance sums without visiting every pair: it sorts an
+instance's runs once by ``quality_key``, credits each solver with the number of
+solvers strictly worse than it, and splits time only inside a group of equal
+quality (an unsolved group's members score one point per other member).
 """
 
 from __future__ import annotations
 
+import logging
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+
 from .runstore import DataError, Dataset, ProblemKind, Status, run_shape_violation
+
+log = logging.getLogger(__name__)
 
 HALF = Fraction(1, 2)
 _STATUS_RANK = {Status.UNSOLVED: 0, Status.INCOMPLETE: 1, Status.COMPLETE: 2}
@@ -90,8 +103,38 @@ class ScoreMatrix:
         return [(pos + 1, sid) for pos, sid in enumerate(order)]
 
 
+def _tie_group_scores(times: list[Fraction], below: int) -> list[Fraction]:
+    """Scores of a solved tie group's members, given ``below`` strictly worse solvers.
+
+    Each member gets ``below`` plus its time-split shares against the others.
+    The split ``u / (t + u)`` keeps its value when every time is scaled to an
+    integer tick count, so each distinct time sums its shares over one common
+    denominator (the lcm of its pair totals, and 2 for the even split between
+    equal times, zero included) and builds a single ``Fraction``.
+    """
+    scale = math.lcm(*(t.denominator for t in times))
+    ticks = [t.numerator * (scale // t.denominator) for t in times]
+    counts = Counter(ticks)
+    scores = {}
+    for mine, count in counts.items():
+        # distinct non-negative times: every pair total here is positive
+        others = [(theirs, n) for theirs, n in counts.items() if theirs != mine]
+        den = math.lcm(2, *(mine + theirs for theirs, _ in others))
+        num = below * den + (count - 1) * (den // 2)
+        num += sum(n * theirs * (den // (mine + theirs)) for theirs, n in others)
+        scores[mine] = Fraction(num, den)
+    return [scores[tick] for tick in ticks]
+
+
 def borda(ds: Dataset) -> ScoreMatrix:
-    """Score every ordered solver pair on every instance and total per solver."""
+    """Sum ``score_ordered`` over every ordered solver pair per instance; total per solver.
+
+    Each instance is scored from one sort of its runs by ``quality_key``: a
+    solver gets one point per solver in a strictly worse group, plus its share
+    inside its own group of equal quality. There, unsolved members take one
+    point per other member (the ordered both-fail rule) and everyone else
+    splits time pairwise. The exact scores equal the pairwise sums.
+    """
     solvers = ds.solver_ids
     instances = ds.instance_ids
     if not solvers:
@@ -99,19 +142,35 @@ def borda(ds: Dataset) -> ScoreMatrix:
     if not instances:
         raise DataError("borda: dataset has no instances")
 
+    n, m = len(solvers), len(instances)
     per_instance: dict[tuple[str, str], Fraction] = {}
+    split_pairs = 0
     for iid in instances:
-        comps = {sid: run_comparable(ds, sid, iid) for sid in solvers}
-        for sid in solvers:
-            score = Fraction(0)
-            for other in solvers:
-                if other != sid:
-                    score += score_ordered(comps[sid], comps[other])[0]
+        comps = [run_comparable(ds, sid, iid) for sid in solvers]
+        keys = [quality_key(c) for c in comps]
+        scores: list[Fraction] = [Fraction(0)] * n
+        below = 0
+        for _, group in groupby(sorted(range(n), key=keys.__getitem__), keys.__getitem__):
+            members = list(group)
+            size = len(members)
+            if comps[members[0]].status is Status.UNSOLVED:
+                group_scores = [Fraction(below + size - 1)] * size
+            else:
+                group_scores = _tie_group_scores([comps[k].time for k in members], below)
+                split_pairs += size * (size - 1)
+            for k, score in zip(members, group_scores):
+                scores[k] = score
+            below += size
+        for sid, score in zip(solvers, scores):
             per_instance[(sid, iid)] = score
+    log.info(
+        "borda: %d solvers x %d instances, %d time-split pairs of %d",
+        n, m, split_pairs, n * (n - 1) * m,
+    )
 
     totals = {
         sid: sum((per_instance[(sid, iid)] for iid in instances), Fraction(0))
         for sid in solvers
     }
-    averages = {sid: totals[sid] / len(instances) for sid in solvers}
+    averages = {sid: totals[sid] / m for sid in solvers}
     return ScoreMatrix(per_instance, totals, averages)

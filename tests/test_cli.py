@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import portview
-from portview.cli import main
-from portview.runstore import ingest
+from portview import cli
+from portview.cli import ReportConfig, StageError, main, run_pipeline
+from portview.pairscore import borda
+from portview.runstore import DataError, ingest
 
 EXPECTED_FILES = {
     "borda.csv",
@@ -256,28 +258,61 @@ def _bundle_digest(directory: Path) -> str:
     return h.hexdigest()
 
 
-def test_verbose_report_times_stages_on_stderr_only(demo_path, tmp_path):
-    shutil.copyfile(demo_path, tmp_path / "demo.csv")
+def _report_child(
+    data: Path, tmp_path: Path, *flags: str
+) -> tuple[subprocess.CompletedProcess, str]:
+    """Run ``portview [flags] report`` in a child; return it and its bundle digest."""
+    shutil.copyfile(data, tmp_path / "demo.csv")
     env = {**os.environ, "PYTHONPATH": str(Path(portview.__file__).resolve().parent.parent)}
+    shutil.rmtree(tmp_path / "bundle", ignore_errors=True)
+    done = subprocess.run(
+        [sys.executable, "-m", "portview.cli", *flags, "report", "--data", "demo.csv",
+         "--out", "bundle"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done, _bundle_digest(tmp_path / "bundle")
 
-    def report(*flags: str) -> subprocess.CompletedProcess:
-        argv = [*flags, "report", "--data", "demo.csv", "--out", "bundle"]
-        shutil.rmtree(tmp_path / "bundle", ignore_errors=True)
-        done = subprocess.run(
-            [sys.executable, "-m", "portview.cli", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-        )
-        assert done.returncode == 0, done.stderr
-        return done
 
-    quiet = report()
-    quiet_digest = _bundle_digest(tmp_path / "bundle")
-    loud = report("-v")
-    assert _bundle_digest(tmp_path / "bundle") == quiet_digest
+def test_verbose_report_times_stages_on_stderr_only(demo_path, tmp_path):
+    quiet, quiet_digest = _report_child(demo_path, tmp_path)
+    loud, loud_digest = _report_child(demo_path, tmp_path, "-v")
+    assert loud_digest == quiet_digest
     assert loud.stdout == quiet.stdout
     assert "stage" not in quiet.stderr
     stages = re.findall(r"^stage (\w+): \d+\.\d{3} s$", loud.stderr, re.MULTILINE)
     assert stages == [
         "ingest", "filter", "borda", "oracle", "mincover",
-        "tradeoff", "tradeoff", "shapley", "shapley",
+        "tradeoff", "thresholds", "shapley", "portfolio_borda",
     ]
+
+
+def test_verbose_report_logs_borda_pair_counts(demo_path, tmp_path):
+    quiet, quiet_digest = _report_child(demo_path, tmp_path)
+    loud, loud_digest = _report_child(demo_path, tmp_path, "-v")
+    assert loud_digest == quiet_digest
+    assert "borda:" not in quiet.stderr
+    counts = re.findall(
+        r"^borda: (\d+) solvers x (\d+) instances, (\d+) time-split pairs of (\d+)$",
+        loud.stderr, re.MULTILINE,
+    )
+    # the whole field, then the core portfolio
+    assert len(counts) == 2
+    for n, m, split, pairs in (map(int, line) for line in counts):
+        assert 0 <= split <= pairs == n * (n - 1) * m
+
+
+def test_portfolio_borda_failure_names_its_stage(demo_path, monkeypatch):
+    calls = []
+
+    def fail_second_call(ds):
+        calls.append(ds.solver_ids)
+        if len(calls) == 2:
+            raise DataError("portfolio borda failed")
+        return borda(ds)
+
+    monkeypatch.setattr(cli, "borda", fail_second_call)
+    with pytest.raises(StageError, match="portfolio borda failed") as caught:
+        run_pipeline(ReportConfig(data=str(demo_path), out_dir="unused"))
+    assert caught.value.stage == "portfolio_borda"
+    assert len(calls) == 2

@@ -1,9 +1,10 @@
+import logging
 import random
 from fractions import Fraction
 
 import pytest
 
-from portview.pairscore import Comparable, borda, score_ordered
+from portview.pairscore import Comparable, borda, quality_key, run_comparable, score_ordered
 from portview.runstore import DataError, ProblemKind, Status, build_dataset, InstanceMeta, RunRecord
 from randgen import make_dataset
 
@@ -212,3 +213,86 @@ def test_totals_and_averages_consistent():
         total = sum((matrix.per_instance[(sid, iid)] for iid in ds.instance_ids), Fraction(0))
         assert matrix.totals[sid] == total
         assert matrix.averages[sid] == total / len(ds.instance_ids)
+
+
+# borda against the pairwise definition
+
+
+def _pairwise_borda(ds):
+    """Per-instance scores as the plain double loop over ``score_ordered``, and the
+    number of ordered pairs that reach the time split."""
+    per_instance = {}
+    split_pairs = 0
+    for iid in ds.instance_ids:
+        comps = {sid: run_comparable(ds, sid, iid) for sid in ds.solver_ids}
+        for sid in ds.solver_ids:
+            mine = comps[sid]
+            score = Fraction(0)
+            for other in ds.solver_ids:
+                if other != sid:
+                    theirs = comps[other]
+                    score += score_ordered(mine, theirs)[0]
+                    if quality_key(mine) == quality_key(theirs) and not (
+                        mine.status is theirs.status is Status.UNSOLVED
+                    ):
+                        split_pairs += 1
+            per_instance[(sid, iid)] = score
+    return per_instance, split_pairs
+
+
+def _tie_heavy_dataset(rng: random.Random, n_solvers: int, n_instances: int):
+    """Coarse and zero times, few objective values, proven-complete runs that
+    disagree on the objective, and every tenth instance solved by nobody."""
+    solvers = {f"s{j:02d}": rng.random() < 0.7 for j in range(n_solvers)}
+    instances, runs = [], []
+    for i in range(n_instances):
+        iid = f"i{i:03d}"
+        kind = (DEC, MIN, MAX)[i % 3]
+        instances.append(InstanceMeta(iid, kind, Fraction(60)))
+        if i % 10 == 0:
+            continue  # left to build_dataset, which records UNSOLVED runs
+        for sid in solvers:
+            time = rng.choice(
+                [Fraction(0), Fraction(10 * rng.randint(0, 6)), Fraction(rng.randint(0, 600), 10)]
+            )
+            roll = rng.random()
+            if roll < 0.3:
+                runs.append(RunRecord(sid, iid, Status.UNSOLVED, time))
+            elif roll < 0.6 and kind.is_optimization:
+                objective = Fraction(rng.randint(0, 2))
+                runs.append(RunRecord(sid, iid, Status.INCOMPLETE, time, objective))
+            else:
+                objective = Fraction(rng.randint(0, 2)) if kind.is_optimization else None
+                runs.append(RunRecord(sid, iid, Status.COMPLETE, time, objective))
+    return build_dataset(instances, solvers, runs)
+
+
+def _assert_borda_is_pairwise(ds, caplog):
+    expected, split_pairs = _pairwise_borda(ds)
+    with caplog.at_level(logging.INFO, logger="portview.pairscore"):
+        caplog.clear()
+        matrix = borda(ds)
+    assert list(matrix.per_instance.items()) == list(expected.items())
+    m = len(ds.instance_ids)
+    for sid in ds.solver_ids:
+        total = sum((expected[(sid, iid)] for iid in ds.instance_ids), Fraction(0))
+        assert matrix.totals[sid] == total
+        assert matrix.averages[sid] == total / m
+    n = len(ds.solver_ids)
+    assert caplog.messages == [
+        f"borda: {n} solvers x {m} instances, {split_pairs} time-split pairs of {n * (n - 1) * m}"
+    ]
+
+
+def test_borda_equals_pairwise_definition_on_tie_heavy_data(caplog):
+    ds = _tie_heavy_dataset(random.Random(2024), n_solvers=12, n_instances=100)
+    statuses = {run.status for run in ds.runs.values()}
+    assert statuses == {Status.COMPLETE, Status.INCOMPLETE, Status.UNSOLVED}
+    assert any("disagree on the objective" in w for w in ds.warnings)
+    _assert_borda_is_pairwise(ds, caplog)
+
+
+def test_borda_equals_pairwise_definition_on_toy_grids(caplog):
+    rng = random.Random(808)
+    for _ in range(40):
+        _assert_borda_is_pairwise(make_dataset(rng, max_solvers=6, max_instances=8), caplog)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .pairscore import quality_key, run_comparable
-from .portfolio import vbs_run
+from .pairscore import quality_groups
 from .runstore import DataError, Dataset, Status, known_solvers
 
 
@@ -52,15 +51,14 @@ def build_coverage(
     universe: set[str] = set()
     unsolvable: set[str] = set()
     for iid in ds.instance_ids:
-        best = vbs_run(ds, members, iid)
-        if best.status is Status.UNSOLVED:
+        groups = quality_groups(ds, members, iid)
+        if not groups or groups[0][0][1].status is Status.UNSOLVED:
             unsolvable.add(iid)
             continue
         universe.add(iid)
-        best_key = quality_key(best)
-        for sid in members:
-            comp = run_comparable(ds, sid, iid)
-            if quality_key(comp) == best_key and comp.time - best.time <= epsilon:
+        fastest = min(comp.time for _, comp in groups[0])
+        for sid, comp in groups[0]:
+            if comp.time - fastest <= epsilon:
                 best_sets[sid].add(iid)
     return CoverageMap(
         {sid: frozenset(ids) for sid, ids in best_sets.items()},

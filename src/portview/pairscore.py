@@ -8,11 +8,12 @@ opponent's share of the combined running time. When both sides fail, the first
 of the pair takes the whole point; summed over both orderings of the pair this
 awards each side 1, marking them indistinguishable on that instance.
 
-``score_ordered`` states that rule for one ordered pair. ``borda`` reaches the
-same exact per-instance sums without visiting every pair: it sorts an
-instance's runs once by ``quality_key``, credits each solver with the number of
-solvers strictly worse than it, and splits time only inside a group of equal
-quality (an unsolved group's members score one point per other member).
+``score_ordered`` states that rule for one ordered pair. Borda, the virtual
+best solver and oracle coverage share one per-instance ranking,
+``quality_groups``. ``borda`` reaches the pairwise sums without visiting every
+pair: it credits each solver with the number of solvers strictly worse than it,
+and splits time only inside a group of equal quality (an unsolved group's
+members score one point per other member).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from typing import Iterable
 
 from .runstore import DataError, Dataset, ProblemKind, Status, run_shape_violation
 
@@ -89,6 +91,16 @@ def run_comparable(ds: Dataset, solver_id: str, instance_id: str) -> Comparable:
     return Comparable(run.status, run.time, run.objective, kind)
 
 
+def quality_groups(
+    ds: Dataset, solvers: Iterable[str], instance_id: str
+) -> list[list[tuple[str, Comparable]]]:
+    """Runs on one instance, each lifted once, in groups of equal ``quality_key``, best first."""
+    runs = [(sid, run_comparable(ds, sid, instance_id)) for sid in solvers]
+    keys = {sid: quality_key(comp) for sid, comp in runs}
+    runs.sort(key=lambda run: keys[run[0]], reverse=True)
+    return [list(group) for _, group in groupby(runs, lambda run: keys[run[0]])]
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     """Per-instance pairwise totals plus per-solver totals and averages."""
@@ -129,7 +141,7 @@ def _tie_group_scores(times: list[Fraction], below: int) -> list[Fraction]:
 def borda(ds: Dataset) -> ScoreMatrix:
     """Sum ``score_ordered`` over every ordered solver pair per instance; total per solver.
 
-    Each instance is scored from one sort of its runs by ``quality_key``: a
+    Each instance is scored from its ``quality_groups``, walked worst first: a
     solver gets one point per solver in a strictly worse group, plus its share
     inside its own group of equal quality. There, unsolved members take one
     point per other member (the ordered both-fail rule) and everyone else
@@ -146,23 +158,20 @@ def borda(ds: Dataset) -> ScoreMatrix:
     per_instance: dict[tuple[str, str], Fraction] = {}
     split_pairs = 0
     for iid in instances:
-        comps = [run_comparable(ds, sid, iid) for sid in solvers]
-        keys = [quality_key(c) for c in comps]
-        scores: list[Fraction] = [Fraction(0)] * n
+        scores: dict[str, Fraction] = {}
         below = 0
-        for _, group in groupby(sorted(range(n), key=keys.__getitem__), keys.__getitem__):
-            members = list(group)
-            size = len(members)
-            if comps[members[0]].status is Status.UNSOLVED:
+        for group in reversed(quality_groups(ds, solvers, iid)):
+            size = len(group)
+            if group[0][1].status is Status.UNSOLVED:
                 group_scores = [Fraction(below + size - 1)] * size
             else:
-                group_scores = _tie_group_scores([comps[k].time for k in members], below)
+                group_scores = _tie_group_scores([comp.time for _, comp in group], below)
                 split_pairs += size * (size - 1)
-            for k, score in zip(members, group_scores):
-                scores[k] = score
+            for (sid, _), score in zip(group, group_scores):
+                scores[sid] = score
             below += size
-        for sid, score in zip(solvers, scores):
-            per_instance[(sid, iid)] = score
+        for sid in solvers:
+            per_instance[(sid, iid)] = scores[sid]
     log.info(
         "borda: %d solvers x %d instances, %d time-split pairs of %d",
         n, m, split_pairs, n * (n - 1) * m,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .pairscore import HALF, Comparable, quality_key, run_comparable, score_ordered
+from .pairscore import HALF, Comparable, quality_groups, run_comparable, score_ordered
 from .runstore import DataError, Dataset, ProblemKind, Status, known_solvers
 
 
@@ -32,27 +32,20 @@ def vbs_run(ds: Dataset, solvers: Iterable[str], instance_id: str) -> VirtualRun
         raise DataError(f"unknown instance {instance_id!r}")
     members = known_solvers(ds, solvers, "vbs_run")
     meta = ds.instances[instance_id]
-    if not members:
-        return VirtualRun(Status.UNSOLVED, meta.timeout, None, meta.kind, frozenset())
-
-    comps = {sid: run_comparable(ds, sid, instance_id) for sid in members}
-    best_key = max(quality_key(c) for c in comps.values())
-    if best_key[0] == 0:
+    groups = quality_groups(ds, members, instance_id)
+    if not groups or groups[0][0][1].status is Status.UNSOLVED:
         # nothing solved: the parallel run exhausts the time limit
         return VirtualRun(Status.UNSOLVED, meta.timeout, None, meta.kind, frozenset(members))
 
-    achievers = [sid for sid in members if quality_key(comps[sid]) == best_key]
-    best_time = min(comps[sid].time for sid in achievers)
-    contributing = frozenset(sid for sid in achievers if comps[sid].time == best_time)
-    status = comps[achievers[0]].status
-    if not meta.kind.is_optimization:
-        objective = None
-    elif status is Status.INCOMPLETE:
-        objective = comps[achievers[0]].objective
-    else:
-        objectives = [comps[sid].objective for sid in achievers]
-        objective = min(objectives) if meta.kind is ProblemKind.MINIMIZE else max(objectives)
-    return VirtualRun(status, best_time, objective, meta.kind, contributing)
+    achievers = groups[0]
+    best_time = min(comp.time for _, comp in achievers)
+    contributing = frozenset(sid for sid, comp in achievers if comp.time == best_time)
+    objective = None
+    if meta.kind.is_optimization:
+        # incomplete achievers share one objective; complete ones may disagree
+        best = min if meta.kind is ProblemKind.MINIMIZE else max
+        objective = best(comp.objective for _, comp in achievers)
+    return VirtualRun(achievers[0][1].status, best_time, objective, meta.kind, contributing)
 
 
 @dataclass(frozen=True)

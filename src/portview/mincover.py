@@ -1,8 +1,8 @@
 """Minimum portfolios with full-oracle performance, as exact set cover.
 
 Each solver covers the instances on which it ties the per-instance optimum of
-the whole portfolio (same quality, same objective, time within a tolerance of
-the fastest). Any set of solvers covering every such instance reproduces the
+the whole portfolio (the best quality group, time within a tolerance of the
+fastest in it). Any set of solvers covering every such instance reproduces the
 oracle's virtual best run everywhere, so the smallest covers are exactly the
 minimum oracle-equivalent portfolios. The search is complete branch and bound
 over bitmasks with a greedy upper bound and an element-disjoint lower bound,
@@ -39,9 +39,9 @@ def build_coverage(
 ) -> CoverageMap:
     """Map each solver to the instances where it ties the portfolio optimum.
 
-    ``epsilon`` relaxes the time tie (seconds): a run counts as best if its
-    quality and objective match the optimum exactly and its time is within
-    ``epsilon`` of the fastest best-quality run.
+    A run counts as best if it is in the instance's top ``quality_groups``
+    group (a proven-complete run is, whatever objective it recorded) and its
+    time is within ``epsilon`` seconds of the fastest run there.
     """
     members = known_solvers(ds, solvers, "build_coverage") if solvers is not None else ds.solver_ids
     if epsilon < 0:

@@ -86,14 +86,17 @@ def format_duration(value: Fraction) -> str:
 
 
 def parse_rational(text: str, *, what: str = "objective") -> Fraction:
-    """Parse decimal or ``p/q`` text to an exact rational."""
+    """Parse finite decimal or ``p/q`` text to an exact rational."""
     text = text.strip()
     try:
         if "/" in text:
             return Fraction(text)
-        return Fraction(Decimal(text))
+        d = Decimal(text)
     except (InvalidOperation, ValueError, ZeroDivisionError):
         raise DataError(f"unparseable {what} {text!r}") from None
+    if not d.is_finite():
+        raise DataError(f"non-finite {what} {text!r}")
+    return Fraction(d)
 
 
 def format_rational(value: Fraction) -> str:

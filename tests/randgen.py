@@ -3,7 +3,9 @@
 Generated data is internally consistent: proven-complete runs on the same
 optimization instance share the true optimum, and incomplete objectives are
 never better than it. Exact duplicate runs and coarse time grids are injected
-deliberately so that tie-handling paths get exercised.
+deliberately so that tie-handling paths get exercised. ``tie_heavy_dataset``
+gives up that consistency for more ties: its proven-complete runs may disagree
+on the objective.
 """
 
 from __future__ import annotations
@@ -74,6 +76,33 @@ def _random_run(rng, sid, iid, kind, timeout, optimum) -> RunRecord:
         objective = optimum + delta if kind is ProblemKind.MINIMIZE else optimum - delta
         return RunRecord(sid, iid, Status.INCOMPLETE, random_time(rng, timeout), objective)
     return RunRecord(sid, iid, Status.UNSOLVED, timeout)
+
+
+def tie_heavy_dataset(rng: random.Random, n_solvers: int, n_instances: int) -> Dataset:
+    """Coarse and zero times, few objective values, proven-complete runs that
+    disagree on the objective, and every tenth instance solved by nobody."""
+    solvers = {f"s{j:02d}": rng.random() < 0.7 for j in range(n_solvers)}
+    instances, runs = [], []
+    for i in range(n_instances):
+        iid = f"i{i:03d}"
+        kind = KINDS[i % 3]
+        instances.append(InstanceMeta(iid, kind, Fraction(60)))
+        if i % 10 == 0:
+            continue  # left to build_dataset, which records UNSOLVED runs
+        for sid in solvers:
+            time = rng.choice(
+                [Fraction(0), Fraction(10 * rng.randint(0, 6)), Fraction(rng.randint(0, 600), 10)]
+            )
+            roll = rng.random()
+            if roll < 0.3:
+                runs.append(RunRecord(sid, iid, Status.UNSOLVED, time))
+            elif roll < 0.6 and kind.is_optimization:
+                objective = Fraction(rng.randint(0, 2))
+                runs.append(RunRecord(sid, iid, Status.INCOMPLETE, time, objective))
+            else:
+                objective = Fraction(rng.randint(0, 2)) if kind.is_optimization else None
+                runs.append(RunRecord(sid, iid, Status.COMPLETE, time, objective))
+    return build_dataset(instances, solvers, runs)
 
 
 def random_subset(rng: random.Random, items, allow_empty: bool = True):

@@ -1,0 +1,68 @@
+"""Definitional references for the virtual best solver and oracle coverage.
+
+Both lift and rank every member's run on their own, with ``quality_key`` and
+``run_comparable`` directly; the package reads one shared ranking
+(``pairscore.quality_groups``) instead, and the tests require equal results.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from portview.mincover import CoverageMap
+from portview.pairscore import quality_key, run_comparable
+from portview.portfolio import VirtualRun
+from portview.runstore import DataError, Dataset, ProblemKind, Status, known_solvers
+
+
+def reference_vbs_run(ds: Dataset, solvers, instance_id: str) -> VirtualRun:
+    """Best quality over the members, then the minimum time among its achievers."""
+    if instance_id not in ds.instances:
+        raise DataError(f"unknown instance {instance_id!r}")
+    members = known_solvers(ds, solvers, "vbs_run")
+    meta = ds.instances[instance_id]
+    if not members:
+        return VirtualRun(Status.UNSOLVED, meta.timeout, None, meta.kind, frozenset())
+
+    comps = {sid: run_comparable(ds, sid, instance_id) for sid in members}
+    best_key = max(quality_key(c) for c in comps.values())
+    if best_key[0] == 0:
+        return VirtualRun(Status.UNSOLVED, meta.timeout, None, meta.kind, frozenset(members))
+
+    achievers = [sid for sid in members if quality_key(comps[sid]) == best_key]
+    best_time = min(comps[sid].time for sid in achievers)
+    contributing = frozenset(sid for sid in achievers if comps[sid].time == best_time)
+    status = comps[achievers[0]].status
+    if not meta.kind.is_optimization:
+        objective = None
+    elif status is Status.INCOMPLETE:
+        objective = comps[achievers[0]].objective
+    else:
+        objectives = [comps[sid].objective for sid in achievers]
+        objective = min(objectives) if meta.kind is ProblemKind.MINIMIZE else max(objectives)
+    return VirtualRun(status, best_time, objective, meta.kind, contributing)
+
+
+def reference_coverage(ds: Dataset, solvers=None, epsilon: Fraction = Fraction(0)) -> CoverageMap:
+    """Each member covers the instances where its run has the VBS quality and a
+    time within ``epsilon`` of the VBS time."""
+    members = known_solvers(ds, solvers, "build_coverage") if solvers is not None else ds.solver_ids
+    best_sets: dict[str, set[str]] = {sid: set() for sid in members}
+    universe: set[str] = set()
+    unsolvable: set[str] = set()
+    for iid in ds.instance_ids:
+        best = reference_vbs_run(ds, members, iid)
+        if best.status is Status.UNSOLVED:
+            unsolvable.add(iid)
+            continue
+        universe.add(iid)
+        best_key = quality_key(best)
+        for sid in members:
+            comp = run_comparable(ds, sid, iid)
+            if quality_key(comp) == best_key and comp.time - best.time <= epsilon:
+                best_sets[sid].add(iid)
+    return CoverageMap(
+        {sid: frozenset(ids) for sid, ids in best_sets.items()},
+        frozenset(universe),
+        frozenset(unsolvable),
+    )

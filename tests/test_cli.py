@@ -251,6 +251,55 @@ def test_bad_delimiter_is_a_validation_error(delimiter, demo_path, capsys):
     assert f"error: delimiter {delimiter!r} is not a single character" in capsys.readouterr().err
 
 
+NON_FINITE = ["inf", "-Infinity", "nan", "sNaN"]
+
+
+def _non_finite_objective_table(tmp_path, text: str) -> Path:
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "solver,instance,kind,status,time,objective,participant,timeout\n"
+        "a,i1,MINIMIZE,COMPLETE,1.000,3,1,10.000\n"
+        f"b,i1,MINIMIZE,INCOMPLETE,2.000,{text},1,10.000\n",
+        encoding="utf-8",
+    )
+    return data
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_non_finite_objective_fails_ingest_naming_the_row(text, tmp_path, capsys):
+    data = _non_finite_objective_table(tmp_path, text)
+    assert main(["ingest", "--data", str(data)]) == 1
+    assert f"error: row 3: non-finite objective {text!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_non_finite_objective_is_dropped_by_convert(text, tmp_path, capsys):
+    data = _non_finite_objective_table(tmp_path, text)
+    out = tmp_path / "canonical.csv"
+    assert main(["convert", "--data", str(data), "--out", str(out)]) == 0
+    assert f"row 3: non-finite objective {text!r}, dropped" in capsys.readouterr().err
+    assert ingest(out).run("b", "i1").objective is None
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+@pytest.mark.parametrize(
+    "command, flag, what",
+    [("mincover", "--epsilon=", "epsilon"), ("report", "--epsilon=", "epsilon"),
+     ("tradeoff", "--levels=0.5,", "level")],
+    ids=["mincover", "report", "tradeoff"],
+)
+def test_non_finite_number_flag_is_a_validation_error(
+    command, flag, what, text, demo_path, tmp_path, capsys
+):
+    # "--flag=X" keeps argparse from reading "-Infinity" as a flag
+    args = [command, "--data", str(demo_path), flag + text]
+    if command == "report":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert f"error: non-finite {what} {text!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _bundle_digest(directory: Path) -> str:
     h = hashlib.sha256()
     for path in sorted(directory.iterdir()):

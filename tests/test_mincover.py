@@ -14,7 +14,8 @@ from portview.runstore import (
     Status,
     build_dataset,
 )
-from randgen import make_dataset
+from randgen import make_dataset, random_subset, tie_heavy_dataset
+from reference import reference_coverage
 
 
 def _cover_map(best_sets: dict[str, set[str]], universe: set[str]) -> CoverageMap:
@@ -162,6 +163,29 @@ def test_build_coverage_reports_unsolvable():
     cov = build_coverage(ds)
     assert cov.universe == {"i1"}
     assert cov.unsolvable == {"i2"}
+
+
+def _assert_coverage_matches_reference(ds, rng):
+    portfolios = [None] + [random_subset(rng, ds.solver_ids) for _ in range(4)]
+    for solvers in portfolios:
+        for epsilon in (Fraction(0), Fraction(5)):
+            got = build_coverage(ds, solvers, epsilon)
+            want = reference_coverage(ds, solvers, epsilon)
+            assert got.best_sets == want.best_sets
+            assert got.universe == want.universe
+            assert got.unsolvable == want.unsolvable
+
+
+def test_build_coverage_matches_reference_on_tie_heavy_data():
+    ds = tie_heavy_dataset(random.Random(2024), n_solvers=12, n_instances=100)
+    assert build_coverage(ds, epsilon=Fraction(5)) != build_coverage(ds)
+    _assert_coverage_matches_reference(ds, random.Random(6))
+
+
+def test_build_coverage_matches_reference_on_toy_grids():
+    rng = random.Random(808)
+    for _ in range(40):
+        _assert_coverage_matches_reference(make_dataset(rng, max_solvers=6, max_instances=8), rng)
 
 
 def test_min_cover_matches_exhaustive_search_and_oracle_equivalence():

@@ -6,7 +6,7 @@ import pytest
 
 from portview.pairscore import Comparable, borda, quality_key, run_comparable, score_ordered
 from portview.runstore import DataError, ProblemKind, Status, build_dataset, InstanceMeta, RunRecord
-from randgen import make_dataset
+from randgen import make_dataset, tie_heavy_dataset
 
 DEC = ProblemKind.DECISION
 MIN = ProblemKind.MINIMIZE
@@ -240,33 +240,6 @@ def _pairwise_borda(ds):
     return per_instance, split_pairs
 
 
-def _tie_heavy_dataset(rng: random.Random, n_solvers: int, n_instances: int):
-    """Coarse and zero times, few objective values, proven-complete runs that
-    disagree on the objective, and every tenth instance solved by nobody."""
-    solvers = {f"s{j:02d}": rng.random() < 0.7 for j in range(n_solvers)}
-    instances, runs = [], []
-    for i in range(n_instances):
-        iid = f"i{i:03d}"
-        kind = (DEC, MIN, MAX)[i % 3]
-        instances.append(InstanceMeta(iid, kind, Fraction(60)))
-        if i % 10 == 0:
-            continue  # left to build_dataset, which records UNSOLVED runs
-        for sid in solvers:
-            time = rng.choice(
-                [Fraction(0), Fraction(10 * rng.randint(0, 6)), Fraction(rng.randint(0, 600), 10)]
-            )
-            roll = rng.random()
-            if roll < 0.3:
-                runs.append(RunRecord(sid, iid, Status.UNSOLVED, time))
-            elif roll < 0.6 and kind.is_optimization:
-                objective = Fraction(rng.randint(0, 2))
-                runs.append(RunRecord(sid, iid, Status.INCOMPLETE, time, objective))
-            else:
-                objective = Fraction(rng.randint(0, 2)) if kind.is_optimization else None
-                runs.append(RunRecord(sid, iid, Status.COMPLETE, time, objective))
-    return build_dataset(instances, solvers, runs)
-
-
 def _assert_borda_is_pairwise(ds, caplog):
     expected, split_pairs = _pairwise_borda(ds)
     with caplog.at_level(logging.INFO, logger="portview.pairscore"):
@@ -285,7 +258,7 @@ def _assert_borda_is_pairwise(ds, caplog):
 
 
 def test_borda_equals_pairwise_definition_on_tie_heavy_data(caplog):
-    ds = _tie_heavy_dataset(random.Random(2024), n_solvers=12, n_instances=100)
+    ds = tie_heavy_dataset(random.Random(2024), n_solvers=12, n_instances=100)
     statuses = {run.status for run in ds.runs.values()}
     assert statuses == {Status.COMPLETE, Status.INCOMPLETE, Status.UNSOLVED}
     assert any("disagree on the objective" in w for w in ds.warnings)

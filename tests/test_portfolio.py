@@ -13,7 +13,8 @@ from portview.runstore import (
     Status,
     build_dataset,
 )
-from randgen import make_dataset, random_subset
+from randgen import make_dataset, random_subset, tie_heavy_dataset
+from reference import reference_vbs_run
 
 DEC = ProblemKind.DECISION
 MIN = ProblemKind.MINIMIZE
@@ -109,6 +110,27 @@ def test_vbs_union_is_better_of_parts():
             assert quality_key(merged) == quality_key(best)
             if merged.status is not Status.UNSOLVED:
                 assert merged.time == best.time
+
+
+def _assert_vbs_matches_reference(ds, rng):
+    portfolios = [ds.solver_ids, ()] + [random_subset(rng, ds.solver_ids) for _ in range(8)]
+    for iid in ds.instance_ids:
+        for solvers in portfolios:
+            got = vbs_run(ds, solvers, iid)
+            want = reference_vbs_run(ds, solvers, iid)
+            # status, time, objective, kind and contributing_solvers
+            assert got == want
+
+
+def test_vbs_matches_reference_on_tie_heavy_data():
+    ds = tie_heavy_dataset(random.Random(2024), n_solvers=12, n_instances=100)
+    _assert_vbs_matches_reference(ds, random.Random(5))
+
+
+def test_vbs_matches_reference_on_toy_grids():
+    rng = random.Random(808)
+    for _ in range(40):
+        _assert_vbs_matches_reference(make_dataset(rng, max_solvers=6, max_instances=8), rng)
 
 
 def test_perf_identity_is_exactly_one():

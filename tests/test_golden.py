@@ -28,6 +28,14 @@ REPORT_RUNS = {
     "all": ["--scenario", "all"],
     "sampled": ["--mode", "sampled", "--samples", "100"],
 }
+# Non-default options of single commands, one case per dataset each.
+OPTION_RUNS = {
+    "shapley-sum": ["shapley", "--mode", "sum"],
+    "shapley-full": ["shapley", "--portfolio", "full"],
+    "tradeoff-full": ["tradeoff", "--space", "full"],
+    "mincover-eps": ["mincover", "--epsilon", "0.5"],
+    "report-eps": ["report", "--out", "bundle", "--epsilon", "0.5"],
+}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -45,6 +53,8 @@ def _cases() -> dict[str, list[str]]:
                     ]
         for run, extra in REPORT_RUNS.items():
             cases[f"{name}-report-{run}"] = ["report", "--data", data, "--out", "bundle", *extra]
+        for run, (cmd, *extra) in OPTION_RUNS.items():
+            cases[f"{name}-{run}"] = [cmd, "--data", data, *extra]
     return cases
 
 
@@ -94,19 +104,24 @@ GOLDEN = {
     "demo-ingest": "b93cd60a4f371f4e5a165048191d6177d9323e58ff8c61bf7093fe0af053b8bd",
     "demo-mincover-all-csv": "c0f174fc3b021045d90f61479ebc1532c3472e84f9927859bf8b5c4d2b90350c",
     "demo-mincover-all-text": "f2fe2a828463fb434674dd574743a194504cda834a7f508861aa24e71da2f16e",
+    "demo-mincover-eps": "690827e4683fcce6fc73587411048c8eba97ffae618925d90eb8aba29d666f16",
     "demo-mincover-participants-csv": "4464e0720bb624fc9eb2c25c3c9aad1d79aa857eae7173013d562528fb5903f6",
     "demo-mincover-participants-text": "690827e4683fcce6fc73587411048c8eba97ffae618925d90eb8aba29d666f16",
     "demo-oracle-csv": "849498e48cfdfd1b3f2dedf98814e2fe94eb27f518d994bdeabfa26d2e566b7e",
     "demo-oracle-text": "f432bc4a9b7694fd1b9f614f972fe67bcec861a291b025c5e321e5c6ca2e6448",
     "demo-report-all": "085015e55edc5971055e144a1186ee552416e6dae6c992413d6b052c004fdbc5",
     "demo-report-default": "e4a3faf487b9aa6a3a6099194b6397f1fe4992014fb088c3bddd0a599097a0fe",
+    "demo-report-eps": "a49a3a0640f1fb4e1c1182eb00d770be23dd8509c5c1529db3b8542b26bf80c7",
     "demo-report-sampled": "af9061a1bdbc40eb6edbde5dfdeacbbe06762001d2157e3cc1ea6e7feeea27a5",
     "demo-shapley-all-csv": "2cbf207f47b03f384ab51a21dd43ca38ecd34c4db12ec4be48e657c814798d18",
     "demo-shapley-all-text": "f1b622307e67f68cb529f515515d4b29812e25c8c3b88ef956fe8f439b85f8fd",
+    "demo-shapley-full": "c0aa25ae6af753e95a80327542387bf8a27c6497fedafa29101bd56dcd12d590",
     "demo-shapley-participants-csv": "62cfe552c12427e11a7f1ac528cd67f53ea34ded235c0c42f25627693e03179c",
     "demo-shapley-participants-text": "c0aa25ae6af753e95a80327542387bf8a27c6497fedafa29101bd56dcd12d590",
+    "demo-shapley-sum": "4fcebfec3745ec6afaaf73ebdff3c29e882402559ddfe7a063eced957acec70b",
     "demo-tradeoff-all-csv": "81b252571f29fa89f667a82170b9e184b099fa48441be73683ffa22403f78f98",
     "demo-tradeoff-all-text": "ef56df596423437a9bc1109768229dc459330d71c9b721821b352c32f4f978fe",
+    "demo-tradeoff-full": "b9ae77aac27d44f9427aaa35efb779c49e2bb77df454c00ac48e6b9de986ee84",
     "demo-tradeoff-participants-csv": "8ca4918d52b459bb1797c1faecd8a8271f5f1f3abbb1e8eb26d5b1d05e42d421",
     "demo-tradeoff-participants-text": "b9ae77aac27d44f9427aaa35efb779c49e2bb77df454c00ac48e6b9de986ee84",
     "m100-borda-all-csv": "96ffbc6b48d186a3fe8986e35e612fd46922558448b4d1d546abd0cfe02fea51",
@@ -117,19 +132,24 @@ GOLDEN = {
     "m100-ingest": "14e4f41e03a129a0576dfa3ced4cacd1c1392d6e733a535ba08a1a565cf2b3f6",
     "m100-mincover-all-csv": "dfac5e4908faeb8e0450b7d2d4c5ed92255bfb237eee046e7fa86b4277890d86",
     "m100-mincover-all-text": "baa94ed6627f20c8c75e3595c15fff76f444975997c1720defdadae0fad10d43",
+    "m100-mincover-eps": "baa94ed6627f20c8c75e3595c15fff76f444975997c1720defdadae0fad10d43",
     "m100-mincover-participants-csv": "dfac5e4908faeb8e0450b7d2d4c5ed92255bfb237eee046e7fa86b4277890d86",
     "m100-mincover-participants-text": "baa94ed6627f20c8c75e3595c15fff76f444975997c1720defdadae0fad10d43",
     "m100-oracle-csv": "4ed9ef3398f1f8967fa65dbd29d5967c482f8b8ad66e4b095350ce094c91bb26",
     "m100-oracle-text": "22444157eaaab011e8ca061e9d4cb6e81711571eb216f13d34b8c456e4ae646d",
     "m100-report-all": "87846728ffc7001f53051981ae38ad2f9ef43ea85fc0eb20c8e632de93070420",
     "m100-report-default": "65814b18c2f6232aacf860c9c5f6db0b9392563c6cc41339a6b65079f0161fca",
+    "m100-report-eps": "8e0f45f919d0ceed9a2b840849a2e3fae0a5f43cea167243d9b160c0d9e8f874",
     "m100-report-sampled": "a05acd840744393c0883a3ca4bea3e8aa6dfa4d21997ee67a3b0363f4bb4e39c",
     "m100-shapley-all-csv": "80de857ad120be6b0d5a4719dee34b450d55339d4fffcc364484b220ac74fc1d",
     "m100-shapley-all-text": "52c8ec45a37918a9b7d66d923f4df4444e47a4b0a0b07a291e6cbae2e1071fcc",
+    "m100-shapley-full": "52c8ec45a37918a9b7d66d923f4df4444e47a4b0a0b07a291e6cbae2e1071fcc",
     "m100-shapley-participants-csv": "80de857ad120be6b0d5a4719dee34b450d55339d4fffcc364484b220ac74fc1d",
     "m100-shapley-participants-text": "52c8ec45a37918a9b7d66d923f4df4444e47a4b0a0b07a291e6cbae2e1071fcc",
+    "m100-shapley-sum": "e96616aeedb971a05af30c4c41baa4494f93258cbf3aa5196f3818a0eb11e7b7",
     "m100-tradeoff-all-csv": "d13367b7ff89246072414ec770c3f8d74e3dda9fff13179f0d0325cdffef7071",
     "m100-tradeoff-all-text": "d63be9d0ceb64fc6a7394fbd288698b02c234a83e0de6fadb2916d8ef71fe42c",
+    "m100-tradeoff-full": "d63be9d0ceb64fc6a7394fbd288698b02c234a83e0de6fadb2916d8ef71fe42c",
     "m100-tradeoff-participants-csv": "d13367b7ff89246072414ec770c3f8d74e3dda9fff13179f0d0325cdffef7071",
     "m100-tradeoff-participants-text": "d63be9d0ceb64fc6a7394fbd288698b02c234a83e0de6fadb2916d8ef71fe42c",
 }

@@ -4,9 +4,10 @@ External competition result dumps rarely match the canonical schema, so a
 column-mapping config describes how to read them: which source columns feed
 each canonical column (several may be joined into one id), synonym tables for
 status and problem-kind tokens, and constant defaults for columns the source
-lacks (a global timeout, say). Conversion uses the same reader as ``ingest``
-under its lenient policy: rows that violate the data model are coerced with a
-warning instead of failing, so one bad line does not sink a whole table.
+lacks (a global timeout, say). Conversion takes each row down the same path
+as ``ingest``, under the lenient policy: where ``ingest`` would fail, the row
+is repaired and the warning is the same message plus its consequence
+(``..., objective dropped``), so one bad line does not sink a whole table.
 """
 
 from __future__ import annotations

@@ -198,16 +198,12 @@ def run_shape_violation(
     return None
 
 
-def _check_run_shape(run: RunRecord, kind: ProblemKind) -> None:
-    broken = run_shape_violation(kind, run.status, run.objective)
-    if broken:
-        raise DataError(f"run ({run.solver_id!r}, {run.instance_id!r}): {broken}")
-
-
 def _validate_run(run: RunRecord, meta: InstanceMeta) -> tuple[RunRecord, list[str]]:
     """Check one run against its instance metadata; clamp overlong times."""
+    broken = run_shape_violation(meta.kind, run.status, run.objective)
+    if broken:
+        raise DataError(f"run ({run.solver_id!r}, {run.instance_id!r}): {broken}")
     warnings: list[str] = []
-    _check_run_shape(run, meta.kind)
     if run.time > meta.timeout:
         warnings.append(
             f"run ({run.solver_id}, {run.instance_id}): time "
@@ -371,10 +367,13 @@ def read_table(
 ) -> Dataset:
     """Read a delimiter-separated results table into a validated Dataset.
 
-    Under the strict policy any data-model violation raises DataError. Under
-    the lenient policy an unknown status, an unparseable participant flag,
-    objective or time, and runs that break the data model are coerced
-    (to UNSOLVED, a non-participant, or a dropped objective) with a warning.
+    Every row takes one path, and the policy only decides what a violation
+    does: strict raises its message as a DataError, lenient repairs the row and
+    warns with the message and its consequence. An unknown status or unusable
+    time makes the run UNSOLVED without an objective, a bad flag makes a
+    non-participant, a bad objective is dropped, and each broken
+    ``run_shape_violation`` rule drops the objective if that clears or changes
+    the complaint, else records the run as UNSOLVED.
     Both policies raise on unreadable input (not UTF-8, or a field the csv
     module rejects), a delimiter that is not one character, a malformed
     header or row shape, an empty id, an unknown problem kind, a bad timeout,
@@ -437,19 +436,36 @@ def read_table(
         try:
             timeout = parse_duration(timeout_text, what="timeout")
             meta = instances.get(instance) or InstanceMeta(instance, kind, timeout)
-            if strict:
-                record = RunRecord(solver, instance, status, parse_duration(time_text), objective)
-                _check_run_shape(record, kind)
         except DataError as exc:
             raise DataError(f"row {row_no}: {exc}") from None
+        try:
+            time = parse_duration(time_text)
+            if time.numerator < 0:  # an int compare; a Fraction compare costs ~10x more
+                raise DataError(f"run ({solver!r}, {instance!r}): negative time")
+        except DataError as exc:
+            violation(f"row {row_no}: {exc}", "recorded as UNSOLVED")
+            time, status = timeout, None
+        if status is None:
+            # unknown status or unusable time, already reported: drop the objective too
+            status, objective = Status.UNSOLVED, None
+        # one broken rule at a time; the objective and the status each change at most once
+        for _ in range(2):
+            broken = run_shape_violation(kind, status, objective)
+            if broken is None:
+                break
+            message = f"row {row_no}: run ({solver!r}, {instance!r}): {broken}"
+            if objective is not None and run_shape_violation(kind, status, None) != broken:
+                violation(message, "objective dropped")
+                objective = None
+            else:
+                violation(message, "recorded as UNSOLVED")
+                status = Status.UNSOLVED
         if meta.kind is not kind or meta.timeout != timeout:
             raise DataError(
                 f"row {row_no}: instance {instance!r} redeclared with different "
                 "kind or timeout"
             )
         instances[instance] = meta
-        if not strict:
-            record = _coerce_run(row_no, solver, meta, status, time_text, objective, warnings)
         known_flag = solver_flags.get(solver)
         if known_flag is None:
             solver_flags[solver] = participant
@@ -458,56 +474,9 @@ def read_table(
                 f"row {row_no}: solver {solver!r} redeclared with different "
                 "participant flag"
             )
-        records.append(record)
+        records.append(RunRecord(solver, instance, status, time, objective))
 
     return build_dataset(instances.values(), solver_flags, records, warnings)
-
-
-def _coerce_run(
-    row_no: int,
-    solver: str,
-    meta: InstanceMeta,
-    status: Status | None,
-    time_text: str,
-    objective: Fraction | None,
-    warnings: list[str],
-) -> RunRecord:
-    """Lenient run: coerce an unusable time and data-model violations, with a warning.
-
-    ``status`` None is an unknown status token, already reported: UNSOLVED, objective dropped.
-    """
-    if status is None:
-        status, objective = Status.UNSOLVED, None
-    try:
-        time = parse_duration(time_text)
-        if time < 0:
-            raise DataError("negative time")
-    except DataError:
-        warnings.append(f"row {row_no}: unusable time {time_text!r}, recorded as UNSOLVED")
-        time = meta.timeout
-        status = Status.UNSOLVED
-        objective = None
-
-    if meta.kind.is_optimization:
-        if status is not Status.UNSOLVED and objective is None:
-            warnings.append(
-                f"row {row_no}: {status.value} without an objective on an "
-                "optimization instance, recorded as UNSOLVED"
-            )
-            status = Status.UNSOLVED
-    else:
-        if status is Status.INCOMPLETE:
-            warnings.append(
-                f"row {row_no}: INCOMPLETE on a decision instance, recorded as UNSOLVED"
-            )
-            status = Status.UNSOLVED
-        if objective is not None:
-            warnings.append(f"row {row_no}: objective on a decision instance, dropped")
-            objective = None
-    if status is Status.UNSOLVED and objective is not None:
-        warnings.append(f"row {row_no}: objective on an UNSOLVED run, dropped")
-        objective = None
-    return RunRecord(solver, meta.instance_id, status, time, objective)
 
 
 def ingest(source: str | Path | IO[str], *, delimiter: str = ",") -> Dataset:

@@ -1,8 +1,12 @@
-"""Definitional references for the virtual best solver and oracle coverage.
+"""Definitional references for the virtual best solver, oracle coverage and
+the lenient repair of a run.
 
-Both lift and rank every member's run on their own, with ``quality_key`` and
-``run_comparable`` directly; the package reads one shared ranking
-(``pairscore.quality_groups``) instead, and the tests require equal results.
+The first two lift and rank every member's run on their own, with
+``quality_key`` and ``run_comparable`` directly; the package reads one shared
+ranking (``pairscore.quality_groups``) instead, and the tests require equal
+results. ``reference_coerce_run`` spells out each repair of a lenient read
+case by case; the package repairs a run by following ``run_shape_violation``,
+and the tests require the same runs and the same number of warnings.
 """
 
 from __future__ import annotations
@@ -12,7 +16,16 @@ from fractions import Fraction
 from portview.mincover import CoverageMap
 from portview.pairscore import quality_key, run_comparable
 from portview.portfolio import VirtualRun
-from portview.runstore import DataError, Dataset, ProblemKind, Status, known_solvers
+from portview.runstore import (
+    DataError,
+    Dataset,
+    InstanceMeta,
+    ProblemKind,
+    RunRecord,
+    Status,
+    known_solvers,
+    parse_duration,
+)
 
 
 def reference_vbs_run(ds: Dataset, solvers, instance_id: str) -> VirtualRun:
@@ -66,3 +79,50 @@ def reference_coverage(ds: Dataset, solvers=None, epsilon: Fraction = Fraction(0
         frozenset(universe),
         frozenset(unsolvable),
     )
+
+
+def reference_coerce_run(
+    row_no: int,
+    solver: str,
+    meta: InstanceMeta,
+    status: Status | None,
+    time_text: str,
+    objective: Fraction | None,
+    warnings: list[str],
+) -> RunRecord:
+    """Lenient run: coerce an unusable time and data-model violations, with a warning.
+
+    ``status`` None is an unknown status token, already reported: UNSOLVED, objective dropped.
+    """
+    if status is None:
+        status, objective = Status.UNSOLVED, None
+    try:
+        time = parse_duration(time_text)
+        if time < 0:
+            raise DataError("negative time")
+    except DataError:
+        warnings.append(f"row {row_no}: unusable time {time_text!r}, recorded as UNSOLVED")
+        time = meta.timeout
+        status = Status.UNSOLVED
+        objective = None
+
+    if meta.kind.is_optimization:
+        if status is not Status.UNSOLVED and objective is None:
+            warnings.append(
+                f"row {row_no}: {status.value} without an objective on an "
+                "optimization instance, recorded as UNSOLVED"
+            )
+            status = Status.UNSOLVED
+    else:
+        if status is Status.INCOMPLETE:
+            warnings.append(
+                f"row {row_no}: INCOMPLETE on a decision instance, recorded as UNSOLVED"
+            )
+            status = Status.UNSOLVED
+        if objective is not None:
+            warnings.append(f"row {row_no}: objective on a decision instance, dropped")
+            objective = None
+    if status is Status.UNSOLVED and objective is not None:
+        warnings.append(f"row {row_no}: objective on an UNSOLVED run, dropped")
+        objective = None
+    return RunRecord(solver, meta.instance_id, status, time, objective)

@@ -179,7 +179,10 @@ def test_convert_cli(tmp_path, capsys):
     out = tmp_path / "canonical.csv"
     assert main(["convert", "--data", str(raw), "--out", str(out)]) == 0
     err = capsys.readouterr().err
-    assert "objective on a decision instance" in err
+    assert (
+        "row 2: run ('a', 'i1'): decision instance must not carry an objective, "
+        "objective dropped"
+    ) in err
     ds = ingest(out)
     assert ds.run("a", "i1").objective is None
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,8 +9,19 @@ import pytest
 from portview.cli import main
 from portview.convert import convert_table, identity_mapping, load_mapping
 from portview.pairscore import Comparable
-from portview.runstore import DataError, ProblemKind, Status, ingest, write_canonical
+from portview.runstore import (
+    DataError,
+    InstanceMeta,
+    ProblemKind,
+    RunRecord,
+    Status,
+    ingest,
+    parse_rational,
+    read_table,
+    write_canonical,
+)
 from randgen import make_dataset
+from reference import reference_coerce_run
 
 HEADER = "solver,instance,kind,status,time,objective,participant,timeout"
 
@@ -44,7 +56,10 @@ def test_objective_on_decision_dropped_with_warning():
         "a,i1,DECISION,COMPLETE,1.000,42,1,10.000\n"
     )
     converted, warnings = convert_table(io.StringIO(raw))
-    assert any("objective on a decision instance" in w for w in warnings)
+    assert any(
+        "run ('a', 'i1'): decision instance must not carry an objective, objective dropped" in w
+        for w in warnings
+    )
     ds = ingest(io.StringIO(converted))
     assert ds.run("a", "i1").objective is None
 
@@ -75,7 +90,7 @@ def test_negative_time_becomes_unsolved():
         "a,i1,DECISION,COMPLETE,-3,,1,10.000\n"
     )
     converted, warnings = convert_table(io.StringIO(raw))
-    assert any("unusable time" in w for w in warnings)
+    assert any("run ('a', 'i1'): negative time, recorded as UNSOLVED" in w for w in warnings)
     run = ingest(io.StringIO(converted)).run("a", "i1")
     assert run.status is Status.UNSOLVED
 
@@ -86,7 +101,10 @@ def test_incomplete_on_decision_becomes_unsolved():
         "a,i1,DECISION,INCOMPLETE,1.000,,1,10.000\n"
     )
     converted, warnings = convert_table(io.StringIO(raw))
-    assert any("INCOMPLETE on a decision instance" in w for w in warnings)
+    assert any(
+        "INCOMPLETE is not valid on a decision instance, recorded as UNSOLVED" in w
+        for w in warnings
+    )
     assert ingest(io.StringIO(converted)).run("a", "i1").status is Status.UNSOLVED
 
 
@@ -199,13 +217,14 @@ def test_unparseable_participant_flag_warns(flag):
     "kind, status, objective, rule, warning",
     [
         ("MINIMIZE", "UNSOLVED", "42", "unsolved run must not carry an objective",
-         "objective on an UNSOLVED run, dropped"),
+         "run ('a', 'i1'): unsolved run must not carry an objective, objective dropped"),
         ("MINIMIZE", "COMPLETE", "", "solved run on an optimization instance requires an objective",
-         "COMPLETE without an objective on an optimization instance, recorded as UNSOLVED"),
+         "run ('a', 'i1'): solved run on an optimization instance requires an objective, "
+         "recorded as UNSOLVED"),
         ("DECISION", "INCOMPLETE", "", "INCOMPLETE is not valid on a decision instance",
-         "INCOMPLETE on a decision instance, recorded as UNSOLVED"),
+         "run ('a', 'i1'): INCOMPLETE is not valid on a decision instance, recorded as UNSOLVED"),
         ("DECISION", "COMPLETE", "42", "decision instance must not carry an objective",
-         "objective on a decision instance, dropped"),
+         "run ('a', 'i1'): decision instance must not carry an objective, objective dropped"),
     ],
     ids=["unsolved-objective", "solved-without-objective", "decision-incomplete",
          "decision-objective"],
@@ -228,7 +247,7 @@ def test_every_path_applies_the_same_run_shape_rule(kind, status, objective, rul
     "status, time, warning",
     [
         ("WEIRD", "5", "row 2: unknown status 'WEIRD', recorded as UNSOLVED"),
-        ("COMPLETE", "-1", "row 2: unusable time '-1', recorded as UNSOLVED"),
+        ("COMPLETE", "-1", "row 2: run ('a', 'i1'): negative time, recorded as UNSOLVED"),
     ],
     ids=["unknown-status", "unusable-time"],
 )
@@ -279,3 +298,43 @@ def test_malformed_mapping_shape_is_a_validation_error(
     err = capsys.readouterr().err
     assert message in err
     assert "internal error" not in err
+
+
+def test_lenient_repairs_match_the_case_by_case_reference():
+    """Every kind x status x time x objective row converts to the reference's
+    run with as many warnings. Times beyond the timeout of 10 get one clamp
+    warning from ``build_dataset`` on both sides."""
+    grid = list(itertools.product(
+        ["DECISION", "MINIMIZE", "MAXIMIZE"],
+        ["COMPLETE", "INCOMPLETE", "UNSOLVED", "WEIRD"],
+        ["5", "15", "-1", "soon", "inf"],
+        ["", "7", "many", "nan"],
+    ))
+    lines = [HEADER] + [
+        f"a,i{n},{kind},{status},{time},{objective},1,10"
+        for n, (kind, status, time, objective) in enumerate(grid)
+    ]
+    ds = read_table(io.StringIO("\n".join(lines) + "\n"), identity_mapping(), strict=False)
+    for n, (kind, status_text, time_text, objective_text) in enumerate(grid):
+        row_no, iid = n + 2, f"i{n}"
+        meta = InstanceMeta(iid, ProblemKind(kind), Fraction(10))
+        notes: list[str] = []
+        status = Status.__members__.get(status_text)
+        if status is None:
+            notes.append("unknown status")
+        objective = None
+        if objective_text:
+            try:
+                objective = parse_rational(objective_text)
+            except DataError:
+                notes.append("unparseable objective")
+        expected = reference_coerce_run(row_no, "a", meta, status, time_text, objective, notes)
+        if expected.time > meta.timeout:
+            notes.append("clamped")
+            expected = RunRecord("a", iid, expected.status, meta.timeout, expected.objective)
+        assert ds.run("a", iid) == expected, (kind, status_text, time_text, objective_text)
+        row_warnings = [
+            w for w in ds.warnings
+            if w.startswith((f"row {row_no}: ", f"run (a, {iid}): "))
+        ]
+        assert len(row_warnings) == len(notes), (row_warnings, notes)

@@ -18,7 +18,7 @@ import csv
 import io
 import operator
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
+from decimal import Context, Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -62,15 +62,36 @@ _TRUE_TOKENS = {"1", "TRUE", "YES"}
 _FALSE_TOKENS = {"0", "FALSE", "NO"}
 
 
-def parse_duration(text: str, *, what: str = "time") -> Fraction:
-    """Parse a duration in seconds to an exact rational, rounded to milliseconds."""
+# Most digits a number's integer numerator or power-of-ten denominator may need:
+# Python's default limit for converting an int to text, so every value prints.
+_MAX_DIGITS = 4300
+
+# Precise enough that scaling a number within _MAX_DIGITS to milliseconds is exact.
+_MS_CONTEXT = Context(prec=_MAX_DIGITS + 3)
+
+
+def _decimal(text: str, what: str) -> Decimal:
+    """Finite decimal ``text`` within ``_MAX_DIGITS``; checked before any integer is built."""
     try:
         d = Decimal(text.strip())
     except InvalidOperation:
         raise DataError(f"unparseable {what} {text!r}") from None
     if not d.is_finite():
         raise DataError(f"non-finite {what} {text!r}")
-    ms = int((d * 1000).to_integral_value(rounding=ROUND_HALF_EVEN))
+    if len(text) <= _MAX_DIGITS and "e" not in text and "E" not in text:
+        return d  # the text's own digits bound the numerator and the denominator
+    _, digits, exponent = d.as_tuple()
+    # zeros that end a fraction count in neither the numerator nor the denominator
+    zeros = min(len(digits) - len(bytes(digits).rstrip(b"\0")), max(-exponent, 0))
+    if max(len(digits) - zeros + max(exponent, 0), 1 - exponent - zeros) > _MAX_DIGITS:
+        raise DataError(f"{what} {text!r} needs more than {_MAX_DIGITS} digits")
+    return d
+
+
+def parse_duration(text: str, *, what: str = "time") -> Fraction:
+    """Parse a duration in seconds to an exact rational, rounded to milliseconds."""
+    d = _decimal(text, what)
+    ms = int(d.scaleb(3, _MS_CONTEXT).to_integral_value(rounding=ROUND_HALF_EVEN))
     return Fraction(ms, 1000)
 
 
@@ -88,15 +109,12 @@ def format_duration(value: Fraction) -> str:
 def parse_rational(text: str, *, what: str = "objective") -> Fraction:
     """Parse finite decimal or ``p/q`` text to an exact rational."""
     text = text.strip()
+    if "/" not in text:
+        return Fraction(_decimal(text, what))
     try:
-        if "/" in text:
-            return Fraction(text)
-        d = Decimal(text)
-    except (InvalidOperation, ValueError, ZeroDivisionError):
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
         raise DataError(f"unparseable {what} {text!r}") from None
-    if not d.is_finite():
-        raise DataError(f"non-finite {what} {text!r}")
-    return Fraction(d)
 
 
 def format_rational(value: Fraction) -> str:
@@ -405,6 +423,7 @@ def read_table(
         warnings.append(f"{message}, {consequence}")
 
     instances: dict[str, InstanceMeta] = {}
+    timeouts: dict[str, Fraction] = {}
     solver_flags: dict[str, bool] = {}
     records: list[RunRecord] = []
     for row_no, cells in enumerate(reader, start=2):
@@ -434,7 +453,9 @@ def read_table(
             except DataError as exc:
                 violation(f"row {row_no}: {exc}", "dropped")
         try:
-            timeout = parse_duration(timeout_text, what="timeout")
+            timeout = timeouts.get(timeout_text)
+            if timeout is None:  # rows repeat their instance's timeout: parse each text once
+                timeout = timeouts[timeout_text] = parse_duration(timeout_text, what="timeout")
             meta = instances.get(instance) or InstanceMeta(instance, kind, timeout)
         except DataError as exc:
             raise DataError(f"row {row_no}: {exc}") from None

@@ -303,6 +303,84 @@ def test_non_finite_number_flag_is_a_validation_error(
     assert not (tmp_path / "out").exists()
 
 
+# Exact values whose integer numerator would need more than 4,300 digits,
+# Python's limit for printing an int; the last overflows a Decimal times 1000.
+OVERSIZED = ["1e5000", "-1" + "0" * 4300, "1e999999"]
+
+
+def _row_table(tmp_path, time="5", objective="7", timeout="10") -> Path:
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "solver,instance,kind,status,time,objective,participant,timeout\n"
+        f"a,i1,MINIMIZE,COMPLETE,{time},{objective},1,{timeout}\n",
+        encoding="utf-8",
+    )
+    return data
+
+
+@pytest.mark.parametrize("text", OVERSIZED, ids=["1e5000", "4301-digits", "1e999999"])
+@pytest.mark.parametrize("column", ["time", "objective", "timeout"])
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_oversized_number_fails_a_strict_read_naming_the_row(
+    command, column, text, tmp_path, capsys
+):
+    args = [command, "--data", str(_row_table(tmp_path, **{column: text}))]
+    if command == "report":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error") and f": row 2: {column} {text!r} needs more than 4300 digits" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "column, warnings, status",
+    [
+        ("time", ["row 2: time '1e5000' needs more than 4300 digits, recorded as UNSOLVED"],
+         "UNSOLVED"),
+        ("objective", [
+            "row 2: objective '1e5000' needs more than 4300 digits, dropped",
+            "row 2: run ('a', 'i1'): solved run on an optimization instance requires an "
+            "objective, recorded as UNSOLVED",
+        ], "UNSOLVED"),
+    ],
+)
+def test_oversized_number_is_repaired_by_convert(column, warnings, status, tmp_path, capsys):
+    out = tmp_path / "canonical.csv"
+    data = _row_table(tmp_path, **{column: "1e5000"})
+    assert main(["convert", "--data", str(data), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in warnings]
+    run = ingest(out).run("a", "i1")
+    assert (run.status.value, run.objective) == (status, None)
+
+
+def test_oversized_timeout_fails_convert(tmp_path, capsys):
+    data = _row_table(tmp_path, timeout="1e5000")
+    assert main(["convert", "--data", str(data)]) == 1
+    assert "error: row 2: timeout '1e5000' needs more than 4300 digits" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "command, flag, what",
+    [("mincover", "--epsilon=", "epsilon"), ("report", "--epsilon=", "epsilon"),
+     ("tradeoff", "--levels=0.5,", "level")],
+    ids=["mincover", "report", "tradeoff"],
+)
+def test_oversized_number_flag_is_a_validation_error(
+    command, flag, what, demo_path, tmp_path, capsys
+):
+    args = [command, "--data", str(demo_path), flag + "1e9999999"]
+    if command == "report":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert f"error: {what} '1e9999999' needs more than 4300 digits" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def _bundle_digest(directory: Path) -> str:
     h = hashlib.sha256()
     for path in sorted(directory.iterdir()):

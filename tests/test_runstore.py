@@ -160,6 +160,23 @@ def test_parse_duration_millisecond_granularity():
     assert format_duration(Fraction(0)) == "0.000"
 
 
+@pytest.mark.parametrize(
+    "text", ["1e4300", "1e-4300", "1e9999999", "1" * 4301, "1e999999"],
+    ids=["1e4300", "1e-4300", "1e9999999", "4301-digits", "1e999999"],
+)
+@pytest.mark.parametrize("parse", [parse_rational, parse_duration])
+def test_number_needing_more_than_4300_digits_rejected(parse, text):
+    with pytest.raises(DataError, match="needs more than 4300 digits"):
+        parse(text, what="value")
+
+
+def test_numbers_at_the_digit_bound_round_trip():
+    big, tiny = "9" * 4300, "1e-4299"
+    ds = _ingest([f"a,i1,MINIMIZE,INCOMPLETE,{big},{tiny},1,{big}"])
+    assert ds.run("a", "i1").objective == parse_rational(tiny)
+    assert ingest(io.StringIO(write_canonical(ds))) == ds
+
+
 def test_rational_rendering_round_trips():
     cases = [Fraction(7, 4), Fraction(1, 3), Fraction(-3, 8), Fraction(5), Fraction(1, 10)]
     for value in cases:

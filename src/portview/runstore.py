@@ -461,7 +461,7 @@ def read_table(
             raise DataError(f"row {row_no}: {exc}") from None
         try:
             time = parse_duration(time_text)
-            if time.numerator < 0:  # an int compare; a Fraction compare costs ~10x more
+            if time.numerator < 0:  # the sign alone: cheaper than a Fraction compare
                 raise DataError(f"run ({solver!r}, {instance!r}): negative time")
         except DataError as exc:
             violation(f"row {row_no}: {exc}", "recorded as UNSOLVED")

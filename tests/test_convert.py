@@ -315,6 +315,7 @@ def test_lenient_repairs_match_the_case_by_case_reference():
         for n, (kind, status, time, objective) in enumerate(grid)
     ]
     ds = read_table(io.StringIO("\n".join(lines) + "\n"), identity_mapping(), strict=False)
+    expected_warnings = 0
     for n, (kind, status_text, time_text, objective_text) in enumerate(grid):
         row_no, iid = n + 2, f"i{n}"
         meta = InstanceMeta(iid, ProblemKind(kind), Fraction(10))
@@ -338,3 +339,5 @@ def test_lenient_repairs_match_the_case_by_case_reference():
             if w.startswith((f"row {row_no}: ", f"run (a, {iid}): "))
         ]
         assert len(row_warnings) == len(notes), (row_warnings, notes)
+        expected_warnings += len(notes)
+    assert len(ds.warnings) == expected_warnings

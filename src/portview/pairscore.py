@@ -9,11 +9,11 @@ of the pair takes the whole point; summed over both orderings of the pair this
 awards each side 1, marking them indistinguishable on that instance.
 
 ``score_ordered`` states that rule for one ordered pair. Borda, the virtual
-best solver and oracle coverage share one per-instance ranking,
-``quality_groups``. ``borda`` reaches the pairwise sums without visiting every
-pair: it credits each solver with the number of solvers strictly worse than it,
-and splits time only inside a group of equal quality (an unsolved group's
-members score one point per other member).
+best solver and oracle coverage share one per-instance ranking, ranked once
+per dataset and read through ``quality_groups``. ``borda`` reaches the pairwise
+sums without visiting every pair: it credits each solver with the number of
+solvers strictly worse than it, and splits time only inside a group of equal
+quality (an unsolved group's members score one point per other member).
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterable
 
-from .runstore import DataError, Dataset, ProblemKind, Status, run_shape_violation
+from .runstore import DataError, Dataset, ProblemKind, RunRecord, Status, run_shape_violation
 
 log = logging.getLogger(__name__)
 
@@ -93,12 +92,17 @@ def run_comparable(ds: Dataset, solver_id: str, instance_id: str) -> Comparable:
 
 def quality_groups(
     ds: Dataset, solvers: Iterable[str], instance_id: str
-) -> list[list[tuple[str, Comparable]]]:
-    """Runs on one instance, each lifted once, in groups of equal ``quality_key``, best first."""
-    runs = [(sid, run_comparable(ds, sid, instance_id)) for sid in solvers]
-    keys = {sid: quality_key(comp) for sid, comp in runs}
-    runs.sort(key=lambda run: keys[run[0]], reverse=True)
-    return [list(group) for _, group in groupby(runs, lambda run: keys[run[0]])]
+) -> list[list[tuple[str, RunRecord]]]:
+    """Runs of ``solvers`` on one instance in groups of equal ``quality_key``, best first.
+
+    Filtered from ``ds.quality_ranking``, so each run is ranked once per dataset.
+    """
+    keep = set(solvers)
+    groups = (
+        [(sid, ds.runs[(sid, instance_id)]) for sid in group if sid in keep]
+        for group in ds.quality_ranking[instance_id]
+    )
+    return [group for group in groups if group]
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from decimal import Context, Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -175,7 +177,8 @@ class Dataset:
     ``solvers`` maps solver id to its participant flag. ``runs`` holds exactly
     one record per (solver, instance) pair. ``warnings`` collects non-fatal
     ingestion notes (clamped times, inconsistent objectives) and is excluded
-    from equality.
+    from equality. ``quality_ranking`` is built on first use and is not a
+    field, so it takes no part in equality or repr either.
     """
 
     instances: dict[str, InstanceMeta]
@@ -197,6 +200,22 @@ class Dataset:
 
     def run(self, solver_id: str, instance_id: str) -> RunRecord:
         return self.runs[(solver_id, instance_id)]
+
+    @cached_property
+    def quality_ranking(self) -> dict[str, tuple[tuple[str, ...], ...]]:
+        """Per instance, all solver ids best first, in sorted tuples of equal ``quality_key``.
+
+        Built on first use, lifting each run once; ``pairscore.quality_groups`` filters it.
+        """
+        from .pairscore import quality_key, run_comparable  # pairscore imports this module
+
+        solvers = self.solver_ids
+        ranking = {}
+        for iid in self.instances:
+            keys = {sid: quality_key(run_comparable(self, sid, iid)) for sid in solvers}
+            best_first = sorted(keys, key=keys.__getitem__, reverse=True)  # stable: ids ascend
+            ranking[iid] = tuple(tuple(group) for _, group in groupby(best_first, keys.__getitem__))
+        return ranking
 
 
 def run_shape_violation(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from portview.pairscore import quality_key
+from portview.pairscore import borda, quality_key
 from portview.portfolio import SubsetScorer, perf, vbs_run
 from portview.runstore import (
     DataError,
@@ -237,3 +237,25 @@ def test_scorer_matches_perf_at_realistic_size():
             slow = perf(ds, subset, base)
             assert (fast.numerator, fast.denominator) == (slow.numerator, slow.denominator)
             assert (fast.value, fast.tied_unsolved) == (slow.value, slow.tied_unsolved)
+
+
+def test_each_run_is_ranked_once_per_dataset(monkeypatch):
+    from portview import pairscore
+    from portview.mincover import build_coverage
+
+    lifted = []
+
+    def counting_run_comparable(ds, solver_id, instance_id):
+        lifted.append((solver_id, instance_id))
+        return run_comparable(ds, solver_id, instance_id)
+
+    run_comparable = pairscore.run_comparable
+    monkeypatch.setattr(pairscore, "run_comparable", counting_run_comparable)
+    ds = make_dataset(random.Random(11), n_solvers=7, n_instances=30, solve_all_solver=True)
+    first = perf(ds, ds.participant_ids, ds.solver_ids)
+    assert perf(ds, ds.participant_ids, ds.solver_ids) == first
+    assert len(lifted) == len(ds.solver_ids) * len(ds.instance_ids)
+    # Borda and the coverage read the same ranking
+    borda(ds)
+    build_coverage(ds)
+    assert sorted(lifted) == sorted(ds.runs)

@@ -254,3 +254,24 @@ def test_build_dataset_rejects_unknown_references():
     run = RunRecord("a", "ghost", Status.COMPLETE, Fraction(1))
     with pytest.raises(DataError, match="unknown instance"):
         build_dataset([meta], {"a": True}, [run])
+
+
+def test_filter_solvers_ranks_its_own_dataset():
+    ds = make_dataset(random.Random(12), n_solvers=6, n_instances=10)
+    ranking = ds.quality_ranking
+    kept = ds.solver_ids[1:4]
+    sub = filter_solvers(ds, kept)
+    for iid, groups in ranking.items():
+        want = tuple(g for g in (tuple(s for s in group if s in kept) for group in groups) if g)
+        assert sub.quality_ranking[iid] == want
+    assert ds.quality_ranking is ranking
+
+
+def test_dataset_equality_and_repr_ignore_the_ranking():
+    ds = make_dataset(random.Random(13), n_solvers=4, n_instances=5)
+    twin = filter_solvers(ds, ds.solver_ids)
+    text = repr(ds)
+    ds.quality_ranking
+    assert "quality_ranking" in vars(ds) and "quality_ranking" not in vars(twin)
+    assert ds == twin and twin == ds
+    assert repr(ds) == text

@@ -181,9 +181,11 @@ def borda(ds: Dataset) -> ScoreMatrix:
         n, m, split_pairs, n * (n - 1) * m,
     )
 
-    totals = {
-        sid: sum((per_instance[(sid, iid)] for iid in instances), Fraction(0))
-        for sid in solvers
-    }
+    totals = {}
+    for sid in solvers:
+        # one exact sum over a common denominator, not one reducing addition per instance
+        scores = [per_instance[(sid, iid)] for iid in instances]
+        den = math.lcm(*(x.denominator for x in scores))
+        totals[sid] = Fraction(sum(x.numerator * (den // x.denominator) for x in scores), den)
     averages = {sid: totals[sid] / m for sid in solvers}
     return ScoreMatrix(per_instance, totals, averages)

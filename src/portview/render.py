@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+import math
+from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -17,13 +18,45 @@ SIG_DIGITS = 6
 
 
 def fmt_sig(value: Fraction) -> str:
-    """Decimal rendering at ``SIG_DIGITS`` significant digits (exact if shorter)."""
+    """Decimal rendering at ``SIG_DIGITS`` significant digits (exact if shorter).
+
+    The same text as ``Decimal`` division at precision ``SIG_DIGITS`` printed
+    with ``format(d, "f")``: half-even rounding, and an exact quotient keeps no
+    trailing zeros after the point. It is one integer division, scaled so the
+    quotient has ``SIG_DIGITS`` digits, so huge numerators cost no conversion.
+    """
     if value == 0:
         return "0"
-    with localcontext() as ctx:
-        ctx.prec = SIG_DIGITS
-        d = Decimal(value.numerator) / Decimal(value.denominator)
-    return format(d, "f")
+    num, den = abs(value.numerator), value.denominator
+    # 10**exp <= |value| < 10**(exp + 1), estimated from the bit lengths, then corrected
+    exp = int((num.bit_length() - den.bit_length()) * math.log10(2))
+    while True:
+        shift = SIG_DIGITS - 1 - exp  # the quotient's last digit is worth 10**-shift
+        top, bottom = (num * 10**shift, den) if shift >= 0 else (num, den * 10**-shift)
+        digits, rest = divmod(top, bottom)
+        if digits >= 10**SIG_DIGITS:
+            exp += 1
+        elif digits < 10 ** (SIG_DIGITS - 1):
+            exp -= 1
+        else:
+            break
+    if rest:
+        if 2 * rest > bottom or (2 * rest == bottom and digits % 2):
+            digits += 1
+        if digits == 10**SIG_DIGITS:  # rounded up to a new leading digit
+            digits //= 10
+            shift -= 1
+    else:
+        while shift > 0 and digits % 10 == 0:
+            digits //= 10
+            shift -= 1
+    text = str(digits)
+    if shift <= 0:
+        text += "0" * -shift
+    else:
+        text = text.rjust(shift + 1, "0")
+        text = text[:-shift] + "." + text[-shift:]
+    return "-" + text if value < 0 else text
 
 
 def fmt_pct(value: Fraction) -> str:

@@ -1,5 +1,5 @@
-"""Definitional references for the virtual best solver, oracle coverage and
-the lenient repair of a run.
+"""Definitional references for the virtual best solver, oracle coverage, the
+lenient repair of a run and six-digit number rendering.
 
 The first two lift and rank every member's run on their own, with
 ``quality_key`` and ``run_comparable`` directly; the package reads one shared
@@ -7,15 +7,19 @@ ranking (``pairscore.quality_groups``) instead, and the tests require equal
 results. ``reference_coerce_run`` spells out each repair of a lenient read
 case by case; the package repairs a run by following ``run_shape_violation``,
 and the tests require the same runs and the same number of warnings.
+``reference_fmt_sig`` renders through ``Decimal`` division; the package
+divides scaled integers instead, and the tests require the same text.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from portview.mincover import CoverageMap
 from portview.pairscore import quality_key, run_comparable
 from portview.portfolio import VirtualRun
+from portview.render import SIG_DIGITS
 from portview.runstore import (
     DataError,
     Dataset,
@@ -126,3 +130,13 @@ def reference_coerce_run(
         warnings.append(f"row {row_no}: objective on an UNSOLVED run, dropped")
         objective = None
     return RunRecord(solver, meta.instance_id, status, time, objective)
+
+
+def reference_fmt_sig(value: Fraction) -> str:
+    """Decimal rendering at ``SIG_DIGITS`` significant digits (exact if shorter)."""
+    if value == 0:
+        return "0"
+    with localcontext() as ctx:
+        ctx.prec = SIG_DIGITS
+        d = Decimal(value.numerator) / Decimal(value.denominator)
+    return format(d, "f")

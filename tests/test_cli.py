@@ -226,6 +226,62 @@ def test_report_exact_sidecar_at_realistic_size(tmp_path):
     assert max(len(text) for text in sidecar["attribution"]["values"].values()) > 4300
 
 
+def _write_random_table(path: Path, n_solvers: int, n_instances: int) -> Path:
+    import random
+
+    from portview.runstore import write_canonical
+    from randgen import make_dataset
+
+    ds = make_dataset(random.Random(7), n_solvers=n_solvers, n_instances=n_instances)
+    path.write_text(write_canonical(ds), encoding="utf-8")
+    return path
+
+
+def _count_coalitions(monkeypatch) -> list[int]:
+    from portview import shapley
+
+    evaluated = []
+
+    class CountingScorer(shapley.SubsetScorer):
+        def evaluate_mask(self, mask):
+            evaluated.append(mask)
+            return super().evaluate_mask(mask)
+
+    monkeypatch.setattr(shapley, "SubsetScorer", CountingScorer)
+    return evaluated
+
+
+def test_exact_shapley_over_budget_exits_before_any_coalition(tmp_path, monkeypatch, capsys):
+    """20 solvers x 100 instances: a 17-solver cover, an estimate of hours."""
+    import time
+
+    data = _write_random_table(tmp_path / "w20.csv", 20, 100)
+    evaluated = _count_coalitions(monkeypatch)
+    started = time.perf_counter()
+    assert main(["shapley", "--data", str(data)]) == 1
+    assert time.perf_counter() - started < 5
+    assert evaluated == []
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: shapley_exact: 17 solvers over 100 instances would take an estimated "
+        r"\S+ s, over the 60 s exact-mode guard; use --mode sampled\n",
+        err,
+    ), err
+
+
+def test_report_over_the_exact_budget_fails_at_stage_shapley(tmp_path, monkeypatch, capsys):
+    """14 solvers x 100 instances: a 13-solver cover, a quick trade-off, then the guard."""
+    data = _write_random_table(tmp_path / "w14.csv", 14, 100)
+    evaluated = _count_coalitions(monkeypatch)
+    out_dir = tmp_path / "out"
+    assert main(["report", "--data", str(data), "--out", str(out_dir)]) == 1
+    assert evaluated == []
+    err = capsys.readouterr().err
+    assert err.startswith("error at stage shapley: shapley_exact: 13 solvers over 100 instances")
+    assert err.endswith("; use --mode sampled\n")
+    assert not out_dir.exists()
+
+
 HEADER = "solver,instance,kind,status,time,objective,participant,timeout"
 UNREADABLE = {
     "not-utf8": (b"solver,instance\n\xff\xfe\n", "input is not UTF-8 text"),

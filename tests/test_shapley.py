@@ -203,6 +203,19 @@ def test_guards():
         shapley_exact(big, big.solver_ids, big.solver_ids)
 
 
+def test_exact_cost_estimate_follows_its_calibration():
+    from portview.shapley import EXACT_BUDGET_S, _exact_seconds
+
+    den = 2**2376  # 100 * den has 2,384 bits
+    at_12 = _exact_seconds(12, 100, den)
+    assert 52.8 < at_12 < 53.2 < EXACT_BUDGET_S
+    assert 13.9 < _exact_seconds(14, 100, den) / at_12 < 14.1
+    assert _exact_seconds(13, 100, den) > EXACT_BUDGET_S
+    # many players over one instance: the per-coalition cost alone is over budget
+    assert _exact_seconds(23, 1, 2) > EXACT_BUDGET_S
+    assert _exact_seconds(10**4, 100, den) == float("inf")
+
+
 def definitional_marginal_sum(ds, portfolio, baseline):
     """Independent oracle for sum mode: every marginal contribution counted once."""
     players = tuple(sorted(portfolio))

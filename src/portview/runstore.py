@@ -71,22 +71,30 @@ _MAX_DIGITS = 4300
 # Precise enough that scaling a number within _MAX_DIGITS to milliseconds is exact.
 _MS_CONTEXT = Context(prec=_MAX_DIGITS + 3)
 
+# Most characters of a cell that a message quotes, so a huge cell gives a short line.
+_QUOTED_CHARS = 40
+
+
+def _quoted(text: str) -> str:
+    """``repr`` of ``text``, cut to ``_QUOTED_CHARS`` characters plus an ellipsis."""
+    return repr(text if len(text) <= _QUOTED_CHARS else text[:_QUOTED_CHARS] + "…")
+
 
 def _decimal(text: str, what: str) -> Decimal:
     """Finite decimal ``text`` within ``_MAX_DIGITS``; checked before any integer is built."""
     try:
         d = Decimal(text.strip())
     except InvalidOperation:
-        raise DataError(f"unparseable {what} {text!r}") from None
+        raise DataError(f"unparseable {what} {_quoted(text)}") from None
     if not d.is_finite():
-        raise DataError(f"non-finite {what} {text!r}")
+        raise DataError(f"non-finite {what} {_quoted(text)}")
     if len(text) <= _MAX_DIGITS and "e" not in text and "E" not in text:
         return d  # the text's own digits bound the numerator and the denominator
     _, digits, exponent = d.as_tuple()
     # zeros that end a fraction count in neither the numerator nor the denominator
     zeros = min(len(digits) - len(bytes(digits).rstrip(b"\0")), max(-exponent, 0))
     if max(len(digits) - zeros + max(exponent, 0), 1 - exponent - zeros) > _MAX_DIGITS:
-        raise DataError(f"{what} {text!r} needs more than {_MAX_DIGITS} digits")
+        raise DataError(f"{what} {_quoted(text)} needs more than {_MAX_DIGITS} digits")
     return d
 
 
@@ -113,10 +121,13 @@ def parse_rational(text: str, *, what: str = "objective") -> Fraction:
     text = text.strip()
     if "/" not in text:
         return Fraction(_decimal(text, what))
+    # p and q are integers: their digits, leading zeros too, are what int() would convert
+    if any(sum(map(str.isdigit, part)) > _MAX_DIGITS for part in text.split("/")):
+        raise DataError(f"{what} {_quoted(text)} needs more than {_MAX_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise DataError(f"unparseable {what} {text!r}") from None
+        raise DataError(f"unparseable {what} {_quoted(text)}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -329,7 +340,7 @@ def _parse_flag(token: str, row: int) -> bool:
         return True
     if key in _FALSE_TOKENS:
         return False
-    raise DataError(f"row {row}: unparseable participant flag {token!r}")
+    raise DataError(f"row {row}: unparseable participant flag {_quoted(token)}")
 
 
 @dataclass

@@ -385,7 +385,9 @@ def test_oversized_number_fails_a_strict_read_naming_the_row(
         args += ["--out", str(tmp_path / "out")]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error") and f": row 2: {column} {text!r} needs more than 4300 digits" in err
+    # the message quotes at most the cell's first 40 characters
+    quoted = repr(text if len(text) <= 40 else text[:40] + "…")
+    assert err.startswith("error") and f": row 2: {column} {quoted} needs more than 4300 digits" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -435,6 +437,44 @@ def test_oversized_number_flag_is_a_validation_error(
         capsys.readouterr().err
     )
     assert not (tmp_path / "out").exists()
+
+
+# Cells past the digit bound: a p/q part over 4,300 digits, and a 100,000-digit decimal
+# (the csv module refuses longer fields).
+HUGE_CELLS = ["1" * 4301 + "/3", "1/" + "7" * 4301, "9" * 10**5]
+HUGE_IDS = ["p-4301", "q-4301", "100k-digits"]
+
+
+def _quoted_prefix(text: str) -> str:
+    return repr(text[:40] + "…")
+
+
+@pytest.mark.parametrize("text", HUGE_CELLS, ids=HUGE_IDS)
+def test_huge_objective_fails_ingest_with_a_short_line(text, tmp_path, capsys):
+    data = _non_finite_objective_table(tmp_path, text)
+    assert main(["ingest", "--data", str(data)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: row 3: objective {_quoted_prefix(text)} needs more than 4300 digits"
+    ]
+
+
+@pytest.mark.parametrize("text", HUGE_CELLS, ids=HUGE_IDS)
+def test_huge_objective_is_dropped_by_convert_with_short_lines(text, tmp_path, capsys):
+    data = _non_finite_objective_table(tmp_path, text)
+    assert main(["convert", "--data", str(data), "--out", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: row 3: objective {_quoted_prefix(text)} needs more than 4300 digits, dropped",
+        "warning: row 3: run ('b', 'i1'): solved run on an optimization instance requires "
+        "an objective, recorded as UNSOLVED",
+    ]
+
+
+@pytest.mark.parametrize("text", HUGE_CELLS, ids=HUGE_IDS)
+def test_huge_number_flag_is_a_validation_error_with_a_short_line(text, demo_path, capsys):
+    assert main(["mincover", "--data", str(demo_path), "--epsilon", text]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: epsilon {_quoted_prefix(text)} needs more than 4300 digits"
+    ]
 
 
 def _bundle_digest(directory: Path) -> str:

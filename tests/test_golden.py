@@ -21,7 +21,8 @@ from portview.runstore import write_canonical
 from randgen import make_dataset
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
-DATASETS = ("demo", "m100")
+# near.csv: a 5-participant cover of 4 with times within 0.5 s, so the option cases differ
+DATASETS = ("demo", "m100", "near")
 SCENARIO_COMMANDS = ("borda", "mincover", "tradeoff", "shapley")
 REPORT_RUNS = {
     "default": [],
@@ -62,7 +63,8 @@ CASES = _cases()
 
 
 def write_inputs(directory: Path) -> None:
-    shutil.copyfile(DATA_DIR / "demo.csv", directory / "demo.csv")
+    for name in ("demo", "near"):
+        shutil.copyfile(DATA_DIR / f"{name}.csv", directory / f"{name}.csv")
     ds = make_dataset(random.Random(7), 6, 100)
     (directory / "m100.csv").write_text(write_canonical(ds), encoding="utf-8")
 
@@ -152,4 +154,32 @@ GOLDEN = {
     "m100-tradeoff-full": "d63be9d0ceb64fc6a7394fbd288698b02c234a83e0de6fadb2916d8ef71fe42c",
     "m100-tradeoff-participants-csv": "d13367b7ff89246072414ec770c3f8d74e3dda9fff13179f0d0325cdffef7071",
     "m100-tradeoff-participants-text": "d63be9d0ceb64fc6a7394fbd288698b02c234a83e0de6fadb2916d8ef71fe42c",
+    "near-borda-all-csv": "bec95e219d9fc05e88c8c28f474d4603441487cae0f26c616e2d8b96ee19d05a",
+    "near-borda-all-text": "dc22e9910d3163ed33cc164261a481d98aa9ad8e86f539f83ace4b10301c025f",
+    "near-borda-participants-csv": "b54286888d5717a6a6afadf5d3018fa387d192fb90031917c80b29addfb8d5fa",
+    "near-borda-participants-text": "ec20ba826b61317d6a112e4a48a94b171aa580fb02c7e1a08f047af1ab58ac1f",
+    "near-convert": "1f5e4078adffd496896006d44bb153b9b73d94b8bb5ca1f91be0b15a3ba06092",
+    "near-ingest": "1f5e4078adffd496896006d44bb153b9b73d94b8bb5ca1f91be0b15a3ba06092",
+    "near-mincover-all-csv": "09ae5b5b4aa1b069dc05e1ad617ac6ce0a41bc0b15a73b866e99141f9a59206d",
+    "near-mincover-all-text": "91b9d82e4474bd917379db43b8eff61bc5de8fc3d9747543b8100f6efb7d9b21",
+    "near-mincover-eps": "40c317216f92c29f4ca0ce735b8ee199b77c1a5343c552457cd9bb814391d583",
+    "near-mincover-participants-csv": "288ce06c4ee71aebca1e72eb6f502e49c2f8708b1d7349f594f1f01c4a27eee8",
+    "near-mincover-participants-text": "f1e1b949a9aab75473fdcfe749b35552091f09dc32ccfee3a752fd8d8c762fff",
+    "near-oracle-csv": "5cd6b64f971e78ab1c64ac0402c2688b7a23470ded7155f161fea45791e5d985",
+    "near-oracle-text": "add45ce87010343299a53a0e588144297ba639a536b8e4e47d2f938ad763db16",
+    "near-report-all": "030c293ec27d3cd0b206057f43735eae2269173b19ee88654cdfdb2abf22df76",
+    "near-report-default": "ae35be4cef0a99098fe68c90c09855d54f7eb27714cb3bb13cb66ed7066109f6",
+    "near-report-eps": "292067a37a70707029b478d20dfc4ce27727c240736c0333d3f89ef8e7f90f30",
+    "near-report-sampled": "8c7255f9cde69be46eec3107641f7f86624ca3d37b843b38a3b5233347b5cfb0",
+    "near-shapley-all-csv": "1dfd6b745feebffba36cd5d200a160902f48fb0514aca1a98f15db3f2b99bb7a",
+    "near-shapley-all-text": "1aedde0c0acdf78b545261ae26d042033a8b2fe220103d44bab39365c7bff525",
+    "near-shapley-full": "b689fbffb308fd13b3afe2b5a0da7ca031a968f3e68ef2254d8007e268195b09",
+    "near-shapley-participants-csv": "7241fd47a6d280250e043c12ca408dc837cdf2337674e53a03c7812f4486120c",
+    "near-shapley-participants-text": "937416a1bd3a77d9bacf0e48cfcc19d479954580fb5f1dea217e7b3593bf27bf",
+    "near-shapley-sum": "1be7b279552a2a3318a8ce36bada2152aa606c19e3fa041f9806b4117654894d",
+    "near-tradeoff-all-csv": "289677af79cea2e497306d5ac1310c96e96b814b1762a2a10e7b965abd1b80b9",
+    "near-tradeoff-all-text": "94bc0d05406de21a3fae08d4046906fb38203c8d46ce2dbf647a40658e6297da",
+    "near-tradeoff-full": "7eb3f8fb40f000f0d084342582da06efd48e70b03f9d67ba8a756f54c270aecf",
+    "near-tradeoff-participants-csv": "9573672f343f21cb0cefe4eaeb9c8494ea03c83ed577f37cefc743c067ab8732",
+    "near-tradeoff-participants-text": "43fba8d37773ec71d1e9e092fe7309bc82a13278df1af05d784816478866c508",
 }

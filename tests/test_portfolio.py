@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from portview import pairscore
+from portview.mincover import build_coverage
 from portview.pairscore import borda, quality_key
 from portview.portfolio import SubsetScorer, perf, vbs_run
 from portview.runstore import (
@@ -240,16 +242,13 @@ def test_scorer_matches_perf_at_realistic_size():
 
 
 def test_each_run_is_ranked_once_per_dataset(monkeypatch):
-    from portview import pairscore
-    from portview.mincover import build_coverage
-
     lifted = []
+    lift = pairscore.run_comparable
 
     def counting_run_comparable(ds, solver_id, instance_id):
         lifted.append((solver_id, instance_id))
-        return run_comparable(ds, solver_id, instance_id)
+        return lift(ds, solver_id, instance_id)
 
-    run_comparable = pairscore.run_comparable
     monkeypatch.setattr(pairscore, "run_comparable", counting_run_comparable)
     ds = make_dataset(random.Random(11), n_solvers=7, n_instances=30, solve_all_solver=True)
     first = perf(ds, ds.participant_ids, ds.solver_ids)

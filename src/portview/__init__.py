@@ -9,8 +9,8 @@ individual solvers (`shapley`). The `cli` module exposes all of it as the
 """
 
 from .mincover import CoverageMap, CoverSolution, build_coverage, min_cover
-from .pairscore import Comparable, ScoreMatrix, borda, quality_key, run_comparable, score_ordered
-from .portfolio import PerfRatio, SubsetScorer, VirtualRun, perf, vbs_run
+from .pairscore import Comparable, ScoreMatrix, borda, run_comparable, score_ordered
+from .portfolio import PerfRatio, SubsetScorer, perf, vbs_run
 from .runstore import (
     DataError,
     Dataset,
@@ -21,6 +21,7 @@ from .runstore import (
     build_dataset,
     filter_solvers,
     ingest,
+    quality_key,
     save_canonical,
     write_canonical,
 )
@@ -46,7 +47,6 @@ __all__ = [
     "SubsetScorer",
     "TradeoffCurve",
     "TradeoffEntry",
-    "VirtualRun",
     "best_subsets",
     "borda",
     "build_coverage",

@@ -8,12 +8,14 @@ opponent's share of the combined running time. When both sides fail, the first
 of the pair takes the whole point; summed over both orderings of the pair this
 awards each side 1, marking them indistinguishable on that instance.
 
-``score_ordered`` states that rule for one ordered pair. Borda, the virtual
-best solver and oracle coverage share one per-instance ranking, ranked once
-per dataset and read through ``quality_groups``. ``borda`` reaches the pairwise
-sums without visiting every pair: it credits each solver with the number of
-solvers strictly worse than it, and splits time only inside a group of equal
-quality (an unsolved group's members score one point per other member).
+``score_ordered`` states that rule for one ordered pair, with the quality
+order ``runstore.quality_key``. Borda, the virtual best solver and oracle
+coverage share one per-instance ranking of the stored runs by that order,
+``Dataset.quality_ranking``, ranked once per dataset and read through
+``quality_groups``. ``borda`` reaches the pairwise sums without visiting every
+pair: it credits each solver with the number of solvers strictly worse than
+it, and splits time only inside a group of equal quality (an unsolved group's
+members score one point per other member).
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .runstore import DataError, Dataset, ProblemKind, RunRecord, Status, run_shape_violation
+from .runstore import DataError, Dataset, ProblemKind, RunRecord, Status
+from .runstore import quality_key, run_shape_violation
 
 log = logging.getLogger(__name__)
 
 HALF = Fraction(1, 2)
-_STATUS_RANK = {Status.UNSOLVED: 0, Status.INCOMPLETE: 1, Status.COMPLETE: 2}
 
 
 @dataclass(frozen=True)
@@ -50,20 +52,6 @@ class Comparable:
             raise DataError(f"comparable: {broken}")
 
 
-def quality_key(c: Comparable) -> tuple[int, Fraction]:
-    """Totally ordered solution quality; larger is better.
-
-    Only two incomplete solutions compare by objective: a proven-complete run
-    outranks any incomplete one regardless of recorded objective values.
-    """
-    rank = _STATUS_RANK[c.status]
-    if c.status is Status.INCOMPLETE:
-        adj = -c.objective if c.kind is ProblemKind.MINIMIZE else c.objective
-    else:
-        adj = Fraction(0)
-    return rank, adj
-
-
 def score_ordered(first: Comparable, second: Comparable) -> tuple[Fraction, Fraction]:
     """Score an ordered pair; the two scores always sum to exactly 1."""
     if first.kind is not second.kind:
@@ -72,7 +60,7 @@ def score_ordered(first: Comparable, second: Comparable) -> tuple[Fraction, Frac
         )
     if first.status is Status.UNSOLVED and second.status is Status.UNSOLVED:
         return Fraction(1), Fraction(0)
-    qa, qb = quality_key(first), quality_key(second)
+    qa, qb = (quality_key(c.kind, c.status, c.objective) for c in (first, second))
     if qa > qb:
         return Fraction(1), Fraction(0)
     if qa < qb:

@@ -4,8 +4,9 @@ A portfolio's virtual best solver (VBS) is the hypothetical solver that, on
 every instance, reproduces the best run any member achieved: best solution
 quality first, and the minimum time among the members reaching that quality
 (running the members in parallel stops as soon as the reported quality is in
-hand). Portfolio performance is the pairwise score of one VBS against a
-baseline VBS, summed over all instances, as a ratio.
+hand). ``vbs_run`` returns that run as a ``Comparable``; the members reaching
+it are ``mincover.build_coverage``'s answer. Portfolio performance is the
+ratio of the pairwise scores of one VBS and a baseline VBS over all instances.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from .pairscore import HALF, Comparable, quality_groups, run_comparable, score_o
 from .runstore import DataError, Dataset, ProblemKind, Status, known_solvers
 
 
-@dataclass(frozen=True)
-class VirtualRun(Comparable):
-    """Aggregated per-instance performance of a portfolio."""
-
-    contributing_solvers: frozenset[str] = frozenset()
-
-
-def vbs_run(ds: Dataset, solvers: Iterable[str], instance_id: str) -> VirtualRun:
+def vbs_run(ds: Dataset, solvers: Iterable[str], instance_id: str) -> Comparable:
     """Per-instance best aggregation over a portfolio (empty portfolio: unsolved)."""
     if instance_id not in ds.instances:
         raise DataError(f"unknown instance {instance_id!r}")
@@ -35,17 +29,16 @@ def vbs_run(ds: Dataset, solvers: Iterable[str], instance_id: str) -> VirtualRun
     groups = quality_groups(ds, members, instance_id)
     if not groups or groups[0][0][1].status is Status.UNSOLVED:
         # nothing solved: the parallel run exhausts the time limit
-        return VirtualRun(Status.UNSOLVED, meta.timeout, None, meta.kind, frozenset(members))
+        return Comparable(Status.UNSOLVED, meta.timeout, None, meta.kind)
 
     achievers = groups[0]
     best_time = min(comp.time for _, comp in achievers)
-    contributing = frozenset(sid for sid, comp in achievers if comp.time == best_time)
     objective = None
     if meta.kind.is_optimization:
         # incomplete achievers share one objective; complete ones may disagree
         best = min if meta.kind is ProblemKind.MINIMIZE else max
         objective = best(comp.objective for _, comp in achievers)
-    return VirtualRun(achievers[0][1].status, best_time, objective, meta.kind, contributing)
+    return Comparable(achievers[0][1].status, best_time, objective, meta.kind)
 
 
 @dataclass(frozen=True)

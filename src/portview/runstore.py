@@ -62,6 +62,7 @@ CANONICAL_COLUMNS = (
 
 _TRUE_TOKENS = {"1", "TRUE", "YES"}
 _FALSE_TOKENS = {"0", "FALSE", "NO"}
+_STATUS_RANK = {Status.UNSOLVED: 0, Status.INCOMPLETE: 1, Status.COMPLETE: 2}
 
 
 # Most digits a number's integer numerator or power-of-ten denominator may need:
@@ -188,8 +189,9 @@ class Dataset:
     ``solvers`` maps solver id to its participant flag. ``runs`` holds exactly
     one record per (solver, instance) pair. ``warnings`` collects non-fatal
     ingestion notes (clamped times, inconsistent objectives) and is excluded
-    from equality. ``quality_ranking`` is built on first use and is not a
-    field, so it takes no part in equality or repr either.
+    from equality. ``quality_ranking`` orders each instance's stored runs by
+    ``quality_key``; built on first use and not a field, it takes no part in
+    equality or repr either.
     """
 
     instances: dict[str, InstanceMeta]
@@ -216,14 +218,13 @@ class Dataset:
     def quality_ranking(self) -> dict[str, tuple[tuple[str, ...], ...]]:
         """Per instance, all solver ids best first, in sorted tuples of equal ``quality_key``.
 
-        Built on first use, lifting each run once; ``pairscore.quality_groups`` filters it.
+        Built on first use, keying each stored run once; ``pairscore.quality_groups`` filters it.
         """
-        from .pairscore import quality_key, run_comparable  # pairscore imports this module
-
         solvers = self.solver_ids
         ranking = {}
-        for iid in self.instances:
-            keys = {sid: quality_key(run_comparable(self, sid, iid)) for sid in solvers}
+        for iid, meta in self.instances.items():
+            runs = [self.runs[(sid, iid)] for sid in solvers]
+            keys = {r.solver_id: quality_key(meta.kind, r.status, r.objective) for r in runs}
             best_first = sorted(keys, key=keys.__getitem__, reverse=True)  # stable: ids ascend
             ranking[iid] = tuple(tuple(group) for _, group in groupby(best_first, keys.__getitem__))
         return ranking
@@ -244,6 +245,19 @@ def run_shape_violation(
     elif objective is not None:
         return "decision instance must not carry an objective"
     return None
+
+
+def quality_key(
+    kind: ProblemKind, status: Status, objective: Fraction | None
+) -> tuple[int, Fraction]:
+    """Totally ordered quality of a well-shaped run on a ``kind`` instance; larger is better.
+
+    Only two incomplete solutions compare by objective: a proven-complete run
+    outranks any incomplete one regardless of recorded objective values.
+    """
+    if status is Status.INCOMPLETE:
+        return _STATUS_RANK[status], -objective if kind is ProblemKind.MINIMIZE else objective
+    return _STATUS_RANK[status], Fraction(0)
 
 
 def _validate_run(run: RunRecord, meta: InstanceMeta) -> tuple[RunRecord, list[str]]:

@@ -2,9 +2,9 @@
 lenient repair of a run and six-digit number rendering.
 
 The first two lift and rank every member's run on their own, with
-``quality_key`` and ``run_comparable`` directly; the package reads one shared
-ranking (``pairscore.quality_groups``) instead, and the tests require equal
-results. ``reference_coerce_run`` spells out each repair of a lenient read
+``run_comparable`` and ``quality_key`` directly; the package reads one shared
+ranking of the stored runs (``pairscore.quality_groups``) instead, and the
+tests require equal results. ``reference_coerce_run`` spells out each repair of a lenient read
 case by case; the package repairs a run by following ``run_shape_violation``,
 and the tests require the same runs and the same number of warnings.
 ``reference_fmt_sig`` renders through ``Decimal`` division; the package
@@ -17,8 +17,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from portview.mincover import CoverageMap
-from portview.pairscore import quality_key, run_comparable
-from portview.portfolio import VirtualRun
+from portview.pairscore import Comparable, run_comparable
 from portview.render import SIG_DIGITS
 from portview.runstore import (
     DataError,
@@ -29,26 +28,27 @@ from portview.runstore import (
     Status,
     known_solvers,
     parse_duration,
+    quality_key,
 )
 
 
-def reference_vbs_run(ds: Dataset, solvers, instance_id: str) -> VirtualRun:
+def reference_vbs_run(ds: Dataset, solvers, instance_id: str) -> Comparable:
     """Best quality over the members, then the minimum time among its achievers."""
     if instance_id not in ds.instances:
         raise DataError(f"unknown instance {instance_id!r}")
     members = known_solvers(ds, solvers, "vbs_run")
     meta = ds.instances[instance_id]
     if not members:
-        return VirtualRun(Status.UNSOLVED, meta.timeout, None, meta.kind, frozenset())
+        return Comparable(Status.UNSOLVED, meta.timeout, None, meta.kind)
 
     comps = {sid: run_comparable(ds, sid, instance_id) for sid in members}
-    best_key = max(quality_key(c) for c in comps.values())
+    keys = {sid: quality_key(meta.kind, c.status, c.objective) for sid, c in comps.items()}
+    best_key = max(keys.values())
     if best_key[0] == 0:
-        return VirtualRun(Status.UNSOLVED, meta.timeout, None, meta.kind, frozenset(members))
+        return Comparable(Status.UNSOLVED, meta.timeout, None, meta.kind)
 
-    achievers = [sid for sid in members if quality_key(comps[sid]) == best_key]
+    achievers = [sid for sid in members if keys[sid] == best_key]
     best_time = min(comps[sid].time for sid in achievers)
-    contributing = frozenset(sid for sid in achievers if comps[sid].time == best_time)
     status = comps[achievers[0]].status
     if not meta.kind.is_optimization:
         objective = None
@@ -57,7 +57,7 @@ def reference_vbs_run(ds: Dataset, solvers, instance_id: str) -> VirtualRun:
     else:
         objectives = [comps[sid].objective for sid in achievers]
         objective = min(objectives) if meta.kind is ProblemKind.MINIMIZE else max(objectives)
-    return VirtualRun(status, best_time, objective, meta.kind, contributing)
+    return Comparable(status, best_time, objective, meta.kind)
 
 
 def reference_coverage(ds: Dataset, solvers=None, epsilon: Fraction = Fraction(0)) -> CoverageMap:
@@ -73,10 +73,11 @@ def reference_coverage(ds: Dataset, solvers=None, epsilon: Fraction = Fraction(0
             unsolvable.add(iid)
             continue
         universe.add(iid)
-        best_key = quality_key(best)
+        best_key = quality_key(best.kind, best.status, best.objective)
         for sid in members:
             comp = run_comparable(ds, sid, iid)
-            if quality_key(comp) == best_key and comp.time - best.time <= epsilon:
+            same_quality = quality_key(comp.kind, comp.status, comp.objective) == best_key
+            if same_quality and comp.time - best.time <= epsilon:
                 best_sets[sid].add(iid)
     return CoverageMap(
         {sid: frozenset(ids) for sid, ids in best_sets.items()},

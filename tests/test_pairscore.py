@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from portview.pairscore import Comparable, borda, quality_key, run_comparable, score_ordered
+from portview.pairscore import Comparable, borda, run_comparable, score_ordered
 from portview.runstore import DataError, ProblemKind, Status, build_dataset, InstanceMeta, RunRecord
+from portview.runstore import quality_key
 from randgen import make_dataset, tie_heavy_dataset
 
 DEC = ProblemKind.DECISION
@@ -225,6 +226,7 @@ def _pairwise_borda(ds):
     split_pairs = 0
     for iid in ds.instance_ids:
         comps = {sid: run_comparable(ds, sid, iid) for sid in ds.solver_ids}
+        keys = {sid: quality_key(c.kind, c.status, c.objective) for sid, c in comps.items()}
         for sid in ds.solver_ids:
             mine = comps[sid]
             score = Fraction(0)
@@ -232,7 +234,7 @@ def _pairwise_borda(ds):
                 if other != sid:
                     theirs = comps[other]
                     score += score_ordered(mine, theirs)[0]
-                    if quality_key(mine) == quality_key(theirs) and not (
+                    if keys[sid] == keys[other] and not (
                         mine.status is theirs.status is Status.UNSOLVED
                     ):
                         split_pairs += 1

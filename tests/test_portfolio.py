@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from portview import pairscore
+from portview import pairscore, portfolio, runstore
 from portview.mincover import build_coverage
-from portview.pairscore import borda, quality_key
+from portview.pairscore import borda
 from portview.portfolio import SubsetScorer, perf, vbs_run
 from portview.runstore import (
     DataError,
@@ -14,6 +14,7 @@ from portview.runstore import (
     RunRecord,
     Status,
     build_dataset,
+    quality_key,
 )
 from randgen import make_dataset, random_subset, tie_heavy_dataset
 from reference import reference_vbs_run
@@ -42,7 +43,7 @@ def test_vbs_minimum_time_among_solved():
     run = vbs_run(ds, ["a", "b"], "i1")
     assert run.status is Status.COMPLETE
     assert run.time == Fraction(10)
-    assert run.contributing_solvers == frozenset({"a"})
+    assert build_coverage(ds, ["a", "b"]).best_sets == {"a": {"i1"}, "b": set()}
 
 
 def test_vbs_quality_dominates_time():
@@ -56,17 +57,16 @@ def test_vbs_quality_dominates_time():
     run = vbs_run(ds, ["a", "b"], "i1")
     assert run.objective == Fraction(10)
     assert run.time == Fraction(50)
-    assert run.contributing_solvers == frozenset({"b"})
+    assert build_coverage(ds, ["a", "b"]).best_sets == {"a": set(), "b": {"i1"}}
 
 
 def test_vbs_empty_portfolio_unsolved():
     ds = _dataset([_decision()], [RunRecord("a", "i1", Status.COMPLETE, Fraction(1))])
     run = vbs_run(ds, [], "i1")
     assert run.status is Status.UNSOLVED
-    assert run.contributing_solvers == frozenset()
 
 
-def test_vbs_all_unsolved_credits_whole_portfolio():
+def test_vbs_all_unsolved_runs_to_the_timeout():
     ds = _dataset(
         [_decision()],
         [
@@ -76,7 +76,7 @@ def test_vbs_all_unsolved_credits_whole_portfolio():
     )
     run = vbs_run(ds, ["a", "b"], "i1")
     assert run.status is Status.UNSOLVED
-    assert run.contributing_solvers == frozenset({"a", "b"})
+    assert run.time == Fraction(100)
 
 
 def test_vbs_exact_tie_credits_all_achievers():
@@ -88,14 +88,19 @@ def test_vbs_exact_tie_credits_all_achievers():
             RunRecord("c", "i1", Status.COMPLETE, Fraction(11)),
         ],
     )
-    run = vbs_run(ds, ["a", "b", "c"], "i1")
-    assert run.contributing_solvers == frozenset({"a", "b"})
+    assert vbs_run(ds, ["a", "b", "c"], "i1").time == Fraction(10)
+    cov = build_coverage(ds, ["a", "b", "c"])
+    assert cov.best_sets == {"a": {"i1"}, "b": {"i1"}, "c": set()}
 
 
 def test_vbs_unknown_instance_rejected():
     ds = _dataset([_decision()], [RunRecord("a", "i1", Status.COMPLETE, Fraction(1))])
     with pytest.raises(DataError, match="unknown instance"):
         vbs_run(ds, ["a"], "nope")
+
+
+def _quality(c):
+    return quality_key(c.kind, c.status, c.objective)
 
 
 def test_vbs_union_is_better_of_parts():
@@ -108,8 +113,8 @@ def test_vbs_union_is_better_of_parts():
         for iid in ds.instance_ids:
             merged = vbs_run(ds, union, iid)
             pieces = [vbs_run(ds, p, iid) for p in (part_a, part_b)]
-            best = max(pieces, key=lambda v: (quality_key(v), -v.time))
-            assert quality_key(merged) == quality_key(best)
+            best = max(pieces, key=lambda v: (_quality(v), -v.time))
+            assert _quality(merged) == _quality(best)
             if merged.status is not Status.UNSOLVED:
                 assert merged.time == best.time
 
@@ -120,7 +125,7 @@ def _assert_vbs_matches_reference(ds, rng):
         for solvers in portfolios:
             got = vbs_run(ds, solvers, iid)
             want = reference_vbs_run(ds, solvers, iid)
-            # status, time, objective, kind and contributing_solvers
+            # status, time, objective and kind
             assert got == want
 
 
@@ -242,19 +247,29 @@ def test_scorer_matches_perf_at_realistic_size():
 
 
 def test_each_run_is_ranked_once_per_dataset(monkeypatch):
-    lifted = []
-    lift = pairscore.run_comparable
+    """The ranking keys each stored run once and lifts none into a ``Comparable``.
 
-    def counting_run_comparable(ds, solver_id, instance_id):
-        lifted.append((solver_id, instance_id))
-        return lift(ds, solver_id, instance_id)
+    Only the ranking's keys are counted: ``score_ordered`` compares two virtual
+    runs through its own binding of ``quality_key``.
+    """
+    keyed = []
+    key = runstore.quality_key
 
-    monkeypatch.setattr(pairscore, "run_comparable", counting_run_comparable)
+    def counting_quality_key(kind, status, objective):
+        keyed.append((kind, status, objective))
+        return key(kind, status, objective)
+
+    def no_lift(ds, solver_id, instance_id):
+        raise AssertionError(f"run ({solver_id!r}, {instance_id!r}) lifted")
+
+    monkeypatch.setattr(runstore, "quality_key", counting_quality_key)
+    monkeypatch.setattr(pairscore, "run_comparable", no_lift)
+    monkeypatch.setattr(portfolio, "run_comparable", no_lift)
     ds = make_dataset(random.Random(11), n_solvers=7, n_instances=30, solve_all_solver=True)
     first = perf(ds, ds.participant_ids, ds.solver_ids)
     assert perf(ds, ds.participant_ids, ds.solver_ids) == first
-    assert len(lifted) == len(ds.solver_ids) * len(ds.instance_ids)
+    assert len(keyed) == len(ds.solver_ids) * len(ds.instance_ids)
     # Borda and the coverage read the same ranking
     borda(ds)
     build_coverage(ds)
-    assert sorted(lifted) == sorted(ds.runs)
+    assert len(keyed) == len(ds.solver_ids) * len(ds.instance_ids)

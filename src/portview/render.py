@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -60,11 +60,13 @@ def fmt_sig(value: Fraction) -> str:
 
 
 def fmt_pct(value: Fraction) -> str:
-    """Percentage with one decimal, e.g. 36.1%."""
-    scaled = (Decimal(value.numerator) * 100 / Decimal(value.denominator)).quantize(
-        Decimal("0.1"), rounding=ROUND_HALF_EVEN
-    )
-    return f"{scaled}%"
+    """Percentage with one decimal, e.g. 36.1%: ``value`` rounded once, half-even, to tenths.
+
+    ``round`` of a ``Fraction`` is exact, so no precision limits the size of
+    ``value``. A negative value that rounds to zero keeps its sign: ``-0.0%``.
+    """
+    whole, tenth = divmod(abs(round(value * 1000)), 10)
+    return f"{'-' if value < 0 else ''}{Decimal(whole)}.{tenth}%"
 
 
 def frac_str(value: Fraction) -> str:

@@ -7,13 +7,14 @@ ranking of the stored runs (``pairscore.quality_groups``) instead, and the
 tests require equal results. ``reference_coerce_run`` spells out each repair of a lenient read
 case by case; the package repairs a run by following ``run_shape_violation``,
 and the tests require the same runs and the same number of warnings.
-``reference_fmt_sig`` renders through ``Decimal`` division; the package
-divides scaled integers instead, and the tests require the same text.
+``reference_fmt_sig`` and ``reference_fmt_pct`` render through ``Decimal``
+division; the package rounds exact integers and fractions instead, and the
+tests require the same text wherever the ``Decimal`` quotient is exact enough.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from portview.mincover import CoverageMap
@@ -141,3 +142,11 @@ def reference_fmt_sig(value: Fraction) -> str:
         ctx.prec = SIG_DIGITS
         d = Decimal(value.numerator) / Decimal(value.denominator)
     return format(d, "f")
+
+
+def reference_fmt_pct(value: Fraction) -> str:
+    """Percentage with one decimal through ``Decimal``'s default 28-digit context."""
+    scaled = (Decimal(value.numerator) * 100 / Decimal(value.denominator)).quantize(
+        Decimal("0.1"), rounding=ROUND_HALF_EVEN
+    )
+    return f"{scaled}%"

@@ -33,6 +33,19 @@ def _csv_rows(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
+@pytest.mark.parametrize("command", ["tradeoff", "report"])
+def test_a_huge_threshold_level_renders(demo_path, tmp_path, capsys, command):
+    """Levels of 1e25 and more once overflowed the 28-digit ``Decimal`` context."""
+    args = [command, "--data", str(demo_path), "--levels", "0.5,1e27,1e30"]
+    if command == "report":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "tradeoff":
+        assert "1" + "0" * 32 + ".0%" in captured.out
+
+
 def test_ingest_round_trip(demo_path, capsys):
     assert main(["ingest", "--data", str(demo_path)]) == 0
     out = capsys.readouterr().out

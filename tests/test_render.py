@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from portview.render import fmt_sig
-from reference import reference_fmt_sig
+from portview.render import fmt_pct, fmt_sig
+from reference import reference_fmt_pct, reference_fmt_sig
 
 
 def test_fmt_sig_examples():
@@ -34,3 +34,26 @@ def _grid(rng: random.Random):
 def test_fmt_sig_matches_decimal_division():
     for value in _grid(random.Random(2026)):
         assert fmt_sig(value) == reference_fmt_sig(value), value
+
+
+def test_fmt_pct_matches_decimal_on_small_denominators():
+    """Ties, carries and signs, where the 28-digit ``Decimal`` quotient rounds once."""
+    grid = [Fraction(p, q) for p in range(-3000, 3001, 7) for q in (1, 2, 3, 7, 8, 16, 40, 2000)]
+    grid += [Fraction(p, 2000) for p in range(-20, 21)] + [Fraction(10**20 + 1, 4)]
+    for value in grid:
+        assert fmt_pct(value) == reference_fmt_pct(value), value
+    assert fmt_pct(Fraction(0)) == "0.0%"
+    assert fmt_pct(Fraction(-1, 10**6)) == "-0.0%"
+    assert fmt_pct(Fraction(1, 2000)) == "0.0%"  # 0.05% is a tie: half-even keeps 0
+    assert fmt_pct(Fraction(3, 2000)) == "0.2%"
+
+
+def test_fmt_pct_rounds_the_exact_value_once():
+    """12.3499...% is below the tie; a 28-digit quotient first rounds it up to 12.35."""
+    value = Fraction(123499999999999999999999999999999, 10**33)
+    assert fmt_pct(value) == "12.3%"
+
+
+def test_fmt_pct_renders_any_size():
+    assert fmt_pct(Fraction(10**30)) == "1" + "0" * 32 + ".0%"
+    assert fmt_pct(Fraction(-(10**4299))) == "-1" + "0" * 4301 + ".0%"

@@ -19,10 +19,6 @@ from typing import IO
 from .runstore import CANONICAL_COLUMNS, ColumnMapping, DataError, read_table, write_canonical
 
 
-def identity_mapping() -> ColumnMapping:
-    return ColumnMapping()
-
-
 def _object(raw: dict, key: str) -> dict:
     value = raw.get(key, {})
     if not isinstance(value, dict):
@@ -71,5 +67,5 @@ def convert_table(
     source: str | Path | IO[str], mapping: ColumnMapping | None = None
 ) -> tuple[str, list[str]]:
     """Convert an external table to canonical text; returns (text, warnings)."""
-    ds = read_table(source, mapping or identity_mapping(), strict=False)
+    ds = read_table(source, mapping or ColumnMapping(), strict=False)
     return write_canonical(ds), list(ds.warnings)

@@ -438,9 +438,9 @@ def read_table(
     the complaint, else records the run as UNSOLVED.
     Both policies raise on unreadable input (not UTF-8, or a field the csv
     module rejects), a delimiter that is not one character, a malformed
-    header or row shape, an empty id, an unknown problem kind, a bad timeout,
-    and a redeclared instance or participant flag. Row numbers in messages
-    count the header as row 1.
+    header or row shape, an empty id, a repeated (solver, instance) pair, an
+    unknown problem kind, a bad timeout, and a redeclared instance or
+    participant flag. Row numbers in messages count the header as row 1.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -469,7 +469,7 @@ def read_table(
     instances: dict[str, InstanceMeta] = {}
     timeouts: dict[str, Fraction] = {}
     solver_flags: dict[str, bool] = {}
-    records: list[RunRecord] = []
+    records: dict[tuple[str, str], RunRecord] = {}
     for row_no, cells in enumerate(reader, start=2):
         if not "".join(cells).strip():
             continue
@@ -479,6 +479,10 @@ def read_table(
             timeout_text = canonical_cells(cells)
         if not solver or not instance:
             raise DataError(f"row {row_no}: empty solver or instance id")
+        if (solver, instance) in records:
+            raise DataError(
+                f"row {row_no}: duplicate run for solver {solver!r} on instance {instance!r}"
+            )
         kind = kinds.get(kind_text.upper())
         if kind is None:
             raise DataError(f"row {row_no}: unknown problem kind {kind_text!r}")
@@ -539,9 +543,9 @@ def read_table(
                 f"row {row_no}: solver {solver!r} redeclared with different "
                 "participant flag"
             )
-        records.append(RunRecord(solver, instance, status, time, objective))
+        records[(solver, instance)] = RunRecord(solver, instance, status, time, objective)
 
-    return build_dataset(instances.values(), solver_flags, records, warnings)
+    return build_dataset(instances.values(), solver_flags, records.values(), warnings)
 
 
 def ingest(source: str | Path | IO[str], *, delimiter: str = ",") -> Dataset:

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from portview.cli import main
-from portview.convert import convert_table, identity_mapping, load_mapping
+from portview.convert import convert_table, load_mapping
 from portview.pairscore import Comparable
 from portview.runstore import (
+    ColumnMapping,
     DataError,
     InstanceMeta,
     ProblemKind,
@@ -36,7 +37,7 @@ def test_identity_mapping_on_canonical_file_is_byte_identical():
 
 
 def test_status_synonyms_normalized():
-    mapping = identity_mapping()
+    mapping = ColumnMapping()
     mapping.status_map = {"SC": "COMPLETE", "UNK": "UNSOLVED"}
     raw = (
         "solver,instance,kind,status,time,objective,participant,timeout\n"
@@ -142,7 +143,7 @@ def test_mapping_with_renames_joins_and_defaults(tmp_path):
 
 
 def test_unmappable_column_rejected():
-    mapping = identity_mapping()
+    mapping = ColumnMapping()
     mapping.columns["time"] = ["Runtime"]
     raw = "solver,instance,kind,status,time,objective,participant,timeout\n"
     with pytest.raises(DataError, match="Runtime"):
@@ -196,6 +197,20 @@ def test_short_row_is_a_validation_error_in_cli(tmp_path, capsys):
     )
     assert main(["convert", "--data", str(raw)]) == 1
     assert "row 2: expected 8 fields, got 5" in capsys.readouterr().err
+
+
+def test_duplicate_row_is_named_in_a_lenient_read(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        "solver,instance,kind,status,time,objective,participant,timeout\n"
+        "a,i1,DECISION,COMPLETE,1.000,,1,10.000\n"
+        "b,i1,DECISION,COMPLETE,2.000,,1,10.000\n"
+        "a,i1,DECISION,COMPLETE,3.000,,1,10.000\n",
+        encoding="utf-8",
+    )
+    assert main(["convert", "--data", str(raw)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: row 4: duplicate run for solver 'a' on instance 'i1'\n", err
 
 
 @pytest.mark.parametrize("flag", ["maybe", ""])
@@ -314,7 +329,7 @@ def test_lenient_repairs_match_the_case_by_case_reference():
         f"a,i{n},{kind},{status},{time},{objective},1,10"
         for n, (kind, status, time, objective) in enumerate(grid)
     ]
-    ds = read_table(io.StringIO("\n".join(lines) + "\n"), identity_mapping(), strict=False)
+    ds = read_table(io.StringIO("\n".join(lines) + "\n"), ColumnMapping(), strict=False)
     expected_warnings = 0
     for n, (kind, status_text, time_text, objective_text) in enumerate(grid):
         row_no, iid = n + 2, f"i{n}"

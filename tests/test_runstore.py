@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from portview.cli import main
 from portview.runstore import (
     DataError,
     InstanceMeta,
@@ -77,6 +78,25 @@ def test_duplicate_pair_rejected():
                 "a,i1,DECISION,COMPLETE,11.000,,1,60.000",
             ]
         )
+
+
+def test_duplicate_row_is_named_in_a_strict_read(tmp_path, capsys):
+    data = tmp_path / "dup.csv"
+    data.write_text("\n".join([
+        HEADER,
+        "a,i1,DECISION,COMPLETE,10.000,,1,60.000",
+        "b,i1,DECISION,COMPLETE,12.000,,1,60.000",
+        "a,i1,DECISION,COMPLETE,11.000,,1,60.000",
+    ]) + "\n", encoding="utf-8")
+    assert main(["ingest", "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: row 4: duplicate run for solver 'a' on instance 'i1'\n", err
+
+
+def test_duplicate_run_rejected_by_build_dataset():
+    runs = [RunRecord("a", "i1", Status.COMPLETE, Fraction(t)) for t in (10, 11)]
+    with pytest.raises(DataError, match="^duplicate run for solver 'a' on instance 'i1'$"):
+        build_dataset([InstanceMeta("i1", ProblemKind.DECISION, Fraction(60))], {"a": True}, runs)
 
 
 def test_unknown_kind_rejected():

@@ -165,3 +165,22 @@ def test_progress_line_reports_a_rate(monkeypatch, caplog):
     messages = [r.getMessage() for r in caplog.records]
     assert len(messages) == 15 // 4
     assert all(line.fullmatch(m) for m in messages)
+
+
+def test_space_over_the_guard_raises_before_any_subset(monkeypatch):
+    """26 solvers: 2^26 - 1 subsets; the guard refuses them before the first."""
+    evaluated = []
+
+    class CountingScorer(tradeoff.SubsetScorer):
+        def evaluate_mask(self, mask):
+            evaluated.append(mask)
+            return super().evaluate_mask(mask)
+
+    monkeypatch.setattr(tradeoff, "SubsetScorer", CountingScorer)
+    ds = make_dataset(random.Random(26), n_solvers=tradeoff.MAX_SPACE + 1, n_instances=5,
+                      solve_all_solver=True)
+    with pytest.raises(DataError, match=re.escape(
+        "best_subsets: search space of 26 solvers exceeds the 25-solver enumeration guard"
+    )):
+        best_subsets(ds, ds.solver_ids, ds.solver_ids)
+    assert evaluated == []

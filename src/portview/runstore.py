@@ -481,7 +481,8 @@ def read_table(
             raise DataError(f"row {row_no}: empty solver or instance id")
         if (solver, instance) in records:
             raise DataError(
-                f"row {row_no}: duplicate run for solver {solver!r} on instance {instance!r}"
+                f"row {row_no}: duplicate run for solver {_quoted(solver)} "
+                f"on instance {_quoted(instance)}"
             )
         kind = kinds.get(kind_text.upper())
         if kind is None:

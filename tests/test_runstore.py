@@ -91,6 +91,10 @@ def test_duplicate_row_is_named_in_a_strict_read(tmp_path, capsys):
     assert main(["ingest", "--data", str(data)]) == 1
     err = capsys.readouterr().err
     assert err == "error: row 4: duplicate run for solver 'a' on instance 'i1'\n", err
+    # a long id is cut, as any quoted cell is
+    run = "s" * 1000 + ",i1,DECISION,COMPLETE,1,,1,60"
+    with pytest.raises(DataError, match=f"^row 3: duplicate run for solver '{'s' * 40}…' "):
+        _ingest([run, run])
 
 
 def test_duplicate_run_rejected_by_build_dataset():

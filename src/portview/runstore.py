@@ -189,9 +189,8 @@ class Dataset:
     ``solvers`` maps solver id to its participant flag. ``runs`` holds exactly
     one record per (solver, instance) pair. ``warnings`` collects non-fatal
     ingestion notes (clamped times, inconsistent objectives) and is excluded
-    from equality. ``quality_ranking`` orders each instance's stored runs by
-    ``quality_key``; built on first use and not a field, it takes no part in
-    equality or repr either.
+    from equality. ``quality_ranking``, keyed by ``quality_key``, is built on
+    first use and is not a field, so it takes no part in equality or repr either.
     """
 
     instances: dict[str, InstanceMeta]
@@ -469,7 +468,8 @@ def read_table(
     instances: dict[str, InstanceMeta] = {}
     timeouts: dict[str, Fraction] = {}
     solver_flags: dict[str, bool] = {}
-    records: dict[tuple[str, str], RunRecord] = {}
+    records: list[RunRecord] = []
+    instances_of: dict[str, set[str]] = {}  # per solver: less memory than a set of pairs
     for row_no, cells in enumerate(reader, start=2):
         if not "".join(cells).strip():
             continue
@@ -479,11 +479,13 @@ def read_table(
             timeout_text = canonical_cells(cells)
         if not solver or not instance:
             raise DataError(f"row {row_no}: empty solver or instance id")
-        if (solver, instance) in records:
+        seen = instances_of.setdefault(solver, set())
+        if instance in seen:
             raise DataError(
                 f"row {row_no}: duplicate run for solver {_quoted(solver)} "
                 f"on instance {_quoted(instance)}"
             )
+        seen.add(instance)
         kind = kinds.get(kind_text.upper())
         if kind is None:
             raise DataError(f"row {row_no}: unknown problem kind {kind_text!r}")
@@ -544,9 +546,9 @@ def read_table(
                 f"row {row_no}: solver {solver!r} redeclared with different "
                 "participant flag"
             )
-        records[(solver, instance)] = RunRecord(solver, instance, status, time, objective)
+        records.append(RunRecord(solver, instance, status, time, objective))
 
-    return build_dataset(instances.values(), solver_flags, records.values(), warnings)
+    return build_dataset(instances.values(), solver_flags, records, warnings)
 
 
 def ingest(source: str | Path | IO[str], *, delimiter: str = ",") -> Dataset:

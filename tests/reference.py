@@ -4,9 +4,10 @@ lenient repair of a run and six-digit number rendering.
 The first two lift and rank every member's run on their own, with
 ``run_comparable`` and ``quality_key`` directly; the package reads one shared
 ranking of the stored runs (``pairscore.quality_groups``) instead, and the
-tests require equal results. ``reference_coerce_run`` spells out each repair of a lenient read
-case by case; the package repairs a run by following ``run_shape_violation``,
-and the tests require the same runs and the same number of warnings.
+tests require equal results. ``reference_coerce_run`` spells out each repair
+of a lenient read case by case; the package repairs a run by following
+``run_shape_violation``, and the tests require the same runs and the same
+number of warnings.
 ``reference_fmt_sig`` and ``reference_fmt_pct`` render through ``Decimal``
 division; the package rounds exact integers and fractions instead, and the
 tests require the same text wherever the ``Decimal`` quotient is exact enough.

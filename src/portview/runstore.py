@@ -259,35 +259,17 @@ def quality_key(
     return _STATUS_RANK[status], Fraction(0)
 
 
-def _validate_run(run: RunRecord, meta: InstanceMeta) -> tuple[RunRecord, list[str]]:
-    """Check one run against its instance metadata; clamp overlong times."""
-    broken = run_shape_violation(meta.kind, run.status, run.objective)
-    if broken:
-        raise DataError(f"run ({run.solver_id!r}, {run.instance_id!r}): {broken}")
-    warnings: list[str] = []
-    if run.time > meta.timeout:
-        warnings.append(
-            f"run ({run.solver_id}, {run.instance_id}): time "
-            f"{format_duration(run.time)} exceeds timeout, clamped to "
-            f"{format_duration(meta.timeout)}"
-        )
-        run = RunRecord(run.solver_id, run.instance_id, run.status, meta.timeout, run.objective)
-    return run, warnings
-
-
 def _objective_consistency(
     instances: Mapping[str, InstanceMeta],
+    solver_ids: Sequence[str],
     runs: Mapping[tuple[str, str], RunRecord],
-) -> list[str]:
-    """Flag objective values that contradict proven-optimal runs."""
-    by_instance: dict[str, list[RunRecord]] = {}
-    for run in runs.values():
-        by_instance.setdefault(run.instance_id, []).append(run)
-    warnings: list[str] = []
+    warnings: list[str],
+) -> None:
+    """Append a warning for each objective value that contradicts proven-optimal runs."""
     for iid, meta in sorted(instances.items()):
         if not meta.kind.is_optimization:
             continue
-        here = by_instance.get(iid, [])
+        here = [runs[(sid, iid)] for sid in solver_ids]
         complete = [r for r in here if r.status is Status.COMPLETE]
         incomplete = [r for r in here if r.status is Status.INCOMPLETE]
         if not complete:
@@ -298,7 +280,7 @@ def _objective_consistency(
                 f"instance {iid}: proven-optimal runs disagree on the objective value"
             )
         best = min(objectives) if meta.kind is ProblemKind.MINIMIZE else max(objectives)
-        for r in sorted(incomplete, key=lambda r: r.solver_id):
+        for r in incomplete:
             worse_ok = r.objective >= best if meta.kind is ProblemKind.MINIMIZE else r.objective <= best
             if not worse_ok:
                 warnings.append(
@@ -306,14 +288,36 @@ def _objective_consistency(
                     f"{format_rational(r.objective)} is better than the proven optimum "
                     f"{format_rational(best)}"
                 )
-    return warnings
+
+
+def _complete(
+    instances: dict[str, InstanceMeta],
+    solvers: dict[str, bool],
+    runs: dict[tuple[str, str], RunRecord],
+    warnings: list[str],
+) -> Dataset:
+    """Complete checked ``runs`` in place: clamp times, fill missing pairs, cross-check objectives."""
+    for key, run in runs.items():
+        timeout = instances[run.instance_id].timeout
+        if run.time > timeout:
+            warnings.append(
+                f"run ({run.solver_id}, {run.instance_id}): time "
+                f"{format_duration(run.time)} exceeds timeout, clamped to "
+                f"{format_duration(timeout)}"
+            )
+            runs[key] = RunRecord(run.solver_id, run.instance_id, run.status, timeout, run.objective)
+    for sid in solvers:
+        for iid, meta in instances.items():
+            if (sid, iid) not in runs:
+                runs[(sid, iid)] = RunRecord(sid, iid, Status.UNSOLVED, meta.timeout)
+    _objective_consistency(instances, sorted(solvers), runs, warnings)
+    return Dataset(instances, solvers, runs, tuple(warnings))
 
 
 def build_dataset(
     instances: Iterable[InstanceMeta],
     solvers: Mapping[str, bool],
     runs: Iterable[RunRecord],
-    extra_warnings: Sequence[str] = (),
 ) -> Dataset:
     """Assemble and validate a Dataset, filling missing pairs as UNSOLVED."""
     inst_map: dict[str, InstanceMeta] = {}
@@ -323,7 +327,6 @@ def build_dataset(
         inst_map[meta.instance_id] = meta
     solver_map = dict(solvers)
 
-    warnings = list(extra_warnings)
     run_map: dict[tuple[str, str], RunRecord] = {}
     for run in runs:
         key = (run.solver_id, run.instance_id)
@@ -333,18 +336,11 @@ def build_dataset(
             raise DataError(f"run references unknown instance {run.instance_id!r}")
         if key in run_map:
             raise DataError(f"duplicate run for solver {key[0]!r} on instance {key[1]!r}")
-        run, notes = _validate_run(run, inst_map[run.instance_id])
-        warnings.extend(notes)
+        broken = run_shape_violation(inst_map[run.instance_id].kind, run.status, run.objective)
+        if broken:
+            raise DataError(f"run ({run.solver_id!r}, {run.instance_id!r}): {broken}")
         run_map[key] = run
-
-    for sid in solver_map:
-        for iid, meta in inst_map.items():
-            key = (sid, iid)
-            if key not in run_map:
-                run_map[key] = RunRecord(sid, iid, Status.UNSOLVED, meta.timeout)
-
-    warnings.extend(_objective_consistency(inst_map, run_map))
-    return Dataset(inst_map, solver_map, run_map, tuple(warnings))
+    return _complete(inst_map, solver_map, run_map, [])
 
 
 def _parse_flag(token: str, row: int) -> bool:
@@ -468,8 +464,7 @@ def read_table(
     instances: dict[str, InstanceMeta] = {}
     timeouts: dict[str, Fraction] = {}
     solver_flags: dict[str, bool] = {}
-    records: list[RunRecord] = []
-    instances_of: dict[str, set[str]] = {}  # per solver: less memory than a set of pairs
+    runs: dict[tuple[str, str], RunRecord] = {}
     for row_no, cells in enumerate(reader, start=2):
         if not "".join(cells).strip():
             continue
@@ -479,13 +474,12 @@ def read_table(
             timeout_text = canonical_cells(cells)
         if not solver or not instance:
             raise DataError(f"row {row_no}: empty solver or instance id")
-        seen = instances_of.setdefault(solver, set())
-        if instance in seen:
+        key = (solver, instance)
+        if key in runs:
             raise DataError(
                 f"row {row_no}: duplicate run for solver {_quoted(solver)} "
                 f"on instance {_quoted(instance)}"
             )
-        seen.add(instance)
         kind = kinds.get(kind_text.upper())
         if kind is None:
             raise DataError(f"row {row_no}: unknown problem kind {kind_text!r}")
@@ -546,9 +540,9 @@ def read_table(
                 f"row {row_no}: solver {solver!r} redeclared with different "
                 "participant flag"
             )
-        records.append(RunRecord(solver, instance, status, time, objective))
+        runs[key] = RunRecord(solver, instance, status, time, objective)
 
-    return build_dataset(instances.values(), solver_flags, records, warnings)
+    return _complete(instances, solver_flags, runs, warnings)
 
 
 def ingest(source: str | Path | IO[str], *, delimiter: str = ",") -> Dataset:

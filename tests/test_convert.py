@@ -16,6 +16,7 @@ from portview.runstore import (
     ProblemKind,
     RunRecord,
     Status,
+    build_dataset,
     ingest,
     parse_rational,
     read_table,
@@ -245,10 +246,13 @@ def test_unparseable_participant_flag_warns(flag):
          "decision-objective"],
 )
 def test_every_path_applies_the_same_run_shape_rule(kind, status, objective, rule, warning):
+    value = Fraction(objective) if objective else None
     with pytest.raises(DataError, match=f"comparable: {rule}"):
-        Comparable(
-            Status(status), Fraction(5), Fraction(objective) if objective else None,
-            ProblemKind(kind),
+        Comparable(Status(status), Fraction(5), value, ProblemKind(kind))
+    with pytest.raises(DataError, match=f"^run \\('a', 'i1'\\): {rule}$"):
+        build_dataset(
+            [InstanceMeta("i1", ProblemKind(kind), Fraction(10))], {"a": True},
+            [RunRecord("a", "i1", Status(status), Fraction(5), value)],
         )
     raw = f"{HEADER}\na,i1,{kind},{status},5,{objective},1,10\n"
     with pytest.raises(DataError, match=f"row 2: run \\('a', 'i1'\\): {rule}"):

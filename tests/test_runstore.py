@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from portview import runstore
 from portview.cli import main
 from portview.runstore import (
     DataError,
@@ -18,6 +19,7 @@ from portview.runstore import (
     ingest,
     parse_duration,
     parse_rational,
+    run_shape_violation,
     write_canonical,
 )
 from randgen import make_dataset, random_subset
@@ -27,6 +29,18 @@ HEADER = "solver,instance,kind,status,time,objective,participant,timeout"
 
 def _ingest(rows: list[str]):
     return ingest(io.StringIO("\n".join([HEADER] + rows) + "\n"))
+
+
+def test_ingest_checks_each_row_shape_once(monkeypatch, demo_path):
+    calls = []
+
+    def counting(kind, status, objective):
+        calls.append((kind, status, objective))
+        return run_shape_violation(kind, status, objective)
+
+    monkeypatch.setattr(runstore, "run_shape_violation", counting)
+    ingest(demo_path)
+    assert len(calls) == len(demo_path.read_text(encoding="utf-8").splitlines()) - 1
 
 
 def test_identity_ingestion_two_by_two():

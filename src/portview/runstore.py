@@ -162,7 +162,7 @@ class InstanceMeta:
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
-            raise DataError(f"instance {self.instance_id!r}: timeout must be positive")
+            raise DataError(f"instance {_quoted(self.instance_id)}: timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,8 @@ def _column_plan(header: Sequence[str], mapping: ColumnMapping):
     Returns a function from a row's cells to the stripped canonical cells.
     Joined and default columns are appended to the row; all are picked by index.
     """
-    positions = {name.strip().lower(): idx for idx, name in enumerate(header)}
+    names = [name.strip().lower() for name in header]
+    positions = {name: idx for idx, name in enumerate(names)}
     picks: list[int] = []
     extras = []
     for name in CANONICAL_COLUMNS:
@@ -388,9 +389,12 @@ def _column_plan(header: Sequence[str], mapping: ColumnMapping):
             continue
         idxs = []
         for col in mapping.columns.get(name, [name]):
-            if col.strip().lower() not in positions:
+            key = col.strip().lower()
+            if key not in positions:
                 raise DataError(f"missing required column {col!r}")
-            idxs.append(positions[col.strip().lower()])
+            if names.count(key) > 1:
+                raise DataError(f"column {col!r} appears more than once in the header")
+            idxs.append(positions[key])
         if len(idxs) == 1:
             picks.append(idxs[0])
         else:
@@ -439,7 +443,7 @@ def read_table(
     """
     if isinstance(source, (str, Path)):
         try:
-            source = io.StringIO(Path(source).read_text(encoding="utf-8"))
+            source = io.StringIO(Path(source).read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError as exc:
             raise DataError(f"input is not UTF-8 text: {exc}") from None
     try:
@@ -482,10 +486,10 @@ def read_table(
             )
         kind = kinds.get(kind_text.upper())
         if kind is None:
-            raise DataError(f"row {row_no}: unknown problem kind {kind_text!r}")
+            raise DataError(f"row {row_no}: unknown problem kind {_quoted(kind_text)}")
         status = statuses.get(status_text.upper())
         if status is None:
-            violation(f"row {row_no}: unknown status {status_text!r}", "recorded as UNSOLVED")
+            violation(f"row {row_no}: unknown status {_quoted(status_text)}", "recorded as UNSOLVED")
         try:
             participant = _parse_flag(flag_text, row_no)
         except DataError as exc:
@@ -507,7 +511,7 @@ def read_table(
         try:
             time = parse_duration(time_text)
             if time.numerator < 0:  # the sign alone: cheaper than a Fraction compare
-                raise DataError(f"run ({solver!r}, {instance!r}): negative time")
+                raise DataError(f"run ({_quoted(solver)}, {_quoted(instance)}): negative time")
         except DataError as exc:
             violation(f"row {row_no}: {exc}", "recorded as UNSOLVED")
             time, status = timeout, None
@@ -519,7 +523,7 @@ def read_table(
             broken = run_shape_violation(kind, status, objective)
             if broken is None:
                 break
-            message = f"row {row_no}: run ({solver!r}, {instance!r}): {broken}"
+            message = f"row {row_no}: run ({_quoted(solver)}, {_quoted(instance)}): {broken}"
             if objective is not None and run_shape_violation(kind, status, None) != broken:
                 violation(message, "objective dropped")
                 objective = None
@@ -528,7 +532,7 @@ def read_table(
                 status = Status.UNSOLVED
         if meta.kind is not kind or meta.timeout != timeout:
             raise DataError(
-                f"row {row_no}: instance {instance!r} redeclared with different "
+                f"row {row_no}: instance {_quoted(instance)} redeclared with different "
                 "kind or timeout"
             )
         instances[instance] = meta
@@ -537,7 +541,7 @@ def read_table(
             solver_flags[solver] = participant
         elif known_flag != participant:
             raise DataError(
-                f"row {row_no}: solver {solver!r} redeclared with different "
+                f"row {row_no}: solver {_quoted(solver)} redeclared with different "
                 "participant flag"
             )
         runs[key] = RunRecord(solver, instance, status, time, objective)

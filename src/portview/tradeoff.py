@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .portfolio import PerfRatio, SubsetScorer
-from .runstore import DataError, Dataset
+from .runstore import DataError, Dataset, known_solvers
 
 log = logging.getLogger(__name__)
 
@@ -51,8 +51,7 @@ def best_subsets(ds: Dataset, space: Iterable[str], baseline: Iterable[str]) -> 
     ``PerfRatio``. A later subset replaces the incumbent only when strictly
     better, which keeps the first (lexicographically smallest) optimum.
     """
-    scorer = SubsetScorer(ds, space, baseline)
-    names = scorer.space
+    names = known_solvers(ds, space, "scorer space")
     n = len(names)
     if n == 0:
         raise DataError("best_subsets: empty search space")
@@ -61,6 +60,7 @@ def best_subsets(ds: Dataset, space: Iterable[str], baseline: Iterable[str]) -> 
             f"best_subsets: search space of {n} solvers exceeds the "
             f"{MAX_SPACE}-solver enumeration guard"
         )
+    scorer = SubsetScorer(ds, names, baseline)
 
     entries = []
     evaluated = 0

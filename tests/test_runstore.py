@@ -7,6 +7,7 @@ import pytest
 from portview import runstore
 from portview.cli import main
 from portview.runstore import (
+    ColumnMapping,
     DataError,
     InstanceMeta,
     ProblemKind,
@@ -19,6 +20,7 @@ from portview.runstore import (
     ingest,
     parse_duration,
     parse_rational,
+    read_table,
     run_shape_violation,
     write_canonical,
 )
@@ -109,6 +111,62 @@ def test_duplicate_row_is_named_in_a_strict_read(tmp_path, capsys):
     run = "s" * 1000 + ",i1,DECISION,COMPLETE,1,,1,60"
     with pytest.raises(DataError, match=f"^row 3: duplicate run for solver '{'s' * 40}…' "):
         _ingest([run, run])
+
+
+LONG = "x" * 1000
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([f"a,i1,DECISION,{LONG},5,,1,10"], "unknown status"),
+        ([f"a,i1,{LONG},COMPLETE,5,,1,10"], "unknown problem kind"),
+        ([f"{LONG},i1,DECISION,COMPLETE,-1,,1,10"], "negative time"),
+        ([f"{LONG},i1,DECISION,INCOMPLETE,5,,1,10"], "INCOMPLETE is not valid"),
+        ([f"a,{LONG},DECISION,COMPLETE,5,,1,10", f"b,{LONG},MINIMIZE,COMPLETE,5,3,1,10"],
+         "redeclared with different kind"),
+        ([f"{LONG},i1,DECISION,COMPLETE,5,,1,10", f"{LONG},i2,DECISION,COMPLETE,5,,0,10"],
+         "redeclared with different participant"),
+        ([f"a,{LONG},DECISION,COMPLETE,5,,1,0"], "timeout must be positive"),
+    ],
+    ids=["status", "kind", "negative-time", "run-shape", "instance-redeclared",
+         "solver-redeclared", "timeout"],
+)
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_a_long_cell_is_cut_in_every_message(rows, message, strict):
+    source = io.StringIO("\n".join([HEADER] + rows) + "\n")
+    try:
+        lines = list(read_table(source, ColumnMapping(), strict=strict).warnings)
+    except DataError as exc:
+        lines = [str(exc)]
+    assert [line for line in lines if message in line and "x" * 40 + "…" in line] == lines
+    assert lines and max(map(len, lines)) <= 200
+
+
+def test_duplicated_read_column_is_named(tmp_path, capsys):
+    data = tmp_path / "dup.csv"
+    data.write_text(f"{HEADER},Solver \na,i1,DECISION,COMPLETE,1,,1,60,b\n", encoding="utf-8")
+    assert main(["ingest", "--data", str(data)]) == 1
+    assert capsys.readouterr().err == (
+        "error: column 'solver' appears more than once in the header\n"
+    )
+
+
+def test_duplicated_unread_column_is_allowed():
+    ds = ingest(io.StringIO(f"note,{HEADER},note\nx,a,i1,DECISION,COMPLETE,1,,1,60,y\n"))
+    assert ds.run("a", "i1").status is Status.COMPLETE
+
+
+def test_byte_order_mark_is_accepted(demo_path, tmp_path, capsys):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + demo_path.read_bytes())
+    for command in ("ingest", "convert"):
+        outputs = []
+        for path in (demo_path, bom):
+            assert main([command, "--data", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out == demo_path.read_text(encoding="utf-8")
 
 
 def test_duplicate_run_rejected_by_build_dataset():

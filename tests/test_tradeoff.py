@@ -168,10 +168,14 @@ def test_progress_line_reports_a_rate(monkeypatch, caplog):
 
 
 def test_space_over_the_guard_raises_before_any_subset(monkeypatch):
-    """26 solvers: 2^26 - 1 subsets; the guard refuses them before the first."""
-    evaluated = []
+    """26 solvers: 2^26 - 1 subsets; the guard refuses them before a scorer is built."""
+    built, evaluated = [], []
 
     class CountingScorer(tradeoff.SubsetScorer):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
         def evaluate_mask(self, mask):
             evaluated.append(mask)
             return super().evaluate_mask(mask)
@@ -183,4 +187,4 @@ def test_space_over_the_guard_raises_before_any_subset(monkeypatch):
         "best_subsets: search space of 26 solvers exceeds the 25-solver enumeration guard"
     )):
         best_subsets(ds, ds.solver_ids, ds.solver_ids)
-    assert evaluated == []
+    assert built == evaluated == []

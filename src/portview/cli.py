@@ -3,8 +3,8 @@
 Subcommands: ingest, borda, oracle, mincover, tradeoff, shapley, report,
 convert. Exit codes: 0 on success, 1 on validation errors (bad data, bad
 usage), 2 on internal errors. ``report`` runs the whole pipeline (ingest,
-scenario filter, Borda, oracle ratio, minimum cover, trade-off curve with the
-cover as search space, attribution over the cover) and writes one
+scenario filter, Borda, oracle ratio, minimum cover, attribution over the
+cover, trade-off curve with the cover as search space) and writes one
 deterministic bundle: delimited tables, an aligned-text report, and a JSON
 sidecar carrying every number as an exact rational.
 """
@@ -301,11 +301,12 @@ def run_pipeline(cfg: ReportConfig) -> dict[str, str]:
     oracle = _stage("oracle", perf, ds, ds.participant_ids, ds.solver_ids)
     coverage, solution = _stage("mincover", _cover_for, ds, solvers, cfg.epsilon, cfg.cap)
     core = solution.portfolios[0]
-    curve = _stage("tradeoff", best_subsets, ds, core, solvers)
-    reached = _stage("thresholds", thresholds, curve, list(cfg.levels))
+    # attribution first: exact mode's cost guard then fails before the trade-off search
     attribution = _stage(
         "shapley", _attribution, ds, core, solvers, cfg.mode, cfg.samples, cfg.seed
     )
+    curve = _stage("tradeoff", best_subsets, ds, core, solvers)
+    reached = _stage("thresholds", thresholds, curve, list(cfg.levels))
 
     files: dict[str, str] = {}
     if "csv" in cfg.formats or "text" in cfg.formats:

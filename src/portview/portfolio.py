@@ -5,8 +5,13 @@ every instance, reproduces the best run any member achieved: best solution
 quality first, and the minimum time among the members reaching that quality
 (running the members in parallel stops as soon as the reported quality is in
 hand). ``vbs_run`` returns that run as a ``Comparable``; the members reaching
-it are ``mincover.build_coverage``'s answer. Portfolio performance is the
-ratio of the pairwise scores of one VBS and a baseline VBS over all instances.
+it are ``mincover.build_coverage``'s answer.
+
+Portfolio performance is the ratio of the pairwise scores of one VBS and a
+baseline VBS over all instances. A run's score against VBS(baseline) depends
+only on the baseline's best ``quality_groups`` group on that instance, so
+``SubsetScorer`` scores every run from that group alone, and ``perf`` is one
+scorer evaluation over the whole portfolio.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .pairscore import HALF, Comparable, quality_groups, run_comparable, score_ordered
+from .pairscore import HALF, Comparable, quality_groups
 from .runstore import DataError, Dataset, ProblemKind, Status, known_solvers
 
 
@@ -57,48 +62,28 @@ class PerfRatio:
     tied_unsolved: int = 0
 
 
-def _pair_scores(mine: Comparable, base: Comparable) -> tuple[Fraction, Fraction, bool]:
-    if mine.status is Status.UNSOLVED and base.status is Status.UNSOLVED:
-        return HALF, HALF, True
-    sa, sb = score_ordered(mine, base)
-    return sa, sb, False
-
-
 def perf(ds: Dataset, portfolio: Iterable[str], baseline: Iterable[str]) -> PerfRatio:
     """Performance ratio of ``portfolio`` relative to ``baseline`` (a superset)."""
-    mine = known_solvers(ds, portfolio, "perf portfolio")
-    base = known_solvers(ds, baseline, "perf baseline")
-    if not set(mine) <= set(base):
-        raise DataError("perf: portfolio must be a subset of the baseline")
-    instances = ds.instance_ids
-    if not instances:
-        raise DataError("perf: dataset has no instances")
-
-    numerator = Fraction(0)
-    denominator = Fraction(0)
-    tied = 0
-    baseline_solves = False
-    for iid in instances:
-        va = vbs_run(ds, mine, iid)
-        vb = vbs_run(ds, base, iid)
-        if vb.status is not Status.UNSOLVED:
-            baseline_solves = True
-        sa, sb, both_unsolved = _pair_scores(va, vb)
-        numerator += sa
-        denominator += sb
-        tied += both_unsolved
-    if not baseline_solves:
-        raise DataError("perf: baseline portfolio solves no instance")
-    return PerfRatio(numerator, denominator, numerator / denominator, tied)
+    scorer = SubsetScorer(ds, portfolio, baseline)
+    return scorer.evaluate(scorer.space)
 
 
 class SubsetScorer:
     """Exact integer evaluator of many subsets of a solver space against one baseline.
 
-    For each candidate solver and instance, the pairwise score of that solver's
-    run against the baseline VBS is precomputed once. Because candidates never
-    beat the baseline they sit inside, a subset's per-instance score is the
-    maximum of its members' precomputed scores.
+    A run's pairwise score against the baseline VBS depends only on the
+    baseline's best ``quality_groups`` group on that instance, whose minimum
+    time ``fastest`` is the VBS time:
+
+    * when that group is UNSOLVED, every run scores 1/2 (a tied-unsolved instance);
+    * a solver outside the group scores 0;
+    * a solver inside it with time t scores ``fastest / (t + fastest)``, or 1/2
+      when both times are 0.
+
+    A subset's VBS reaches that group exactly when a member does, at its
+    fastest member's time, so its per-instance score is the maximum of its
+    members' scores. The empty subset's VBS solves nothing: it scores 1/2 on
+    the tied-unsolved instances and 0 elsewhere.
 
     The scores are kept as ``int`` rows over one common denominator
     ``denominator`` (D, the lcm of every score's denominator): ``rows[j][i]``
@@ -119,20 +104,28 @@ class SubsetScorer:
             raise DataError("scorer: dataset has no instances")
 
         self.tied_unsolved = 0
-        baseline_solves = False
+        zero = Fraction(0)
         scores: list[list[Fraction]] = [[] for _ in self.space]
         for iid in self.instances:
-            vb = vbs_run(ds, self.baseline, iid)
-            if vb.status is not Status.UNSOLVED:
-                baseline_solves = True
-            else:
+            groups = quality_groups(ds, self.baseline, iid)
+            if not groups or groups[0][0][1].status is Status.UNSOLVED:
                 self.tied_unsolved += 1
-            for idx, sid in enumerate(self.space):
-                sa, _, _ = _pair_scores(run_comparable(ds, sid, iid), vb)
-                scores[idx].append(sa)
-        if not baseline_solves:
+                for row in scores:
+                    row.append(HALF)
+                continue
+            best = {sid: run.time for sid, run in groups[0]}
+            fastest = min(best.values())
+            for sid, row in zip(self.space, scores):
+                t = best.get(sid)
+                if t is None:
+                    row.append(zero)
+                else:
+                    row.append(fastest / (t + fastest) if t + fastest else HALF)
+        if self.tied_unsolved == len(self.instances):
             raise DataError("scorer: baseline portfolio solves no instance")
-        self.denominator = lcm(*(x.denominator for row in scores for x in row))
+        # the 2 keeps the empty subset's half points integral when the space is empty
+        denominators = (x.denominator for row in scores for x in row)
+        self.denominator = lcm(2 if self.tied_unsolved else 1, *denominators)
         self.rows = [
             [x.numerator * (self.denominator // x.denominator) for x in row] for row in scores
         ]
@@ -152,9 +145,12 @@ class SubsetScorer:
         )
 
     def evaluate_mask(self, mask: int) -> int:
-        """Total score, times ``denominator``, of the subset encoded as a bitmask over space."""
+        """Total score, times ``denominator``, of the subset encoded as a bitmask over space.
+
+        Mask 0 is the empty subset: half a point on each tied-unsolved instance.
+        """
         if mask == 0:
-            raise DataError("scorer: cannot evaluate an empty subset")
+            return self.tied_unsolved * self.denominator // 2
         member_rows = [row for idx, row in enumerate(self.rows) if mask >> idx & 1]
         return sum(map(max, zip(*member_rows)))
 

@@ -277,14 +277,14 @@ def _objective_consistency(
         objectives = {r.objective for r in complete}
         if len(objectives) > 1:
             warnings.append(
-                f"instance {iid}: proven-optimal runs disagree on the objective value"
+                f"instance {_quoted(iid)}: proven-optimal runs disagree on the objective value"
             )
         best = min(objectives) if meta.kind is ProblemKind.MINIMIZE else max(objectives)
         for r in incomplete:
             worse_ok = r.objective >= best if meta.kind is ProblemKind.MINIMIZE else r.objective <= best
             if not worse_ok:
                 warnings.append(
-                    f"run ({r.solver_id}, {iid}): incomplete objective "
+                    f"run ({_quoted(r.solver_id)}, {_quoted(iid)}): incomplete objective "
                     f"{format_rational(r.objective)} is better than the proven optimum "
                     f"{format_rational(best)}"
                 )
@@ -301,7 +301,7 @@ def _complete(
         timeout = instances[run.instance_id].timeout
         if run.time > timeout:
             warnings.append(
-                f"run ({run.solver_id}, {run.instance_id}): time "
+                f"run ({_quoted(run.solver_id)}, {_quoted(run.instance_id)}): time "
                 f"{format_duration(run.time)} exceeds timeout, clamped to "
                 f"{format_duration(timeout)}"
             )

@@ -1,13 +1,16 @@
 """Definitional references for the virtual best solver, oracle coverage, the
-lenient repair of a run and six-digit number rendering.
+performance ratio, the lenient repair of a run and six-digit number rendering.
 
 The first two lift and rank every member's run on their own, with
 ``run_comparable`` and ``quality_key`` directly; the package reads one shared
 ranking of the stored runs (``pairscore.quality_groups``) instead, and the
-tests require equal results. ``reference_coerce_run`` spells out each repair
-of a lenient read case by case; the package repairs a run by following
-``run_shape_violation``, and the tests require the same runs and the same
-number of warnings.
+tests require equal results. ``reference_perf`` scores each instance's
+portfolio VBS against the baseline VBS with ``score_ordered``; the package
+scores every run from the baseline's best quality group instead
+(``portfolio.SubsetScorer``), and the tests require the same ratios.
+``reference_coerce_run`` spells out each repair of a lenient read case by
+case; the package repairs a run by following ``run_shape_violation``, and the
+tests require the same runs and the same number of warnings.
 ``reference_fmt_sig`` and ``reference_fmt_pct`` render through ``Decimal``
 division; the package rounds exact integers and fractions instead, and the
 tests require the same text wherever the ``Decimal`` quotient is exact enough.
@@ -19,7 +22,8 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from portview.mincover import CoverageMap
-from portview.pairscore import Comparable, run_comparable
+from portview.pairscore import HALF, Comparable, run_comparable, score_ordered
+from portview.portfolio import PerfRatio, vbs_run
 from portview.render import SIG_DIGITS
 from portview.runstore import (
     DataError,
@@ -60,6 +64,40 @@ def reference_vbs_run(ds: Dataset, solvers, instance_id: str) -> Comparable:
         objectives = [comps[sid].objective for sid in achievers]
         objective = min(objectives) if meta.kind is ProblemKind.MINIMIZE else max(objectives)
     return Comparable(status, best_time, objective, meta.kind)
+
+
+def reference_perf(ds: Dataset, portfolio, baseline) -> PerfRatio:
+    """Sum, over instances, the scores of VBS(portfolio) against VBS(baseline).
+
+    An instance neither VBS solves is a symmetric tie, half a point each.
+    """
+    mine = known_solvers(ds, portfolio, "perf portfolio")
+    base = known_solvers(ds, baseline, "perf baseline")
+    if not set(mine) <= set(base):
+        raise DataError("perf: portfolio must be a subset of the baseline")
+    instances = ds.instance_ids
+    if not instances:
+        raise DataError("perf: dataset has no instances")
+
+    numerator = Fraction(0)
+    denominator = Fraction(0)
+    tied = 0
+    baseline_solves = False
+    for iid in instances:
+        va = vbs_run(ds, mine, iid)
+        vb = vbs_run(ds, base, iid)
+        if vb.status is not Status.UNSOLVED:
+            baseline_solves = True
+        if va.status is Status.UNSOLVED and vb.status is Status.UNSOLVED:
+            sa, sb = HALF, HALF
+            tied += 1
+        else:
+            sa, sb = score_ordered(va, vb)
+        numerator += sa
+        denominator += sb
+    if not baseline_solves:
+        raise DataError("perf: baseline portfolio solves no instance")
+    return PerfRatio(numerator, denominator, numerator / denominator, tied)
 
 
 def reference_coverage(ds: Dataset, solvers=None, epsilon: Fraction = Fraction(0)) -> CoverageMap:

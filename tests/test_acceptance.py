@@ -30,6 +30,7 @@ from portview.runstore import (
 from portview.shapley import shapley_exact, shapley_sampled
 from portview.tradeoff import best_subsets
 from randgen import make_dataset, random_subset
+from reference import reference_perf
 
 from test_mincover import exhaustive_min_covers
 from test_shapley import definitional_shapley, worked_example_dataset
@@ -177,7 +178,8 @@ def test_criterion_6_shapley_axioms():
         n = rng.randint(1, 8)
         ds = _solvable_dataset(rng, n_solvers=n, max_instances=6)
         report = shapley_exact(ds, ds.solver_ids, ds.solver_ids)
-        assert sum(report.values.values()) == perf(ds, ds.solver_ids, ds.solver_ids).value
+        full = reference_perf(ds, ds.solver_ids, ds.solver_ids)
+        assert sum(report.values.values()) == full.value
 
     for _ in range(6):
         base = _solvable_dataset(rng, n_solvers=3, max_instances=5)

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import portview
 from portview import cli
 from portview.cli import ReportConfig, StageError, main, run_pipeline
 from portview.pairscore import borda
+from portview.portfolio import PerfRatio, perf
 from portview.runstore import DataError, ingest
 
 EXPECTED_FILES = {
@@ -68,6 +70,32 @@ def test_oracle_ratio(demo_path, capsys):
     assert rows[0]["ratio"] == "0.333333"
     assert rows[0]["participants"] == "2"
     assert rows[0]["solvers"] == "3"
+
+
+def test_an_empty_participant_oracle_scores_its_tied_instances(tmp_path, capsys):
+    """No participants: the empty oracle loses i1 and ties i2, which nobody solves."""
+    data = tmp_path / "nopart.csv"
+    data.write_text(
+        "solver,instance,kind,status,time,objective,participant,timeout\n"
+        "a,i1,DECISION,COMPLETE,1.000,,0,10.000\n"
+        "b,i1,DECISION,UNSOLVED,10.000,,0,10.000\n"
+        "a,i2,DECISION,UNSOLVED,10.000,,0,10.000\n"
+        "b,i2,DECISION,UNSOLVED,10.000,,0,10.000\n",
+        encoding="utf-8",
+    )
+    ds = ingest(data)
+    assert perf(ds, [], ds.solver_ids) == PerfRatio(
+        Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), tied_unsolved=1
+    )
+    assert main(["oracle", "--data", str(data), "--format", "csv"]) == 0
+    oracle_csv = capsys.readouterr().out
+    assert _csv_rows(oracle_csv) == [
+        {"dataset": "nopart", "participants": "0", "solvers": "2", "ratio": "0.333333",
+         "percent": "33.3%"}
+    ]
+    out_dir = tmp_path / "bundle"
+    assert main(["report", "--data", str(data), "--scenario", "all", "--out", str(out_dir)]) == 0
+    assert (out_dir / "oracle.csv").read_text(encoding="utf-8") == oracle_csv
 
 
 def test_mincover_output(demo_path, capsys):
@@ -212,7 +240,6 @@ def test_out_flag_writes_file(demo_path, tmp_path):
 def test_report_exact_sidecar_at_realistic_size(tmp_path):
     import random
     from decimal import Decimal
-    from fractions import Fraction
 
     from portview.runstore import write_canonical
     from portview.shapley import shapley_exact
@@ -282,8 +309,24 @@ def test_exact_shapley_over_budget_exits_before_any_coalition(tmp_path, monkeypa
     ), err
 
 
+def test_report_over_the_exact_budget_fails_before_the_tradeoff(tmp_path, monkeypatch, capsys):
+    """20 solvers x 100 instances: a 17-solver cover whose brute-force trade-off
+    takes about 10 s is never searched, since the Shapley guard runs first."""
+    import time
+
+    data = _write_random_table(tmp_path / "w20.csv", 20, 100)
+    searched = []
+    monkeypatch.setattr(cli, "best_subsets", lambda *args: searched.append(args))
+    started = time.perf_counter()
+    assert main(["report", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - started < 5
+    assert searched == []
+    err = capsys.readouterr().err
+    assert err.startswith("error at stage shapley: shapley_exact: 17 solvers over 100 instances")
+
+
 def test_report_over_the_exact_budget_fails_at_stage_shapley(tmp_path, monkeypatch, capsys):
-    """14 solvers x 100 instances: a 13-solver cover, a quick trade-off, then the guard."""
+    """14 solvers x 100 instances: a 13-solver cover, then the guard."""
     data = _write_random_table(tmp_path / "w14.csv", 14, 100)
     evaluated = _count_coalitions(monkeypatch)
     out_dir = tmp_path / "out"
@@ -522,7 +565,7 @@ def test_verbose_report_times_stages_on_stderr_only(demo_path, tmp_path):
     stages = re.findall(r"^stage (\w+): \d+\.\d{3} s$", loud.stderr, re.MULTILINE)
     assert stages == [
         "ingest", "filter", "borda", "oracle", "mincover",
-        "tradeoff", "thresholds", "shapley", "portfolio_borda",
+        "shapley", "tradeoff", "thresholds", "portfolio_borda",
     ]
 
 

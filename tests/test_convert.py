@@ -355,7 +355,7 @@ def test_lenient_repairs_match_the_case_by_case_reference():
         assert ds.run("a", iid) == expected, (kind, status_text, time_text, objective_text)
         row_warnings = [
             w for w in ds.warnings
-            if w.startswith((f"row {row_no}: ", f"run (a, {iid}): "))
+            if w.startswith((f"row {row_no}: ", f"run ('a', '{iid}'): "))
         ]
         assert len(row_warnings) == len(notes), (row_warnings, notes)
         expected_warnings += len(notes)

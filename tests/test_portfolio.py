@@ -17,7 +17,7 @@ from portview.runstore import (
     quality_key,
 )
 from randgen import make_dataset, random_subset, tie_heavy_dataset
-from reference import reference_vbs_run
+from reference import reference_perf, reference_vbs_run
 
 DEC = ProblemKind.DECISION
 MIN = ProblemKind.MINIMIZE
@@ -219,35 +219,41 @@ def test_scorer_matches_perf():
         space = random_subset(rng, baseline, allow_empty=False)
         scorer = SubsetScorer(ds, space, baseline)
         for _ in range(5):
-            subset = random_subset(rng, space, allow_empty=False)
-            fast = scorer.evaluate(subset)
-            slow = perf(ds, subset, baseline)
-            assert (fast.numerator, fast.denominator) == (slow.numerator, slow.denominator)
-            assert fast.value == slow.value
+            subset = random_subset(rng, space)
+            want = reference_perf(ds, subset, baseline)
+            assert scorer.evaluate(subset) == want
+            assert perf(ds, subset, baseline) == want
 
 
 def test_scorer_matches_perf_at_realistic_size():
-    """8 solvers x 100 instances: score denominators near 1,250 bits."""
+    """8 solvers x 100 instances (score denominators near 1,250 bits), and tie-heavy data."""
     ds = make_dataset(random.Random(7), n_solvers=8, n_instances=100)
     baseline = ds.solver_ids
     rng = random.Random(2718)
     subsets = [baseline, *((sid,) for sid in baseline)]
     subsets += [random_subset(rng, baseline, allow_empty=False) for _ in range(28)]
-    cases = [(SubsetScorer(ds, baseline, baseline), baseline, subsets)]
+    cases = [(ds, baseline, baseline, subsets)]
     # with a two-solver baseline some instances are solved by nobody (tied unsolved)
     pair = baseline[:2]
-    cases.append((SubsetScorer(ds, pair, pair), pair, [pair[:1], pair[1:], pair]))
-    assert cases[1][0].tied_unsolved > 0
-    for scorer, base, chosen in cases:
+    cases.append((ds, pair, pair, [(), pair[:1], pair[1:], pair]))
+    assert SubsetScorer(ds, pair, pair).tied_unsolved > 0
+    # zero and equal times, best groups of many members, every tenth instance tied unsolved
+    ties = tie_heavy_dataset(random.Random(2024), n_solvers=12, n_instances=100)
+    space = ties.solver_ids[:9]
+    chosen = [(), space, *((sid,) for sid in space)]
+    chosen += [random_subset(rng, space, allow_empty=False) for _ in range(20)]
+    cases.append((ties, space, ties.solver_ids, chosen))
+    for data, space, base, chosen in cases:
+        scorer = SubsetScorer(data, space, base)
         for subset in chosen:
-            fast = scorer.evaluate(subset)
-            slow = perf(ds, subset, base)
-            assert (fast.numerator, fast.denominator) == (slow.numerator, slow.denominator)
-            assert (fast.value, fast.tied_unsolved) == (slow.value, slow.tied_unsolved)
+            want = reference_perf(data, subset, base)
+            assert scorer.evaluate(subset) == want
+        assert perf(data, space, base) == reference_perf(data, space, base)
 
 
 def test_each_run_is_ranked_once_per_dataset(monkeypatch):
-    """The ranking keys each stored run once and lifts none into a ``Comparable``.
+    """The ranking keys each stored run once, and neither it nor a scorer lifts a run
+    into a ``Comparable``.
 
     Only the ranking's keys are counted: ``score_ordered`` compares two virtual
     runs through its own binding of ``quality_key``.
@@ -259,17 +265,19 @@ def test_each_run_is_ranked_once_per_dataset(monkeypatch):
         keyed.append((kind, status, objective))
         return key(kind, status, objective)
 
-    def no_lift(ds, solver_id, instance_id):
-        raise AssertionError(f"run ({solver_id!r}, {instance_id!r}) lifted")
+    def no_lift(*args):
+        raise AssertionError(f"run lifted into a Comparable: {args!r}")
 
     monkeypatch.setattr(runstore, "quality_key", counting_quality_key)
-    monkeypatch.setattr(pairscore, "run_comparable", no_lift)
-    monkeypatch.setattr(portfolio, "run_comparable", no_lift)
+    monkeypatch.setattr(pairscore, "Comparable", no_lift)
+    monkeypatch.setattr(portfolio, "Comparable", no_lift)
     ds = make_dataset(random.Random(11), n_solvers=7, n_instances=30, solve_all_solver=True)
     first = perf(ds, ds.participant_ids, ds.solver_ids)
     assert perf(ds, ds.participant_ids, ds.solver_ids) == first
     assert len(keyed) == len(ds.solver_ids) * len(ds.instance_ids)
-    # Borda and the coverage read the same ranking
+    # the scorers, Borda and the coverage read the same ranking
+    SubsetScorer(ds, ds.solver_ids, ds.solver_ids)
+    SubsetScorer(ds, ds.participant_ids, ds.solver_ids)
     borda(ds)
     build_coverage(ds)
     assert len(keyed) == len(ds.solver_ids) * len(ds.instance_ids)

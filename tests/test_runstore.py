@@ -128,9 +128,15 @@ LONG = "x" * 1000
         ([f"{LONG},i1,DECISION,COMPLETE,5,,1,10", f"{LONG},i2,DECISION,COMPLETE,5,,0,10"],
          "redeclared with different participant"),
         ([f"a,{LONG},DECISION,COMPLETE,5,,1,0"], "timeout must be positive"),
+        ([f"{LONG},{LONG},DECISION,COMPLETE,20,,1,10"], "exceeds timeout"),
+        ([f"{LONG},{LONG},MINIMIZE,INCOMPLETE,5,2,1,10", f"a,{LONG},MINIMIZE,COMPLETE,5,3,1,10"],
+         "better than the proven optimum"),
+        ([f"a,{LONG},MINIMIZE,COMPLETE,5,3,1,10", f"b,{LONG},MINIMIZE,COMPLETE,5,4,1,10"],
+         "proven-optimal runs disagree"),
     ],
     ids=["status", "kind", "negative-time", "run-shape", "instance-redeclared",
-         "solver-redeclared", "timeout"],
+         "solver-redeclared", "timeout", "clamp", "incomplete-beats-optimum",
+         "optima-disagree"],
 )
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
 def test_a_long_cell_is_cut_in_every_message(rows, message, strict):

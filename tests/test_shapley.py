@@ -16,6 +16,7 @@ from portview.runstore import (
 )
 from portview.shapley import ShapleyMode, shapley_exact, shapley_sampled
 from randgen import make_dataset, random_subset
+from reference import reference_perf
 
 
 def worked_example_dataset():
@@ -36,7 +37,7 @@ def definitional_shapley(ds, portfolio, baseline):
     n = len(players)
 
     def v(subset):
-        return perf(ds, subset, baseline).value if subset else Fraction(0)
+        return reference_perf(ds, subset, baseline).value if subset else Fraction(0)
 
     phi = {}
     for player in players:
@@ -74,7 +75,7 @@ def test_worked_example_unweighted_sum_mode():
 def test_singleton_portfolio_gets_its_own_value():
     ds = worked_example_dataset()
     report = shapley_exact(ds, ["a"], ds.solver_ids)
-    assert report.values == {"a": perf(ds, ["a"], ds.solver_ids).value}
+    assert report.values == {"a": reference_perf(ds, ["a"], ds.solver_ids).value}
     summed = shapley_exact(ds, ["a"], ds.solver_ids, ShapleyMode.SUM)
     assert summed.values == report.values  # modes coincide for one player
 
@@ -125,7 +126,7 @@ def test_efficiency_sums_to_full_value():
         portfolio = random_subset(rng, ds.solver_ids, allow_empty=False)
         report = shapley_exact(ds, portfolio, ds.solver_ids)
         total = sum(report.values.values())
-        assert total == perf(ds, portfolio, ds.solver_ids).value
+        assert total == reference_perf(ds, portfolio, ds.solver_ids).value
 
 
 def test_exact_matches_definitional_double_loop():
@@ -181,7 +182,7 @@ def test_sampled_totals_telescope_to_full_value():
     rng = random.Random(31)
     ds = make_dataset(rng, n_solvers=4, n_instances=5, solve_all_solver=True)
     report = shapley_sampled(ds, ds.solver_ids, ds.solver_ids, samples=25, rng_seed=5)
-    full = float(perf(ds, ds.solver_ids, ds.solver_ids).value)
+    full = float(reference_perf(ds, ds.solver_ids, ds.solver_ids).value)
     assert abs(sum(report.values.values()) - full) < 1e-9
 
 
@@ -221,7 +222,7 @@ def definitional_marginal_sum(ds, portfolio, baseline):
     players = tuple(sorted(portfolio))
 
     def v(subset):
-        return perf(ds, subset, baseline).value if subset else Fraction(0)
+        return reference_perf(ds, subset, baseline).value if subset else Fraction(0)
 
     phi = {}
     for player in players:
@@ -242,8 +243,8 @@ def test_exact_and_sum_match_definitional_loops_at_realistic_size(monkeypatch):
     ds = make_dataset(random.Random(7), n_solvers=8, n_instances=100)
     portfolio = ds.solver_ids[:6]
     baseline = ds.solver_ids
-    # the oracles ask for each coalition many times; compute each perf once
-    fresh_perf = perf
+    # the oracles ask for each coalition many times; score each one once
+    fresh_perf = reference_perf
     memo = {}
 
     def perf_once(ds, subset, baseline):
@@ -252,7 +253,7 @@ def test_exact_and_sum_match_definitional_loops_at_realistic_size(monkeypatch):
             memo[key] = fresh_perf(ds, subset, baseline)
         return memo[key]
 
-    monkeypatch.setitem(globals(), "perf", perf_once)
+    monkeypatch.setitem(globals(), "reference_perf", perf_once)
     report = shapley_exact(ds, portfolio, baseline)
     assert report.values == definitional_shapley(ds, portfolio, baseline)
     assert sum(report.values.values()) == perf_once(ds, portfolio, baseline).value

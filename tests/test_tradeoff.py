@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from portview import tradeoff
-from portview.portfolio import perf
 from portview.runstore import (
     DataError,
     InstanceMeta,
@@ -17,16 +16,17 @@ from portview.runstore import (
 )
 from portview.tradeoff import best_subsets, thresholds
 from randgen import make_dataset, random_subset
+from reference import reference_perf
 
 
 def brute_force_curve(ds, space, baseline):
-    """Independent oracle: call perf on every subset, lexicographic tie-break."""
+    """Independent oracle: score every subset with ``reference_perf``, lexicographic tie-break."""
     space = tuple(sorted(space))
     out = []
     for k in range(1, len(space) + 1):
         best = None
         for combo in combinations(space, k):
-            value = perf(ds, combo, baseline).value
+            value = reference_perf(ds, combo, baseline).value
             if best is None or value > best[1]:
                 best = (combo, value)
         out.append((k, best[0], best[1]))
@@ -53,7 +53,7 @@ def test_reported_value_matches_fresh_perf():
     ds = make_dataset(rng, n_solvers=5, n_instances=6, solve_all_solver=True)
     curve = best_subsets(ds, ds.solver_ids, ds.solver_ids)
     for entry in curve.entries:
-        again = perf(ds, entry.subset, ds.solver_ids)
+        again = reference_perf(ds, entry.subset, ds.solver_ids)
         assert entry.value == again.value
         assert entry.ratio.numerator == again.numerator
 

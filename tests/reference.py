@@ -14,16 +14,21 @@ tests require the same runs and the same number of warnings.
 ``reference_fmt_sig`` and ``reference_fmt_pct`` render through ``Decimal``
 division; the package rounds exact integers and fractions instead, and the
 tests require the same text wherever the ``Decimal`` quotient is exact enough.
+``reference_best_subsets`` scores every subset of the search space with
+``SubsetScorer.evaluate_mask``; the package finds each size's best subset by
+branch and bound instead, and the tests require the same curve, subset for
+subset.
 """
 
 from __future__ import annotations
 
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 
 from portview.mincover import CoverageMap
 from portview.pairscore import HALF, Comparable, run_comparable, score_ordered
-from portview.portfolio import PerfRatio, vbs_run
+from portview.portfolio import PerfRatio, SubsetScorer, vbs_run
 from portview.render import SIG_DIGITS
 from portview.runstore import (
     DataError,
@@ -36,6 +41,7 @@ from portview.runstore import (
     parse_duration,
     quality_key,
 )
+from portview.tradeoff import TradeoffCurve, TradeoffEntry
 
 
 def reference_vbs_run(ds: Dataset, solvers, instance_id: str) -> Comparable:
@@ -189,3 +195,21 @@ def reference_fmt_pct(value: Fraction) -> str:
         Decimal("0.1"), rounding=ROUND_HALF_EVEN
     )
     return f"{scaled}%"
+
+
+def reference_best_subsets(ds: Dataset, space, baseline) -> TradeoffCurve:
+    """Score every k-subset in combinatorial order; a later one wins only when strictly better."""
+    names = known_solvers(ds, space, "scorer space")
+    if not names:
+        raise DataError("best_subsets: empty search space")
+    scorer = SubsetScorer(ds, names, baseline)
+    entries = []
+    for k in range(1, len(names) + 1):
+        best_num, best_combo = -1, ()
+        for combo in combinations(range(len(names)), k):
+            num = scorer.evaluate_mask(sum(1 << idx for idx in combo))
+            if num > best_num:
+                best_num, best_combo = num, combo
+        subset = tuple(names[idx] for idx in best_combo)
+        entries.append(TradeoffEntry(k, subset, scorer.ratio_from_numerator(best_num)))
+    return TradeoffCurve(tuple(entries), names, scorer.baseline)

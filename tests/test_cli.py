@@ -310,8 +310,8 @@ def test_exact_shapley_over_budget_exits_before_any_coalition(tmp_path, monkeypa
 
 
 def test_report_over_the_exact_budget_fails_before_the_tradeoff(tmp_path, monkeypatch, capsys):
-    """20 solvers x 100 instances: a 17-solver cover whose brute-force trade-off
-    takes about 10 s is never searched, since the Shapley guard runs first."""
+    """20 solvers x 100 instances: the 17-solver cover's trade-off is never
+    searched, since the Shapley guard runs first."""
     import time
 
     data = _write_random_table(tmp_path / "w20.csv", 20, 100)
@@ -323,6 +323,47 @@ def test_report_over_the_exact_budget_fails_before_the_tradeoff(tmp_path, monkey
     assert searched == []
     err = capsys.readouterr().err
     assert err.startswith("error at stage shapley: shapley_exact: 17 solvers over 100 instances")
+
+
+def test_sampled_report_completes_at_25_solvers_x_100_instances(tmp_path):
+    """The north-star size: a 21-solver cover, whose trade-off curve is exact."""
+    import random
+    import time
+
+    from portview.runstore import save_canonical
+    from randgen import make_dataset
+
+    data = tmp_path / "w25.csv"
+    save_canonical(make_dataset(random.Random(7), n_solvers=25, n_instances=100), data)
+    started = time.perf_counter()
+    args = ["report", "--data", str(data), "--out", str(tmp_path / "out"), "--mode", "sampled",
+            "--samples", "1000"]
+    assert main(args) == 0
+    assert time.perf_counter() - started < 60
+    rows = _csv_rows((tmp_path / "out" / "tradeoff.csv").read_text(encoding="utf-8"))
+    assert len(rows) == 21
+
+
+@pytest.mark.parametrize("command", ["tradeoff", "report"])
+def test_node_budget_exhausted_exits_1_at_stage_tradeoff(
+    tmp_path, monkeypatch, capsys, command
+):
+    from portview import tradeoff
+
+    monkeypatch.setattr(tradeoff, "NODE_BUDGET", 50)
+    data = _write_random_table(tmp_path / "w14.csv", 14, 100)
+    args = [command, "--data", str(data)]
+    if command == "report":
+        args += ["--mode", "sampled", "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    prefix = "error at stage tradeoff: " if command == "report" else "error: "
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        re.escape(prefix) + r"best_subsets: node budget exhausted after 50 nodes, at size "
+        r"\d+ of 13; use a smaller search space\n",
+        err,
+    ), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_over_the_exact_budget_fails_at_stage_shapley(tmp_path, monkeypatch, capsys):

@@ -15,8 +15,17 @@ from portview.runstore import (
     build_dataset,
 )
 from portview.tradeoff import best_subsets, thresholds
-from randgen import make_dataset, random_subset
-from reference import reference_perf
+from randgen import make_dataset, random_subset, tie_heavy_dataset
+from reference import reference_best_subsets, reference_perf
+
+
+def _curve_or_error(search, ds, space, baseline):
+    """Each size's (k, subset, ratio), or the message of the ``DataError`` raised."""
+    try:
+        curve = search(ds, space, baseline)
+    except DataError as exc:
+        return str(exc)
+    return [(e.k, e.subset, e.ratio) for e in curve.entries]
 
 
 def brute_force_curve(ds, space, baseline):
@@ -95,13 +104,16 @@ def test_tie_break_prefers_lexicographically_smallest():
     assert curve.entries[0].subset == ("a",)
 
 
-def test_guard_rejects_oversized_space():
+def test_identical_solvers_give_the_first_k():
+    """26 tied solvers, over the old 25-solver enumeration guard: every size
+    keeps the lexicographically first subset."""
     instances = [InstanceMeta("i1", ProblemKind.DECISION, Fraction(10))]
     solvers = {f"s{j:02d}": True for j in range(26)}
     runs = [RunRecord(sid, "i1", Status.COMPLETE, Fraction(1)) for sid in solvers]
     ds = build_dataset(instances, solvers, runs)
-    with pytest.raises(DataError, match="guard"):
-        best_subsets(ds, ds.solver_ids, ds.solver_ids)
+    curve = best_subsets(ds, ds.solver_ids, ds.solver_ids)
+    assert [e.subset for e in curve.entries] == [ds.solver_ids[:k] for k in range(1, 27)]
+    assert all(e.value == 1 for e in curve.entries)
 
 
 def test_empty_space_rejected():
@@ -156,35 +168,69 @@ def test_curve_matches_brute_force_at_realistic_size():
     assert got == brute_force_curve(ds, space, ds.solver_ids)
 
 
+def test_curve_matches_the_exhaustive_reference_on_small_grids():
+    rng = random.Random(1207)
+    for case in range(64):
+        make = tie_heavy_dataset if case % 2 else make_dataset
+        ds = make(rng, rng.randint(1, 10), rng.randint(1, 30))
+        baseline = ds.solver_ids
+        space = random_subset(rng, baseline, allow_empty=False)
+        got = _curve_or_error(best_subsets, ds, space, baseline)
+        assert got == _curve_or_error(reference_best_subsets, ds, space, baseline), case
+
+
+def test_curve_matches_the_exhaustive_reference_at_m100():
+    """n = 8-12 solvers x 100 instances, every other grid tie-heavy."""
+    rng = random.Random(1208)
+    for case in range(10):
+        make = tie_heavy_dataset if case % 2 else make_dataset
+        ds = make(rng, 8 + case % 5, 100)
+        got = _curve_or_error(best_subsets, ds, ds.solver_ids, ds.solver_ids)
+        assert got == _curve_or_error(reference_best_subsets, ds, ds.solver_ids, ds.solver_ids)
+
+
 def test_progress_line_reports_a_rate(monkeypatch, caplog):
-    monkeypatch.setattr(tradeoff, "_PROGRESS_EVERY", 4)
-    ds = make_dataset(random.Random(5), n_solvers=4, n_instances=5, solve_all_solver=True)
+    monkeypatch.setattr(tradeoff, "_PROGRESS_EVERY", 1)
+    ds = make_dataset(random.Random(5), n_solvers=6, n_instances=8, solve_all_solver=True)
     with caplog.at_level("INFO", logger="portview.tradeoff"):
         best_subsets(ds, ds.solver_ids, ds.solver_ids)
-    line = re.compile(r"best_subsets: \d+ subsets evaluated \(size \d, \d+ subsets/s\)")
-    messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == 15 // 4
-    assert all(line.fullmatch(m) for m in messages)
+    line = re.compile(r"best_subsets: (\d+) nodes \(size (\d), \d+ nodes/s\)")
+    matches = [line.fullmatch(r.getMessage()) for r in caplog.records]
+    assert matches and all(matches)
+    nodes = [int(m[1]) for m in matches]
+    assert nodes == list(range(1, len(nodes) + 1))
+    sizes = [int(m[2]) for m in matches]
+    assert sizes == sorted(sizes) and sizes[-1] == 6
 
 
-def test_space_over_the_guard_raises_before_any_subset(monkeypatch):
-    """26 solvers: 2^26 - 1 subsets; the guard refuses them before a scorer is built."""
-    built, evaluated = [], []
+def test_space_over_the_old_guard_completes(monkeypatch):
+    """26 solvers: 2^26 - 1 subsets, refused by the old enumeration guard; the
+    search scores one subset per size."""
+    evaluated = []
 
     class CountingScorer(tradeoff.SubsetScorer):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
         def evaluate_mask(self, mask):
             evaluated.append(mask)
             return super().evaluate_mask(mask)
 
     monkeypatch.setattr(tradeoff, "SubsetScorer", CountingScorer)
-    ds = make_dataset(random.Random(26), n_solvers=tradeoff.MAX_SPACE + 1, n_instances=5,
-                      solve_all_solver=True)
+    ds = make_dataset(random.Random(26), n_solvers=26, n_instances=5, solve_all_solver=True)
+    curve = best_subsets(ds, ds.solver_ids, ds.solver_ids)
+    assert len(evaluated) == 26
+    assert [e.k for e in curve.entries] == list(range(1, 27))
+    for entry in curve.entries:
+        assert entry.ratio == reference_perf(ds, entry.subset, ds.solver_ids)
+    values = [e.value for e in curve.entries]
+    assert values == sorted(values) and values[-1] == 1
+    # a size that reaches 1 needs no more solvers than one best solver per instance
+    assert values.index(1) < 5
+
+
+def test_node_budget_exhausted_names_the_nodes_and_size(monkeypatch):
+    monkeypatch.setattr(tradeoff, "NODE_BUDGET", 40)
+    ds = make_dataset(random.Random(7), n_solvers=12, n_instances=40)
     with pytest.raises(DataError, match=re.escape(
-        "best_subsets: search space of 26 solvers exceeds the 25-solver enumeration guard"
-    )):
+        "best_subsets: node budget exhausted after 40 nodes, at size "
+    )) as caught:
         best_subsets(ds, ds.solver_ids, ds.solver_ids)
-    assert built == evaluated == []
+    assert re.search(r"at size \d+ of 12; use a smaller search space$", str(caught.value))

@@ -225,12 +225,3 @@ def test_space_over_the_old_guard_completes(monkeypatch):
     # a size that reaches 1 needs no more solvers than one best solver per instance
     assert values.index(1) < 5
 
-
-def test_node_budget_exhausted_names_the_nodes_and_size(monkeypatch):
-    monkeypatch.setattr(tradeoff, "NODE_BUDGET", 40)
-    ds = make_dataset(random.Random(7), n_solvers=12, n_instances=40)
-    with pytest.raises(DataError, match=re.escape(
-        "best_subsets: node budget exhausted after 40 nodes, at size "
-    )) as caught:
-        best_subsets(ds, ds.solver_ids, ds.solver_ids)
-    assert re.search(r"at size \d+ of 12; use a smaller search space$", str(caught.value))

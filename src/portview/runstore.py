@@ -177,9 +177,8 @@ class RunRecord:
 
     def __post_init__(self) -> None:
         if self.time < 0:
-            raise DataError(
-                f"run ({self.solver_id!r}, {self.instance_id!r}): negative time"
-            )
+            ids = f"{_quoted(self.solver_id)}, {_quoted(self.instance_id)}"
+            raise DataError(f"run ({ids}): negative time")
 
 
 @dataclass(frozen=True)
@@ -189,8 +188,9 @@ class Dataset:
     ``solvers`` maps solver id to its participant flag. ``runs`` holds exactly
     one record per (solver, instance) pair. ``warnings`` collects non-fatal
     ingestion notes (clamped times, inconsistent objectives) and is excluded
-    from equality. ``quality_ranking``, keyed by ``quality_key``, is built on
-    first use and is not a field, so it takes no part in equality or repr either.
+    from equality. ``quality_ranking``, keyed by ``quality_key``, is ranked once
+    per ingest (``filter_solvers`` filters its parent's ranking) and is not a
+    field, so it takes no part in equality or repr either.
     """
 
     instances: dict[str, InstanceMeta]
@@ -217,7 +217,8 @@ class Dataset:
     def quality_ranking(self) -> dict[str, tuple[tuple[str, ...], ...]]:
         """Per instance, all solver ids best first, in sorted tuples of equal ``quality_key``.
 
-        Built on first use, keying each stored run once; ``pairscore.quality_groups`` filters it.
+        Ranked once per ingest, keying each stored run once; ``filter_solvers`` filters its
+        parent's ranking, and ``pairscore.quality_groups`` filters it.
         """
         solvers = self.solver_ids
         ranking = {}
@@ -248,7 +249,7 @@ def run_shape_violation(
 
 def quality_key(
     kind: ProblemKind, status: Status, objective: Fraction | None
-) -> tuple[int, Fraction]:
+) -> tuple[int, Fraction | int]:
     """Totally ordered quality of a well-shaped run on a ``kind`` instance; larger is better.
 
     Only two incomplete solutions compare by objective: a proven-complete run
@@ -256,7 +257,7 @@ def quality_key(
     """
     if status is Status.INCOMPLETE:
         return _STATUS_RANK[status], -objective if kind is ProblemKind.MINIMIZE else objective
-    return _STATUS_RANK[status], Fraction(0)
+    return _STATUS_RANK[status], 0
 
 
 def _objective_consistency(
@@ -299,7 +300,7 @@ def _complete(
     """Complete checked ``runs`` in place: clamp times, fill missing pairs, cross-check objectives."""
     for key, run in runs.items():
         timeout = instances[run.instance_id].timeout
-        if run.time > timeout:
+        if run.time is not timeout and run.time > timeout:  # read_table shares parsed values
             warnings.append(
                 f"run ({_quoted(run.solver_id)}, {_quoted(run.instance_id)}): time "
                 f"{format_duration(run.time)} exceeds timeout, clamped to "
@@ -323,7 +324,7 @@ def build_dataset(
     inst_map: dict[str, InstanceMeta] = {}
     for meta in instances:
         if meta.instance_id in inst_map:
-            raise DataError(f"duplicate instance {meta.instance_id!r}")
+            raise DataError(f"duplicate instance {_quoted(meta.instance_id)}")
         inst_map[meta.instance_id] = meta
     solver_map = dict(solvers)
 
@@ -331,14 +332,16 @@ def build_dataset(
     for run in runs:
         key = (run.solver_id, run.instance_id)
         if run.solver_id not in solver_map:
-            raise DataError(f"run references unknown solver {run.solver_id!r}")
+            raise DataError(f"run references unknown solver {_quoted(run.solver_id)}")
         if run.instance_id not in inst_map:
-            raise DataError(f"run references unknown instance {run.instance_id!r}")
+            raise DataError(f"run references unknown instance {_quoted(run.instance_id)}")
         if key in run_map:
-            raise DataError(f"duplicate run for solver {key[0]!r} on instance {key[1]!r}")
+            raise DataError(
+                f"duplicate run for solver {_quoted(key[0])} on instance {_quoted(key[1])}"
+            )
         broken = run_shape_violation(inst_map[run.instance_id].kind, run.status, run.objective)
         if broken:
-            raise DataError(f"run ({run.solver_id!r}, {run.instance_id!r}): {broken}")
+            raise DataError(f"run ({_quoted(run.solver_id)}, {_quoted(run.instance_id)}): {broken}")
         run_map[key] = run
     return _complete(inst_map, solver_map, run_map, [])
 
@@ -466,7 +469,9 @@ def read_table(
         warnings.append(f"{message}, {consequence}")
 
     instances: dict[str, InstanceMeta] = {}
-    timeouts: dict[str, Fraction] = {}
+    # rows repeat times, timeouts and objectives: parse each text once, keep only successes
+    durations: dict[str, Fraction] = {}
+    objectives: dict[str, Fraction] = {}
     solver_flags: dict[str, bool] = {}
     runs: dict[tuple[str, str], RunRecord] = {}
     for row_no, cells in enumerate(reader, start=2):
@@ -495,21 +500,23 @@ def read_table(
         except DataError as exc:
             violation(str(exc), "recorded as non-participant")
             participant = False
-        objective = None
-        if objective_text:
+        objective = objectives.get(objective_text)
+        if objective is None and objective_text:
             try:
-                objective = parse_rational(objective_text)
+                objective = objectives[objective_text] = parse_rational(objective_text)
             except DataError as exc:
                 violation(f"row {row_no}: {exc}", "dropped")
         try:
-            timeout = timeouts.get(timeout_text)
-            if timeout is None:  # rows repeat their instance's timeout: parse each text once
-                timeout = timeouts[timeout_text] = parse_duration(timeout_text, what="timeout")
+            timeout = durations.get(timeout_text)
+            if timeout is None:
+                timeout = durations[timeout_text] = parse_duration(timeout_text, what="timeout")
             meta = instances.get(instance) or InstanceMeta(instance, kind, timeout)
         except DataError as exc:
             raise DataError(f"row {row_no}: {exc}") from None
         try:
-            time = parse_duration(time_text)
+            time = durations.get(time_text)
+            if time is None:
+                time = durations[time_text] = parse_duration(time_text)
             if time.numerator < 0:  # the sign alone: cheaper than a Fraction compare
                 raise DataError(f"run ({_quoted(solver)}, {_quoted(instance)}): negative time")
         except DataError as exc:
@@ -530,7 +537,7 @@ def read_table(
             else:
                 violation(message, "recorded as UNSOLVED")
                 status = Status.UNSOLVED
-        if meta.kind is not kind or meta.timeout != timeout:
+        if meta.kind is not kind or (meta.timeout is not timeout and meta.timeout != timeout):
             raise DataError(
                 f"row {row_no}: instance {_quoted(instance)} redeclared with different "
                 "kind or timeout"
@@ -595,4 +602,10 @@ def filter_solvers(ds: Dataset, keep: Iterable[str]) -> Dataset:
     keep_set = set(known_solvers(ds, keep, "filter_solvers"))
     solvers = {s: p for s, p in ds.solvers.items() if s in keep_set}
     runs = {key: r for key, r in ds.runs.items() if key[0] in keep_set}
-    return Dataset(dict(ds.instances), solvers, runs)
+    child = Dataset(dict(ds.instances), solvers, runs)
+    # the parent's ranking, filtered: stored where ``cached_property`` keeps its value
+    ranking = vars(child)["quality_ranking"] = {}
+    for iid, groups in ds.quality_ranking.items():
+        kept = (tuple(s for s in group if s in keep_set) for group in groups)
+        ranking[iid] = tuple(group for group in kept if group)
+    return child

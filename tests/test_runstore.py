@@ -9,6 +9,7 @@ from portview.cli import main
 from portview.runstore import (
     ColumnMapping,
     DataError,
+    Dataset,
     InstanceMeta,
     ProblemKind,
     RunRecord,
@@ -371,7 +372,7 @@ def test_filter_solvers_ranks_its_own_dataset():
 
 def test_dataset_equality_and_repr_ignore_the_ranking():
     ds = make_dataset(random.Random(13), n_solvers=4, n_instances=5)
-    twin = filter_solvers(ds, ds.solver_ids)
+    twin = Dataset(ds.instances, ds.solvers, ds.runs)
     text = repr(ds)
     ds.quality_ranking
     assert "quality_ranking" in vars(ds) and "quality_ranking" not in vars(twin)

@@ -11,11 +11,12 @@ awards each side 1, marking them indistinguishable on that instance.
 ``score_ordered`` states that rule for one ordered pair, with the quality
 order ``runstore.quality_key``. Borda, the virtual best solver and oracle
 coverage share one per-instance ranking of the stored runs by that order,
-``Dataset.quality_ranking``, ranked once per dataset and read through
-``quality_groups``. ``borda`` reaches the pairwise sums without visiting every
-pair: it credits each solver with the number of solvers strictly worse than
-it, and splits time only inside a group of equal quality (an unsolved group's
-members score one point per other member).
+``Dataset.quality_ranking``, ranked once per ingest (``filter_solvers``
+filters its parent's ranking) and read through ``quality_groups``. ``borda``
+reaches the pairwise sums without visiting every pair: it credits each solver
+with the number of solvers strictly worse than it, and splits time only inside
+a group of equal quality (an unsolved group's members score one point per
+other member).
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def quality_groups(
 ) -> list[list[tuple[str, RunRecord]]]:
     """Runs of ``solvers`` on one instance in groups of equal ``quality_key``, best first.
 
-    Filtered from ``ds.quality_ranking``, so each run is ranked once per dataset.
+    Filtered from ``ds.quality_ranking``: ranked once per ingest; ``filter_solvers``
+    filters its parent's ranking.
     """
     keep = set(solvers)
     groups = (

@@ -217,8 +217,7 @@ class Dataset:
     def quality_ranking(self) -> dict[str, tuple[tuple[str, ...], ...]]:
         """Per instance, all solver ids best first, in sorted tuples of equal ``quality_key``.
 
-        Ranked once per ingest, keying each stored run once; ``filter_solvers`` filters its
-        parent's ranking, and ``pairscore.quality_groups`` filters it.
+        Keys each stored run once per ingest; ``filter_solvers`` and ``quality_groups`` filter it.
         """
         solvers = self.solver_ids
         ranking = {}

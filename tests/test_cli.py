@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import portview
-from portview import cli
+from portview import cli, runstore
 from portview.cli import ReportConfig, StageError, main, run_pipeline
 from portview.pairscore import borda
 from portview.portfolio import PerfRatio, perf
@@ -639,3 +640,30 @@ def test_portfolio_borda_failure_names_its_stage(demo_path, monkeypatch):
         run_pipeline(ReportConfig(data=str(demo_path), out_dir="unused"))
     assert caught.value.stage == "portfolio_borda"
     assert len(calls) == 2
+
+
+def test_report_parses_each_cell_text_once_and_keys_each_run_once(tmp_path, monkeypatch):
+    from randgen import tie_heavy_dataset
+
+    data = tmp_path / "ties.csv"
+    runstore.save_canonical(tie_heavy_dataset(random.Random(5), n_solvers=8, n_instances=40), data)
+    rows = list(csv.DictReader(io.StringIO(data.read_text(encoding="utf-8"))))
+    calls = {"quality_key": 0, "parse_duration": 0, "parse_rational": 0}
+
+    def counted(name):
+        original = getattr(runstore, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(runstore, name, counted(name))
+    run_pipeline(ReportConfig(data=str(data), out_dir="unused"))
+    assert calls == {
+        "quality_key": len(rows),
+        "parse_duration": len({r["time"] for r in rows} | {r["timeout"] for r in rows}),
+        "parse_rational": len({r["objective"] for r in rows} - {""}),
+    }

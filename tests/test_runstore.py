@@ -150,6 +150,50 @@ def test_a_long_cell_is_cut_in_every_message(rows, message, strict):
     assert lines and max(map(len, lines)) <= 200
 
 
+def test_a_long_id_is_cut_in_build_dataset_messages():
+    cut = f"'{'x' * 40}…'"
+    meta = InstanceMeta("i1", ProblemKind.DECISION, Fraction(10))
+    long_meta = InstanceMeta(LONG, ProblemKind.DECISION, Fraction(10))
+
+    def run(sid, iid="i1", status=Status.UNSOLVED, time=Fraction(1)):
+        return RunRecord(sid, iid, status, time)
+
+    cases = [
+        (lambda: build_dataset([long_meta, long_meta], {}, []), f"duplicate instance {cut}"),
+        (lambda: build_dataset([meta], {}, [run(LONG)]), f"run references unknown solver {cut}"),
+        (lambda: build_dataset([meta], {"a": True}, [run("a", LONG)]),
+         f"run references unknown instance {cut}"),
+        (lambda: build_dataset([meta], {LONG: True}, [run(LONG), run(LONG)]),
+         f"duplicate run for solver {cut} on instance 'i1'"),
+        (lambda: build_dataset([meta], {LONG: True}, [run(LONG, status=Status.INCOMPLETE)]),
+         f"run ({cut}, 'i1'): INCOMPLETE is not valid on a decision instance"),
+        (lambda: run(LONG, time=Fraction(-1)), f"run ({cut}, 'i1'): negative time"),
+    ]
+    for build, message in cases:
+        with pytest.raises(DataError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+def test_a_repeated_bad_objective_warns_on_each_row():
+    rows = [f"{s},i1,MINIMIZE,COMPLETE,1,abc,1,60" for s in "ab"]
+    ds = read_table(io.StringIO("\n".join([HEADER] + rows) + "\n"), ColumnMapping(), strict=False)
+    assert [w.split(":")[0] for w in ds.warnings if "unparseable objective 'abc'" in w] == [
+        "row 2", "row 3"
+    ]
+
+
+def test_a_repeated_bad_time_names_the_first_row_in_a_strict_read():
+    with pytest.raises(DataError, match=r"^row 2: unparseable time 'soon'$"):
+        _ingest([f"{s},i1,DECISION,COMPLETE,soon,,1,60" for s in "ab"])
+
+
+def test_a_time_equal_to_the_timeout_in_other_digits_is_not_clamped():
+    ds = _ingest(["a,i1,DECISION,COMPLETE,1200,,1,1200.000", "b,i1,DECISION,UNSOLVED,0,,1,1200"])
+    assert ds.run("a", "i1").time == ds.instances["i1"].timeout == Fraction(1200)
+    assert ds.warnings == ()
+
+
 def test_duplicated_read_column_is_named(tmp_path, capsys):
     data = tmp_path / "dup.csv"
     data.write_text(f"{HEADER},Solver \na,i1,DECISION,COMPLETE,1,,1,60,b\n", encoding="utf-8")

@@ -108,13 +108,13 @@ def parse_duration(text: str, *, what: str = "time") -> Fraction:
 
 def format_duration(value: Fraction) -> str:
     """Render a millisecond-granular duration as seconds with 3 decimals."""
-    ms = value * 1000
-    if ms.denominator != 1:
-        ms = Fraction(round(ms))
-    n = int(ms)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    return f"{sign}{n // 1000}.{n % 1000:03d}"
+    d = value.denominator
+    ms, rest = divmod(value.numerator * 1000, d)
+    if 2 * rest > d or (2 * rest == d and ms % 2):
+        ms += 1  # half to even, as round(Fraction) rounds
+    sign = "-" if ms < 0 else ""
+    ms = abs(ms)
+    return f"{sign}{ms // 1000}.{ms % 1000:03d}"
 
 
 def parse_rational(text: str, *, what: str = "objective") -> Fraction:
@@ -161,7 +161,7 @@ class InstanceMeta:
     timeout: Fraction
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        if self.timeout.numerator <= 0:
             raise DataError(f"instance {_quoted(self.instance_id)}: timeout must be positive")
 
 
@@ -176,7 +176,7 @@ class RunRecord:
     objective: Fraction | None = None
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if self.time.numerator < 0:  # the sign alone: cheaper than a Fraction compare
             ids = f"{_quoted(self.solver_id)}, {_quoted(self.instance_id)}"
             raise DataError(f"run ({ids}): negative time")
 
@@ -565,22 +565,37 @@ def ingest(source: str | Path | IO[str], *, delimiter: str = ",") -> Dataset:
     return read_table(source, ColumnMapping(delimiter=delimiter), strict=True)
 
 
+class _Formatted(dict):
+    """Value -> its text by ``render``, which runs once per distinct value."""
+
+    def __init__(self, render) -> None:
+        self.render = render
+
+    def __missing__(self, value) -> str:
+        text = self[value] = self.render(value)
+        return text
+
+
 def write_canonical(ds: Dataset) -> str:
-    """Emit the canonical form; deterministic for a given Dataset."""
-    rows = (
-        (
-            sid,
-            iid,
-            ds.instances[iid].kind.value,
-            run.status.value,
-            format_duration(run.time),
-            format_rational(run.objective) if run.objective is not None else "",
-            "1" if ds.solvers[sid] else "0",
-            format_duration(ds.instances[iid].timeout),
-        )
-        for (sid, iid), run in sorted(ds.runs.items())
-    )
-    return csv_text(CANONICAL_COLUMNS, rows)
+    """Emit the canonical form; deterministic for a given Dataset.
+
+    Rows run over the sorted solver x instance grid. Per call, each distinct
+    duration and objective is formatted once, as are each instance's and solver's cells.
+    """
+    durations, objectives = _Formatted(format_duration), _Formatted(format_rational)
+    objectives[None] = ""
+    cells = {iid: (ds.instances[iid].kind.value, durations[ds.instances[iid].timeout])
+             for iid in ds.instance_ids}
+
+    def rows():
+        for sid in ds.solver_ids:
+            flag = "1" if ds.solvers[sid] else "0"
+            for iid, (kind, timeout) in cells.items():
+                run = ds.runs[(sid, iid)]
+                time, objective = durations[run.time], objectives[run.objective]
+                yield sid, iid, kind, run.status.value, time, objective, flag, timeout
+
+    return csv_text(CANONICAL_COLUMNS, rows())
 
 
 def save_canonical(ds: Dataset, path: str | Path) -> None:

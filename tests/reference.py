@@ -1,5 +1,6 @@
 """Definitional references for the virtual best solver, oracle coverage, the
-performance ratio, the lenient repair of a run and six-digit number rendering.
+performance ratio, the lenient repair of a run, six-digit number rendering and
+the canonical table.
 
 The first two lift and rank every member's run on their own, with
 ``run_comparable`` and ``quality_key`` directly; the package reads one shared
@@ -14,6 +15,11 @@ tests require the same runs and the same number of warnings.
 ``reference_fmt_sig`` and ``reference_fmt_pct`` render through ``Decimal``
 division; the package rounds exact integers and fractions instead, and the
 tests require the same text wherever the ``Decimal`` quotient is exact enough.
+``reference_format_duration`` and ``reference_write_canonical`` round
+``Fraction`` milliseconds and format every run's cells on their own, in sorted
+run-key order; the package rounds integer milliseconds and formats each
+distinct value once per call over the sorted grid instead, and the tests
+require the same text, byte for byte.
 ``reference_best_subsets`` scores every subset of the search space with
 ``SubsetScorer.evaluate_mask``; the package finds each size's best subset by
 branch and bound instead, and the tests require the same curve, subset for
@@ -29,14 +35,16 @@ from itertools import combinations
 from portview.mincover import CoverageMap
 from portview.pairscore import HALF, Comparable, run_comparable, score_ordered
 from portview.portfolio import PerfRatio, SubsetScorer, vbs_run
-from portview.render import SIG_DIGITS
+from portview.render import SIG_DIGITS, csv_text
 from portview.runstore import (
+    CANONICAL_COLUMNS,
     DataError,
     Dataset,
     InstanceMeta,
     ProblemKind,
     RunRecord,
     Status,
+    format_rational,
     known_solvers,
     parse_duration,
     quality_key,
@@ -195,6 +203,35 @@ def reference_fmt_pct(value: Fraction) -> str:
         Decimal("0.1"), rounding=ROUND_HALF_EVEN
     )
     return f"{scaled}%"
+
+
+def reference_format_duration(value: Fraction) -> str:
+    """Seconds with 3 decimals: ``value`` in milliseconds, rounded as ``round(Fraction)`` does."""
+    ms = value * 1000
+    if ms.denominator != 1:
+        ms = Fraction(round(ms))
+    n = int(ms)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    return f"{sign}{n // 1000}.{n % 1000:03d}"
+
+
+def reference_write_canonical(ds: Dataset) -> str:
+    """The canonical table, every cell of every run formatted on its own, rows in run-key order."""
+    rows = (
+        (
+            sid,
+            iid,
+            ds.instances[iid].kind.value,
+            run.status.value,
+            reference_format_duration(run.time),
+            format_rational(run.objective) if run.objective is not None else "",
+            "1" if ds.solvers[sid] else "0",
+            reference_format_duration(ds.instances[iid].timeout),
+        )
+        for (sid, iid), run in sorted(ds.runs.items())
+    )
+    return csv_text(CANONICAL_COLUMNS, rows)
 
 
 def reference_best_subsets(ds: Dataset, space, baseline) -> TradeoffCurve:

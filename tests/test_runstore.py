@@ -1,6 +1,7 @@
 import io
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,8 @@ from portview.runstore import (
     run_shape_violation,
     write_canonical,
 )
-from randgen import make_dataset, random_subset
+from randgen import make_dataset, random_subset, tie_heavy_dataset
+from reference import reference_format_duration, reference_write_canonical
 
 HEADER = "solver,instance,kind,status,time,objective,participant,timeout"
 
@@ -305,6 +307,78 @@ def test_parse_duration_millisecond_granularity():
         parse_duration("abc")
     assert format_duration(Fraction(21, 2)) == "10.500"
     assert format_duration(Fraction(0)) == "0.000"
+
+
+EDGE_DURATIONS = {
+    "0": (Fraction(0), "0.000"),
+    "1/2000": (Fraction(1, 2000), "0.000"),
+    "3/2000": (Fraction(3, 2000), "0.002"),
+    "-1/2000": (Fraction(-1, 2000), "0.000"),
+    "-3/2000": (Fraction(-3, 2000), "-0.002"),
+    "1/3": (Fraction(1, 3), "0.333"),
+    "10**30+1/2000": (10**30 + Fraction(1, 2000), f"{10**30}.000"),
+}
+
+
+@pytest.mark.parametrize("value, text", EDGE_DURATIONS.values(), ids=EDGE_DURATIONS)
+def test_format_duration_rounds_half_to_even_like_the_reference(value, text):
+    assert format_duration(value) == reference_format_duration(value) == text
+
+
+def test_format_duration_matches_the_reference_on_random_values():
+    rng = random.Random(14)
+    denominators = [1, 2, 3, 7, 1000, 2000, 4000, 6000]
+    for _ in range(2000):
+        value = Fraction(rng.randint(-10**7, 10**7), rng.choice(denominators))
+        assert format_duration(value) == reference_format_duration(value), value
+
+
+def test_write_canonical_matches_the_reference_byte_for_byte():
+    rng = random.Random(14)
+    datasets = [make_dataset(rng) for _ in range(20)]
+    datasets += [make_dataset(rng, n, m) for n, m in ((1, 1), (7, 40), (25, 100))]
+    datasets.append(tie_heavy_dataset(random.Random(5), n_solvers=12, n_instances=100))
+    datasets += [ingest(path) for path in sorted((Path(__file__).parent / "data").glob("*.csv"))]
+    odd = [value for value, _ in EDGE_DURATIONS.values() if value >= 0]
+    datasets.append(build_dataset(
+        [InstanceMeta(f"i{k}", ProblemKind.MINIMIZE, 10**30 + Fraction(1, 2000)) for k in range(3)],
+        {"a": True, "b": False},
+        [RunRecord(sid, f"i{k}", Status.INCOMPLETE, odd[k + j], odd[k + 2 * j])
+         for j, sid in enumerate("ab") for k in range(3)],
+    ))
+    for ds in datasets:
+        assert write_canonical(ds) == reference_write_canonical(ds)
+
+
+def test_write_canonical_formats_each_distinct_duration_once(monkeypatch):
+    ds = tie_heavy_dataset(random.Random(5), n_solvers=8, n_instances=40)
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return format_duration(value)
+
+    monkeypatch.setattr(runstore, "format_duration", counting)
+    text = write_canonical(ds)
+    distinct = {r.time for r in ds.runs.values()} | {m.timeout for m in ds.instances.values()}
+    assert len(calls) == len(set(calls)) == len(distinct) < len(ds.runs)
+    assert text == reference_write_canonical(ds)
+
+
+@pytest.mark.parametrize("time", [Fraction(-1, 2000), -1], ids=["-1/2000", "int"])
+def test_run_record_rejects_a_negative_time(time):
+    with pytest.raises(DataError, match=r"^run \('a', 'i1'\): negative time$"):
+        RunRecord("a", "i1", Status.UNSOLVED, time)
+
+
+def test_run_record_accepts_a_zero_time():
+    assert RunRecord("a", "i1", Status.COMPLETE, Fraction(0)).time == 0
+
+
+@pytest.mark.parametrize("timeout", [0, Fraction(-1, 2)], ids=["0", "-1/2"])
+def test_instance_rejects_a_timeout_that_is_not_positive(timeout):
+    with pytest.raises(DataError, match=r"^instance 'i1': timeout must be positive$"):
+        InstanceMeta("i1", ProblemKind.DECISION, timeout)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial, inf
+from math import factorial, gcd, inf
 from typing import Iterable
 
 from .portfolio import SubsetScorer
@@ -31,17 +31,18 @@ EXACT_BUDGET_S = 60.0
 
 
 def _exact_seconds(n: int, m: int, denominator: int) -> float:
-    """Estimated seconds of ``shapley_exact``'s coalition loop, from its size alone.
+    """Estimated seconds of ``shapley_exact``, from its size alone.
 
     Calibrated on a 2-core x86 machine with CPython 3.11: each of the 2^n
-    coalitions costs about 5 us per player, and summing the exact values, whose
-    denominators grow with every coalition added, took 52.8 s for 12 players
-    over 100 instances with 2,384-bit scores (the bits of ``m * denominator``).
-    That sum grows x14 per two more players and with the square of the bits.
+    coalitions costs about 5 us per player, and each player's exact sum ends in
+    one normalising gcd over the product of all coalition denominators, which
+    grows about x14 per two more players and with the square of the bits of
+    ``m * denominator``. Runs of 10-12 players over 50-200 instances put 12
+    players with 2,384-bit scores at 59-77 s; the estimate takes 68 s.
     """
     bits = (m * denominator).bit_length()
     try:
-        return 5e-6 * n * 2.0**n + 52.8 * 14 ** ((n - 12) / 2) * (bits / 2384) ** 2
+        return 5e-6 * n * 2.0**n + 68 * 14 ** ((n - 12) / 2) * (bits / 2384) ** 2
     except OverflowError:
         return inf
 
@@ -63,10 +64,45 @@ class AttributionReport:
     sample_count: int | None = None
 
 
-def _coalition_weights(n: int) -> list[Fraction]:
-    """weights[s] for a coalition of size s joined by one more player."""
-    total = factorial(n)
-    return [Fraction(factorial(s) * factorial(n - s - 1), total) for s in range(n)]
+def _coalition_totals(rows: list[list[int]], m: int) -> list[tuple[int, int]]:
+    """(mask, integer total score) of every non-empty coalition of the rows' players.
+
+    Depth first: a child adds one player above its parent's highest, copies
+    the parent's per-instance best scores and raises them only where the added
+    player scores above 0, so each total takes one step over one sparse row.
+    """
+    sparse = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
+    totals = []
+    stack = [(0, 0, 0, [0] * m)]
+    while stack:
+        start, mask, total, best = stack.pop()
+        for a in range(start, len(rows)):
+            row = best.copy()
+            grown = total
+            for i, x in sparse[a]:
+                if x > row[i]:
+                    grown += x - row[i]
+                    row[i] = x
+            totals.append((mask | 1 << a, grown))
+            stack.append((a + 1, mask | 1 << a, grown, row))
+    return totals
+
+
+def _product_tree(qs: list[int]) -> list[list[int]]:
+    """Levels of the binary product tree over ``qs``, leaves first; an odd last node moves up."""
+    levels = [qs]
+    while len(qs) > 1:
+        qs = [qs[j] * qs[j + 1] for j in range(0, len(qs) - 1, 2)] + qs[len(qs) & ~1 :]
+        levels.append(qs)
+    return levels
+
+
+def _fold(xs: list[int], levels: list[list[int]]) -> int:
+    """X with sum(xs[i] / qs[i]) = X / Q, Q the root of ``levels`` = ``_product_tree(qs)``."""
+    for q in levels[:-1]:
+        pairs = range(0, len(q) - 1, 2)
+        xs = [xs[j] * q[j + 1] + xs[j + 1] * q[j] for j in pairs] + xs[len(xs) & ~1 :]
+    return xs[0]
 
 
 def shapley_exact(
@@ -77,19 +113,16 @@ def shapley_exact(
 ) -> AttributionReport:
     """Exact attribution over all 2^n coalitions, if estimated to fit ``EXACT_BUDGET_S``.
 
-    Player a gains +w(|S|-1)*v(S) from each coalition S containing it and
-    -w(|S|)*v(S) from each non-empty S without it (w(n) = 0; with w = 1 this
-    is the unweighted sum mode). Grouping coalitions by size s, with
-    G_s = sum of v(S) over |S| = s and H_s[a] = the same sum over the S that
-    contain a, gives
-
-        phi_a = sum over s of (w(s-1) + w(s)) * H_s[a] - w(s) * G_s,
-
-    so each coalition value is built once, from the scorer's integer total,
-    and only added into its size's sums; the weights are applied n^2 times at
-    the end. The sums' denominators grow with every coalition, so the time
-    grows about x14 per two players; the estimate is checked before any
-    coalition is evaluated, and a portfolio over budget raises DataError.
+    Player a gains (s-1)!(n-s)!/n! * v(S) from each coalition S of size s
+    containing it and loses s!(n-s-1)!/n! * v(S) from each non-empty S without
+    it (in sum mode both coefficients are 1 and there is no n!). Each
+    coalition's total score is one incremental step of ``_coalition_totals``,
+    and its value N/(T-N) is reduced once to p_S/q_S. The sum over coalitions
+    is taken by binary splitting: one product tree of the q_S serves every
+    player, whose integer numerators fold up it as x_L*Q_R + x_R*Q_L, and one
+    ``Fraction(X, n!*Q)`` per player does the only normalising gcd. The
+    estimate is checked before any coalition is scored, and a portfolio over
+    budget raises DataError.
     """
     if mode is ShapleyMode.SAMPLED:
         raise DataError("shapley_exact: use shapley_sampled for sampled mode")
@@ -105,31 +138,27 @@ def shapley_exact(
             "use --mode sampled"
         )
 
-    weights = _coalition_weights(n) if mode is ShapleyMode.EXACT else [Fraction(1)] * n
-    weights.append(Fraction(0))  # nobody joins the grand coalition
-    by_size = [Fraction(0)] * (n + 1)
-    by_size_member = [[Fraction(0)] * n for _ in range(n + 1)]
-    for mask in range(1, 1 << n):
-        value = scorer.value_from_numerator(scorer.evaluate_mask(mask))
-        size = bin(mask).count("1")
-        by_size[size] += value
-        member = by_size_member[size]
-        for a in range(n):
-            if mask >> a & 1:
-                member[a] += value
-    phi = [
-        sum(
-            (
-                (weights[s - 1] + weights[s]) * by_size_member[s][a] - weights[s] * by_size[s]
-                for s in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
-        for a in range(n)
-    ]
-    return AttributionReport(
-        {players[a]: phi[a] for a in range(n)}, mode, players, scorer.baseline
-    )
+    total = m * scorer.denominator
+    masks, ps, qs = [], [], []
+    for mask, numerator in _coalition_totals(scorer.rows, m):
+        g = gcd(numerator, total - numerator)
+        masks.append(mask)
+        ps.append(numerator // g)
+        qs.append((total - numerator) // g)
+    levels = _product_tree(qs)
+
+    exact = mode is ShapleyMode.EXACT
+    fact = [factorial(k) for k in range(n + 1)]
+    inside = [fact[s - 1] * fact[n - s] if exact else 1 for s in range(1, n + 1)]
+    outside = [-fact[s] * fact[n - s - 1] if exact else -1 for s in range(1, n)]
+    values = {}
+    for a, player in enumerate(players):
+        xs = [
+            p * (inside if mask >> a & 1 else outside)[mask.bit_count() - 1]
+            for mask, p in zip(masks, ps)
+        ]
+        values[player] = Fraction(_fold(xs, levels), (fact[n] if exact else 1) * levels[-1][0])
+    return AttributionReport(values, mode, players, scorer.baseline)
 
 
 def shapley_sampled(
@@ -153,8 +182,9 @@ def shapley_sampled(
     if n == 0:
         return AttributionReport({}, ShapleyMode.SAMPLED, players, scorer.baseline, samples)
 
-    # int / int is correctly rounded, so each entry equals float(score)
-    rows = [[x / scorer.denominator for x in row] for row in scorer.rows]
+    # int / int is correctly rounded, so each entry equals float(score); a zero
+    # score never raises the running best, so only the others are kept
+    rows = [[(i, x / scorer.denominator) for i, x in enumerate(row) if x] for row in scorer.rows]
     m = len(scorer.instances)
     rng = random.Random(rng_seed)
     acc = [0.0] * n
@@ -165,11 +195,10 @@ def shapley_sampled(
         numerator = 0.0
         previous = 0.0
         for a in order:
-            row = rows[a]
-            for i in range(m):
-                if row[i] > current[i]:
-                    numerator += row[i] - current[i]
-                    current[i] = row[i]
+            for i, x in rows[a]:
+                if x > current[i]:
+                    numerator += x - current[i]
+                    current[i] = x
             value = numerator / (m - numerator)
             acc[a] += value - previous
             previous = value

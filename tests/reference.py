@@ -28,9 +28,11 @@ subset.
 
 from __future__ import annotations
 
+import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from portview.mincover import CoverageMap
 from portview.pairscore import HALF, Comparable, run_comparable, score_ordered
@@ -49,6 +51,7 @@ from portview.runstore import (
     parse_duration,
     quality_key,
 )
+from portview.shapley import ShapleyMode
 from portview.tradeoff import TradeoffCurve, TradeoffEntry
 
 
@@ -250,3 +253,70 @@ def reference_best_subsets(ds: Dataset, space, baseline) -> TradeoffCurve:
         subset = tuple(names[idx] for idx in best_combo)
         entries.append(TradeoffEntry(k, subset, scorer.ratio_from_numerator(best_num)))
     return TradeoffCurve(tuple(entries), names, scorer.baseline)
+
+
+def reference_shapley_exact(ds: Dataset, portfolio, baseline, mode=ShapleyMode.EXACT) -> dict:
+    """Per-size sums of coalition values, then weights applied n^2 times.
+
+    Player a gains +w(|S|-1)*v(S) from each coalition S containing it and
+    -w(|S|)*v(S) from each non-empty S without it (w(n) = 0; w = 1 in sum
+    mode). With G_s = sum of v(S) over |S| = s and H_s[a] = the same sum over
+    the S that contain a, phi_a = sum over s of (w(s-1) + w(s)) * H_s[a] - w(s) * G_s.
+    """
+    scorer = SubsetScorer(ds, portfolio, baseline)
+    players = scorer.space
+    n = len(players)
+    if mode is ShapleyMode.EXACT:
+        weights = [Fraction(factorial(s) * factorial(n - s - 1), factorial(n)) for s in range(n)]
+    else:
+        weights = [Fraction(1)] * n
+    weights.append(Fraction(0))  # nobody joins the grand coalition
+    by_size = [Fraction(0)] * (n + 1)
+    by_size_member = [[Fraction(0)] * n for _ in range(n + 1)]
+    for mask in range(1, 1 << n):
+        value = scorer.value_from_numerator(scorer.evaluate_mask(mask))
+        size = bin(mask).count("1")
+        by_size[size] += value
+        member = by_size_member[size]
+        for a in range(n):
+            if mask >> a & 1:
+                member[a] += value
+    return {
+        players[a]: sum(
+            (
+                (weights[s - 1] + weights[s]) * by_size_member[s][a] - weights[s] * by_size[s]
+                for s in range(1, n + 1)
+            ),
+            Fraction(0),
+        )
+        for a in range(n)
+    }
+
+
+def reference_shapley_sampled(
+    ds: Dataset, portfolio, baseline, samples: int, rng_seed: int = 0
+) -> dict:
+    """Mean marginal over seeded random permutations, each row scanned over every instance."""
+    scorer = SubsetScorer(ds, portfolio, baseline)
+    players = scorer.space
+    n = len(players)
+    rows = [[x / scorer.denominator for x in row] for row in scorer.rows]
+    m = len(scorer.instances)
+    rng = random.Random(rng_seed)
+    acc = [0.0] * n
+    order = list(range(n))
+    for _ in range(samples):
+        rng.shuffle(order)
+        current = [0.0] * m
+        numerator = 0.0
+        previous = 0.0
+        for a in order:
+            row = rows[a]
+            for i in range(m):
+                if row[i] > current[i]:
+                    numerator += row[i] - current[i]
+                    current[i] = row[i]
+            value = numerator / (m - numerator)
+            acc[a] += value - previous
+            previous = value
+    return {players[a]: acc[a] / samples for a in range(n)}

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from portview.portfolio import perf
+from portview.portfolio import SubsetScorer, perf
 from portview.runstore import (
     DataError,
     InstanceMeta,
@@ -15,8 +15,8 @@ from portview.runstore import (
     build_dataset,
 )
 from portview.shapley import ShapleyMode, shapley_exact, shapley_sampled
-from randgen import make_dataset, random_subset
-from reference import reference_perf
+from randgen import make_dataset, random_subset, tie_heavy_dataset
+from reference import reference_perf, reference_shapley_exact, reference_shapley_sampled
 
 
 def worked_example_dataset():
@@ -209,7 +209,8 @@ def test_exact_cost_estimate_follows_its_calibration():
 
     den = 2**2376  # 100 * den has 2,384 bits
     at_12 = _exact_seconds(12, 100, den)
-    assert 52.8 < at_12 < 53.2 < EXACT_BUDGET_S
+    assert EXACT_BUDGET_S < 68 < at_12 < 68.3
+    assert _exact_seconds(12, 100, 2**2200) < EXACT_BUDGET_S  # 2,208 bits
     assert 13.9 < _exact_seconds(14, 100, den) / at_12 < 14.1
     assert _exact_seconds(13, 100, den) > EXACT_BUDGET_S
     # many players over one instance: the per-coalition cost alone is over budget
@@ -259,3 +260,56 @@ def test_exact_and_sum_match_definitional_loops_at_realistic_size(monkeypatch):
     assert sum(report.values.values()) == perf_once(ds, portfolio, baseline).value
     summed = shapley_exact(ds, portfolio, baseline, ShapleyMode.SUM)
     assert summed.values == definitional_marginal_sum(ds, portfolio, baseline)
+
+
+def _assert_exact_and_sum_equal_reference(ds, portfolio, baseline):
+    for mode in (ShapleyMode.EXACT, ShapleyMode.SUM):
+        report = shapley_exact(ds, portfolio, baseline, mode)
+        assert report.values == reference_shapley_exact(ds, portfolio, baseline, mode)
+
+
+def test_exact_and_sum_equal_reference_for_zero_to_nine_solvers():
+    rng = random.Random(41)
+    for n in range(10):
+        m = 100 if n >= 7 else rng.randint(1, 100)
+        ds = make_dataset(rng, n_solvers=n + 2, n_instances=m, solve_all_solver=True)
+        _assert_exact_and_sum_equal_reference(ds, rng.sample(ds.solver_ids, n), ds.solver_ids)
+
+
+def test_exact_and_sum_equal_reference_on_ties_unsolved_columns_and_null_rows():
+    rng = random.Random(43)
+    # every tenth instance is solved by nobody: an all-1/2 column
+    ties = tie_heavy_dataset(rng, n_solvers=10, n_instances=100)
+    _assert_exact_and_sum_equal_reference(ties, ties.solver_ids[:7], ties.solver_ids)
+    with_dummy = _with_dummy(ties)
+    _assert_exact_and_sum_equal_reference(with_dummy, ("s01", "s04", "zzdummy"), with_dummy.solver_ids)
+    # s00 solves everything, so the dummy's row is all zero: a null player
+    ds = _with_dummy(make_dataset(rng, n_solvers=6, n_instances=60, solve_all_solver=True))
+    _assert_exact_and_sum_equal_reference(ds, ds.solver_ids, ds.solver_ids)
+    assert shapley_exact(ds, ds.solver_ids, ds.solver_ids).values["zzdummy"] == 0
+
+
+def test_sampled_equals_dense_reference_bit_for_bit():
+    rng = random.Random(47)
+    ties = _with_dummy(tie_heavy_dataset(rng, n_solvers=9, n_instances=100))
+    null = _with_dummy(make_dataset(rng, n_solvers=5, n_instances=40, solve_all_solver=True))
+    for ds in (ties, null):
+        portfolio = ds.solver_ids[-6:]
+        for samples, seed in ((1, 0), (1, 5), (7, 3), (300, 11)):
+            report = shapley_sampled(ds, portfolio, ds.solver_ids, samples, seed)
+            assert report.values == reference_shapley_sampled(ds, portfolio, ds.solver_ids, samples, seed)
+
+
+def test_exact_scores_no_coalition_through_evaluate_mask(monkeypatch):
+    calls = []
+    evaluate_mask = SubsetScorer.evaluate_mask
+
+    def counted(self, mask):
+        calls.append(mask)
+        return evaluate_mask(self, mask)
+
+    monkeypatch.setattr(SubsetScorer, "evaluate_mask", counted)
+    ds = make_dataset(random.Random(53), n_solvers=8, n_instances=100, solve_all_solver=True)
+    report = shapley_exact(ds, ds.solver_ids, ds.solver_ids)
+    assert len(report.values) == 8
+    assert len(calls) <= 1

@@ -282,7 +282,8 @@ def test_exact_and_sum_equal_reference_on_ties_unsolved_columns_and_null_rows():
     ties = tie_heavy_dataset(rng, n_solvers=10, n_instances=100)
     _assert_exact_and_sum_equal_reference(ties, ties.solver_ids[:7], ties.solver_ids)
     with_dummy = _with_dummy(ties)
-    _assert_exact_and_sum_equal_reference(with_dummy, ("s01", "s04", "zzdummy"), with_dummy.solver_ids)
+    portfolio = ("s01", "s04", "zzdummy")
+    _assert_exact_and_sum_equal_reference(with_dummy, portfolio, with_dummy.solver_ids)
     # s00 solves everything, so the dummy's row is all zero: a null player
     ds = _with_dummy(make_dataset(rng, n_solvers=6, n_instances=60, solve_all_solver=True))
     _assert_exact_and_sum_equal_reference(ds, ds.solver_ids, ds.solver_ids)
@@ -296,8 +297,8 @@ def test_sampled_equals_dense_reference_bit_for_bit():
     for ds in (ties, null):
         portfolio = ds.solver_ids[-6:]
         for samples, seed in ((1, 0), (1, 5), (7, 3), (300, 11)):
-            report = shapley_sampled(ds, portfolio, ds.solver_ids, samples, seed)
-            assert report.values == reference_shapley_sampled(ds, portfolio, ds.solver_ids, samples, seed)
+            args = (ds, portfolio, ds.solver_ids, samples, seed)
+            assert shapley_sampled(*args).values == reference_shapley_sampled(*args)
 
 
 def test_exact_scores_no_coalition_through_evaluate_mask(monkeypatch):

@@ -29,20 +29,24 @@ from .runstore import DataError, Dataset
 # this many seconds; larger portfolios need ``sampled`` mode.
 EXACT_BUDGET_S = 60.0
 
+# Exact sums fold integer numerators up the product tree of the coalition
+# denominators until its nodes average this many bits (see ``shapley_exact``).
+_REDUCED_BITS = 4096
+
 
 def _exact_seconds(n: int, m: int, denominator: int) -> float:
     """Estimated seconds of ``shapley_exact``, from its size alone.
 
     Calibrated on a 2-core x86 machine with CPython 3.11: each of the 2^n
-    coalitions costs about 5 us per player, and each player's exact sum ends in
-    one normalising gcd over the product of all coalition denominators, which
-    grows about x14 per two more players and with the square of the bits of
-    ``m * denominator``. Runs of 10-12 players over 50-200 instances put 12
-    players with 2,384-bit scores at 59-77 s; the estimate takes 68 s.
+    coalitions costs about 5 us per player, and the exact sums, 52.8 s for 12
+    players over 100 instances with 2,384-bit scores (the bits of ``m *
+    denominator``), grow x14 per two more players and with the square of the
+    bits. That constant was measured for running Fraction sums, which the
+    pairwise sums of ``shapley_exact`` beat by 7-32% at 10-12 players.
     """
     bits = (m * denominator).bit_length()
     try:
-        return 5e-6 * n * 2.0**n + 68 * 14 ** ((n - 12) / 2) * (bits / 2384) ** 2
+        return 5e-6 * n * 2.0**n + 52.8 * 14 ** ((n - 12) / 2) * (bits / 2384) ** 2
     except OverflowError:
         return inf
 
@@ -64,45 +68,48 @@ class AttributionReport:
     sample_count: int | None = None
 
 
-def _coalition_totals(rows: list[list[int]], m: int) -> list[tuple[int, int]]:
-    """(mask, integer total score) of every non-empty coalition of the rows' players.
+def _coalition_totals(rows: list[list[int]], m: int) -> list[tuple[int, int, int]]:
+    """(mask, size, integer total score) of every non-empty coalition of the rows' players.
 
-    Depth first: a child adds one player above its parent's highest, copies
-    the parent's per-instance best scores and raises them only where the added
-    player scores above 0, so each total takes one step over one sparse row.
+    Depth first: a child adds one player above its parent's highest and raises
+    its parent's per-instance best scores only where the added player scores
+    above them, so each total takes one step over one sparse row. Only a child
+    that can still be extended copies the best scores.
     """
+    n = len(rows)
     sparse = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
     totals = []
-    stack = [(0, 0, 0, [0] * m)]
+    stack = [(0, 0, 0, 0, [0] * m)]
     while stack:
-        start, mask, total, best = stack.pop()
-        for a in range(start, len(rows)):
-            row = best.copy()
-            grown = total
-            for i, x in sparse[a]:
-                if x > row[i]:
-                    grown += x - row[i]
+        start, mask, size, total, best = stack.pop()
+        for a in range(start, n):
+            gains = [(i, x) for i, x in sparse[a] if x > best[i]]
+            grown = total + sum(x - best[i] for i, x in gains)
+            totals.append((mask | 1 << a, size + 1, grown))
+            if a + 1 < n:
+                row = best.copy()
+                for i, x in gains:
                     row[i] = x
-            totals.append((mask | 1 << a, grown))
-            stack.append((a + 1, mask | 1 << a, grown, row))
+                stack.append((a + 1, mask | 1 << a, size + 1, grown, row))
     return totals
 
 
-def _product_tree(qs: list[int]) -> list[list[int]]:
-    """Levels of the binary product tree over ``qs``, leaves first; an odd last node moves up."""
+def _product_tree(qs: list[int], top_bits: int) -> list[list[int]]:
+    """Product-tree levels over ``qs``, leaves up to the root or to nodes of ``top_bits`` bits."""
     levels = [qs]
-    while len(qs) > 1:
+    bits = sum(q.bit_length() for q in qs)
+    while len(qs) > 1 and len(qs) * top_bits > bits:
         qs = [qs[j] * qs[j + 1] for j in range(0, len(qs) - 1, 2)] + qs[len(qs) & ~1 :]
         levels.append(qs)
     return levels
 
 
-def _fold(xs: list[int], levels: list[list[int]]) -> int:
-    """X with sum(xs[i] / qs[i]) = X / Q, Q the root of ``levels`` = ``_product_tree(qs)``."""
-    for q in levels[:-1]:
+def _fold(xs: list[int], levels: list[list[int]]) -> list[int]:
+    """Numerators over the nodes above ``levels``: x_L*Q_R + x_R*Q_L over Q_L*Q_R."""
+    for q in levels:
         pairs = range(0, len(q) - 1, 2)
         xs = [xs[j] * q[j + 1] + xs[j + 1] * q[j] for j in pairs] + xs[len(xs) & ~1 :]
-    return xs[0]
+    return xs
 
 
 def shapley_exact(
@@ -117,12 +124,13 @@ def shapley_exact(
     containing it and loses s!(n-s-1)!/n! * v(S) from each non-empty S without
     it (in sum mode both coefficients are 1 and there is no n!). Each
     coalition's total score is one incremental step of ``_coalition_totals``,
-    and its value N/(T-N) is reduced once to p_S/q_S. The sum over coalitions
-    is taken by binary splitting: one product tree of the q_S serves every
-    player, whose integer numerators fold up it as x_L*Q_R + x_R*Q_L, and one
-    ``Fraction(X, n!*Q)`` per player does the only normalising gcd. The
-    estimate is checked before any coalition is scored, and a portfolio over
-    budget raises DataError.
+    and its value N/(T-N) is reduced once to p_S/q_S. One product tree of the
+    q_S serves every player, whose numerators fold up it in plain integers
+    with no gcd until its nodes average ``_REDUCED_BITS`` bits. From there the
+    node sums are reduced Fractions added pairwise: each addition's gcd is
+    between two halves' denominators, and a gcd costs the square of its size,
+    so they cost about half of one gcd over the whole product. The estimate is
+    checked before any coalition is scored; over budget raises DataError.
     """
     if mode is ShapleyMode.SAMPLED:
         raise DataError("shapley_exact: use shapley_sampled for sampled mode")
@@ -138,26 +146,28 @@ def shapley_exact(
             "use --mode sampled"
         )
 
-    total = m * scorer.denominator
-    masks, ps, qs = [], [], []
-    for mask, numerator in _coalition_totals(scorer.rows, m):
-        g = gcd(numerator, total - numerator)
-        masks.append(mask)
-        ps.append(numerator // g)
-        qs.append((total - numerator) // g)
-    levels = _product_tree(qs)
-
     exact = mode is ShapleyMode.EXACT
     fact = [factorial(k) for k in range(n + 1)]
+    # coefficients by coalition size for a member and a non-member
     inside = [fact[s - 1] * fact[n - s] if exact else 1 for s in range(1, n + 1)]
-    outside = [-fact[s] * fact[n - s - 1] if exact else -1 for s in range(1, n)]
+    outside = [-fact[s] * fact[n - s - 1] if exact else -1 for s in range(1, n)] + [0]
+    total = m * scorer.denominator
+    masks, ins, outs, qs = [], [], [], []
+    for mask, size, numerator in _coalition_totals(scorer.rows, m):
+        g = gcd(numerator, total - numerator)
+        masks.append(mask)
+        ins.append(numerator // g * inside[size - 1])
+        outs.append(numerator // g * outside[size - 1])
+        qs.append((total - numerator) // g)
+    levels = _product_tree(qs, _REDUCED_BITS)
     values = {}
     for a, player in enumerate(players):
-        xs = [
-            p * (inside if mask >> a & 1 else outside)[mask.bit_count() - 1]
-            for mask, p in zip(masks, ps)
-        ]
-        values[player] = Fraction(_fold(xs, levels), (fact[n] if exact else 1) * levels[-1][0])
+        xs = [x if mask >> a & 1 else y for mask, x, y in zip(masks, ins, outs)]
+        parts = [Fraction(x, q) for x, q in zip(_fold(xs, levels[:-1]), levels[-1])]
+        while len(parts) > 1:
+            pairs = range(0, len(parts) - 1, 2)
+            parts = [parts[j] + parts[j + 1] for j in pairs] + parts[len(parts) & ~1 :]
+        values[player] = parts[0] / (fact[n] if exact else 1)
     return AttributionReport(values, mode, players, scorer.baseline)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .pairscore import quality_groups
-from .runstore import DataError, Dataset, Status, known_solvers
+from .pairscore import best_group
+from .runstore import DataError, Dataset, known_solvers
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ def build_coverage(
 ) -> CoverageMap:
     """Map each solver to the instances where it ties the portfolio optimum.
 
-    A run counts as best if it is in the instance's top ``quality_groups``
-    group (a proven-complete run is, whatever objective it recorded) and its
+    A run counts as best if it is in the portfolio's ``best_group`` on the
+    instance (a proven-complete run is, whatever objective it recorded) and its
     time is within ``epsilon`` seconds of the fastest run there.
     """
     members = known_solvers(ds, solvers, "build_coverage") if solvers is not None else ds.solver_ids
@@ -51,14 +51,14 @@ def build_coverage(
     universe: set[str] = set()
     unsolvable: set[str] = set()
     for iid in ds.instance_ids:
-        groups = quality_groups(ds, members, iid)
-        if not groups or groups[0][0][1].status is Status.UNSOLVED:
+        group = best_group(ds, members, iid)
+        if not group:
             unsolvable.add(iid)
             continue
         universe.add(iid)
-        fastest = min(comp.time for _, comp in groups[0])
-        for sid, comp in groups[0]:
-            if comp.time - fastest <= epsilon:
+        fastest = min(run.time for _, run in group)
+        for sid, run in group:
+            if run.time - fastest <= epsilon:
                 best_sets[sid].add(iid)
     return CoverageMap(
         {sid: frozenset(ids) for sid, ids in best_sets.items()},

@@ -9,14 +9,15 @@ of the pair takes the whole point; summed over both orderings of the pair this
 awards each side 1, marking them indistinguishable on that instance.
 
 ``score_ordered`` states that rule for one ordered pair, with the quality
-order ``runstore.quality_key``. Borda, the virtual best solver and oracle
-coverage share one per-instance ranking of the stored runs by that order,
-``Dataset.quality_ranking``, ranked once per ingest (``filter_solvers``
-filters its parent's ranking) and read through ``quality_groups``. ``borda``
-reaches the pairwise sums without visiting every pair: it credits each solver
-with the number of solvers strictly worse than it, and splits time only inside
-a group of equal quality (an unsolved group's members score one point per
-other member).
+order ``runstore.quality_key``. Borda, the virtual best solver, the baseline
+scorer and oracle coverage share one per-instance ranking of the stored runs
+by that order, ``Dataset.quality_ranking``, ranked once per ingest
+(``filter_solvers`` filters its parent's ranking). The last three read only a
+portfolio's best group, through ``best_group``. ``borda`` walks every group
+and reaches the pairwise sums without visiting every pair: it credits each
+solver with the number of solvers strictly worse than it, and splits time only
+inside a group of equal quality (an unsolved group's members score one point
+per other member).
 """
 
 from __future__ import annotations
@@ -79,20 +80,20 @@ def run_comparable(ds: Dataset, solver_id: str, instance_id: str) -> Comparable:
     return Comparable(run.status, run.time, run.objective, kind)
 
 
-def quality_groups(
+def best_group(
     ds: Dataset, solvers: Iterable[str], instance_id: str
-) -> list[list[tuple[str, RunRecord]]]:
-    """Runs of ``solvers`` on one instance in groups of equal ``quality_key``, best first.
+) -> list[tuple[str, RunRecord]]:
+    """Runs of ``solvers`` in their best group of equal ``quality_key`` on one instance.
 
-    Filtered from ``ds.quality_ranking``: ranked once per ingest; ``filter_solvers``
-    filters its parent's ranking.
+    The first group of ``ds.quality_ranking`` that holds a member, in id order;
+    ``[]`` when that group is unsolved (or ``solvers`` is empty).
     """
     keep = set(solvers)
-    groups = (
-        [(sid, ds.runs[(sid, instance_id)]) for sid in group if sid in keep]
-        for group in ds.quality_ranking[instance_id]
-    )
-    return [group for group in groups if group]
+    for group in ds.quality_ranking[instance_id]:
+        runs = [(sid, ds.runs[(sid, instance_id)]) for sid in group if sid in keep]
+        if runs:
+            return [] if runs[0][1].status is Status.UNSOLVED else runs
+    return []
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,12 @@ def _tie_group_scores(times: list[Fraction], below: int) -> list[Fraction]:
 def borda(ds: Dataset) -> ScoreMatrix:
     """Sum ``score_ordered`` over every ordered solver pair per instance; total per solver.
 
-    Each instance is scored from its ``quality_groups``, walked worst first: a
-    solver gets one point per solver in a strictly worse group, plus its share
-    inside its own group of equal quality. There, unsolved members take one
-    point per other member (the ordered both-fail rule) and everyone else
-    splits time pairwise. The exact scores equal the pairwise sums.
+    Each instance is scored from its ``ds.quality_ranking`` groups (they hold
+    every solver of ``ds``), walked worst first: a solver gets one point per
+    solver in a strictly worse group, plus its share inside its own group of
+    equal quality. There, unsolved members take one point per other member (the
+    ordered both-fail rule) and everyone else splits time pairwise. The exact
+    scores equal the pairwise sums.
     """
     solvers = ds.solver_ids
     instances = ds.instance_ids
@@ -154,14 +156,15 @@ def borda(ds: Dataset) -> ScoreMatrix:
     for iid in instances:
         scores: dict[str, Fraction] = {}
         below = 0
-        for group in reversed(quality_groups(ds, solvers, iid)):
+        for group in reversed(ds.quality_ranking[iid]):
             size = len(group)
-            if group[0][1].status is Status.UNSOLVED:
+            runs = [ds.runs[(sid, iid)] for sid in group]
+            if runs[0].status is Status.UNSOLVED:
                 group_scores = [Fraction(below + size - 1)] * size
             else:
-                group_scores = _tie_group_scores([comp.time for _, comp in group], below)
+                group_scores = _tie_group_scores([run.time for run in runs], below)
                 split_pairs += size * (size - 1)
-            for (sid, _), score in zip(group, group_scores):
+            for sid, score in zip(group, group_scores):
                 scores[sid] = score
             below += size
         for sid in solvers:

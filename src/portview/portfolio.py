@@ -9,9 +9,9 @@ it are ``mincover.build_coverage``'s answer.
 
 Portfolio performance is the ratio of the pairwise scores of one VBS and a
 baseline VBS over all instances. A run's score against VBS(baseline) depends
-only on the baseline's best ``quality_groups`` group on that instance, so
-``SubsetScorer`` scores every run from that group alone, and ``perf`` is one
-scorer evaluation over the whole portfolio.
+only on the baseline's ``best_group`` on that instance, so ``SubsetScorer``
+scores every run from that group alone, and ``perf`` is one scorer evaluation
+of the whole portfolio's mask.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .pairscore import HALF, Comparable, quality_groups
+from .pairscore import HALF, Comparable, best_group
 from .runstore import DataError, Dataset, ProblemKind, Status, known_solvers
 
 
@@ -31,12 +31,11 @@ def vbs_run(ds: Dataset, solvers: Iterable[str], instance_id: str) -> Comparable
         raise DataError(f"unknown instance {instance_id!r}")
     members = known_solvers(ds, solvers, "vbs_run")
     meta = ds.instances[instance_id]
-    groups = quality_groups(ds, members, instance_id)
-    if not groups or groups[0][0][1].status is Status.UNSOLVED:
+    achievers = best_group(ds, members, instance_id)
+    if not achievers:
         # nothing solved: the parallel run exhausts the time limit
         return Comparable(Status.UNSOLVED, meta.timeout, None, meta.kind)
 
-    achievers = groups[0]
     best_time = min(comp.time for _, comp in achievers)
     objective = None
     if meta.kind.is_optimization:
@@ -65,17 +64,18 @@ class PerfRatio:
 def perf(ds: Dataset, portfolio: Iterable[str], baseline: Iterable[str]) -> PerfRatio:
     """Performance ratio of ``portfolio`` relative to ``baseline`` (a superset)."""
     scorer = SubsetScorer(ds, portfolio, baseline)
-    return scorer.evaluate(scorer.space)
+    return scorer.ratio_from_numerator(scorer.evaluate_mask((1 << len(scorer.space)) - 1))
 
 
 class SubsetScorer:
     """Exact integer evaluator of many subsets of a solver space against one baseline.
 
     A run's pairwise score against the baseline VBS depends only on the
-    baseline's best ``quality_groups`` group on that instance, whose minimum
-    time ``fastest`` is the VBS time:
+    baseline's ``best_group`` on that instance, whose minimum time ``fastest``
+    is the VBS time:
 
-    * when that group is UNSOLVED, every run scores 1/2 (a tied-unsolved instance);
+    * when the baseline solves nothing there, every run scores 1/2 (a
+      tied-unsolved instance);
     * a solver outside the group scores 0;
     * a solver inside it with time t scores ``fastest / (t + fastest)``, or 1/2
       when both times are 0.
@@ -89,9 +89,9 @@ class SubsetScorer:
     ``denominator`` (D, the lcm of every score's denominator): ``rows[j][i]``
     is solver j's score on instance i times D. A subset's total score is then
     the integer ``sum(max over members)`` over D, costing
-    O(|subset| * |instances|) plain integer operations. A ``Fraction`` is built
-    only at the boundary (``value_from_numerator``, ``ratio_from_numerator``,
-    ``evaluate``), so every result is exact.
+    O(|subset| * |instances|) plain integer operations. Subsets go in as
+    bitmasks over ``space`` (``evaluate_mask``), and a ``Fraction`` is built
+    only on the way out (``ratio_from_numerator``), so every result is exact.
     """
 
     def __init__(self, ds: Dataset, space: Iterable[str], baseline: Iterable[str]):
@@ -107,13 +107,12 @@ class SubsetScorer:
         zero = Fraction(0)
         scores: list[list[Fraction]] = [[] for _ in self.space]
         for iid in self.instances:
-            groups = quality_groups(ds, self.baseline, iid)
-            if not groups or groups[0][0][1].status is Status.UNSOLVED:
+            best = {sid: run.time for sid, run in best_group(ds, self.baseline, iid)}
+            if not best:
                 self.tied_unsolved += 1
                 for row in scores:
                     row.append(HALF)
                 continue
-            best = {sid: run.time for sid, run in groups[0]}
             fastest = min(best.values())
             for sid, row in zip(self.space, scores):
                 t = best.get(sid)
@@ -131,16 +130,12 @@ class SubsetScorer:
         ]
         self._total = len(self.instances) * self.denominator
 
-    def value_from_numerator(self, numerator: int) -> Fraction:
-        """Performance ratio of a subset whose total score is ``numerator / denominator``."""
-        return Fraction(numerator, self._total - numerator)
-
     def ratio_from_numerator(self, numerator: int) -> PerfRatio:
         """PerfRatio of a subset whose total score is ``numerator / denominator``."""
         return PerfRatio(
             Fraction(numerator, self.denominator),
             Fraction(self._total - numerator, self.denominator),
-            self.value_from_numerator(numerator),
+            Fraction(numerator, self._total - numerator),
             self.tied_unsolved,
         )
 
@@ -153,13 +148,3 @@ class SubsetScorer:
             return self.tied_unsolved * self.denominator // 2
         member_rows = [row for idx, row in enumerate(self.rows) if mask >> idx & 1]
         return sum(map(max, zip(*member_rows)))
-
-    def evaluate(self, subset: Iterable[str]) -> PerfRatio:
-        """PerfRatio of a subset given by solver ids."""
-        index = {sid: idx for idx, sid in enumerate(self.space)}
-        mask = 0
-        for sid in subset:
-            if sid not in index:
-                raise DataError(f"scorer: solver {sid!r} is not in the search space")
-            mask |= 1 << index[sid]
-        return self.ratio_from_numerator(self.evaluate_mask(mask))

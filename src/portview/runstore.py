@@ -217,7 +217,7 @@ class Dataset:
     def quality_ranking(self) -> dict[str, tuple[tuple[str, ...], ...]]:
         """Per instance, all solver ids best first, in sorted tuples of equal ``quality_key``.
 
-        Keys each stored run once per ingest; ``filter_solvers`` and ``quality_groups`` filter it.
+        Keys each stored run once per ingest; ``filter_solvers``, ``borda`` and ``best_group`` read it.
         """
         solvers = self.solver_ids
         ranking = {}
@@ -298,8 +298,11 @@ def _complete(
 ) -> Dataset:
     """Complete checked ``runs`` in place: clamp times, fill missing pairs, cross-check objectives."""
     for key, run in runs.items():
-        timeout = instances[run.instance_id].timeout
-        if run.time is not timeout and run.time > timeout:  # read_table shares parsed values
+        timeout, time = instances[run.instance_id].timeout, run.time
+        # read_table shares parsed values; an integer compare (positive denominators) for the rest
+        if time is not timeout and (
+            time.numerator * timeout.denominator > timeout.numerator * time.denominator
+        ):
             warnings.append(
                 f"run ({_quoted(run.solver_id)}, {_quoted(run.instance_id)}): time "
                 f"{format_duration(run.time)} exceeds timeout, clamped to "

@@ -3,11 +3,11 @@ performance ratio, the lenient repair of a run, six-digit number rendering and
 the canonical table.
 
 The first two lift and rank every member's run on their own, with
-``run_comparable`` and ``quality_key`` directly; the package reads one shared
-ranking of the stored runs (``pairscore.quality_groups``) instead, and the
-tests require equal results. ``reference_perf`` scores each instance's
-portfolio VBS against the baseline VBS with ``score_ordered``; the package
-scores every run from the baseline's best quality group instead
+``run_comparable`` and ``quality_key`` directly; the package reads the best
+group of one shared ranking of the stored runs (``pairscore.best_group``)
+instead, and the tests require equal results. ``reference_perf`` scores each
+instance's portfolio VBS against the baseline VBS with ``score_ordered``; the
+package scores every run from the baseline's best quality group instead
 (``portfolio.SubsetScorer``), and the tests require the same ratios.
 ``reference_coerce_run`` spells out each repair of a lenient read case by
 case; the package repairs a run by following ``run_shape_violation``, and the
@@ -274,7 +274,7 @@ def reference_shapley_exact(ds: Dataset, portfolio, baseline, mode=ShapleyMode.E
     by_size = [Fraction(0)] * (n + 1)
     by_size_member = [[Fraction(0)] * n for _ in range(n + 1)]
     for mask in range(1, 1 << n):
-        value = scorer.value_from_numerator(scorer.evaluate_mask(mask))
+        value = scorer.ratio_from_numerator(scorer.evaluate_mask(mask)).value
         size = bin(mask).count("1")
         by_size[size] += value
         member = by_size_member[size]

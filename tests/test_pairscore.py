@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from portview.pairscore import Comparable, borda, run_comparable, score_ordered
+from portview.pairscore import Comparable, best_group, borda, run_comparable, score_ordered
 from portview.runstore import DataError, ProblemKind, Status, build_dataset, InstanceMeta, RunRecord
 from portview.runstore import quality_key
-from randgen import make_dataset, tie_heavy_dataset
+from randgen import make_dataset, random_subset, tie_heavy_dataset
 
 DEC = ProblemKind.DECISION
 MIN = ProblemKind.MINIMIZE
@@ -271,3 +271,31 @@ def test_borda_equals_pairwise_definition_on_toy_grids(caplog):
     rng = random.Random(808)
     for _ in range(40):
         _assert_borda_is_pairwise(make_dataset(rng, max_solvers=6, max_instances=8), caplog)
+
+
+def test_best_group_is_the_subsets_runs_with_the_largest_quality_key():
+    """A brute force over ``quality_key``: the subset's runs with the largest key, in
+    id order, or ``[]`` when that key is unsolved (or the subset is empty)."""
+    rng = random.Random(1606)
+    grids = [make_dataset(rng, max_solvers=6, max_instances=8) for _ in range(40)]
+    grids.append(tie_heavy_dataset(rng, n_solvers=9, n_instances=40))
+    unsolved = quality_key(DEC, Status.UNSOLVED, None)
+    solved_by_nobody = checked = 0
+    for ds in grids:
+        subsets = [(), ds.solver_ids, *(random_subset(rng, ds.solver_ids) for _ in range(6))]
+        for subset in subsets:
+            for iid in ds.instance_ids:
+                kind = ds.instances[iid].kind
+                runs = [ds.run(sid, iid) for sid in sorted(subset)]
+                keys = [quality_key(kind, r.status, r.objective) for r in runs]
+                top = max(keys, default=unsolved)
+                want = [] if top == unsolved else [
+                    (r.solver_id, r) for r, key in zip(runs, keys) if key == top
+                ]
+                assert best_group(ds, reversed(subset), iid) == want
+                checked += 1
+        solved_by_nobody += sum(
+            all(ds.run(sid, iid).status is Status.UNSOLVED for sid in ds.solver_ids)
+            for iid in ds.instance_ids
+        )
+    assert solved_by_nobody >= 10 and checked >= 1000

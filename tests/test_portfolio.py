@@ -211,6 +211,12 @@ def test_perf_monotone_in_portfolio():
     assert checked >= 100
 
 
+def _scored(scorer, subset):
+    """PerfRatio of ``subset``, ids in the scorer's space, scored through its bitmask."""
+    mask = sum(1 << scorer.space.index(sid) for sid in set(subset))
+    return scorer.ratio_from_numerator(scorer.evaluate_mask(mask))
+
+
 def test_scorer_matches_perf():
     rng = random.Random(31337)
     for _ in range(25):
@@ -221,7 +227,7 @@ def test_scorer_matches_perf():
         for _ in range(5):
             subset = random_subset(rng, space)
             want = reference_perf(ds, subset, baseline)
-            assert scorer.evaluate(subset) == want
+            assert _scored(scorer, subset) == want
             assert perf(ds, subset, baseline) == want
 
 
@@ -247,7 +253,7 @@ def test_scorer_matches_perf_at_realistic_size():
         scorer = SubsetScorer(data, space, base)
         for subset in chosen:
             want = reference_perf(data, subset, base)
-            assert scorer.evaluate(subset) == want
+            assert _scored(scorer, subset) == want
         assert perf(data, space, base) == reference_perf(data, space, base)
 
 

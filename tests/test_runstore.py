@@ -280,6 +280,20 @@ def test_time_clamped_to_timeout_with_warning():
     ds = _ingest(["a,i1,DECISION,COMPLETE,75.000,,1,60.000"])
     assert ds.run("a", "i1").time == Fraction(60)
     assert any("clamped" in w for w in ds.warnings)
+    # runs built in code share no value with the timeout: an equal time in
+    # another Fraction object and a time 1 ms under it stay, 1 ms over it is clamped
+    timeout = Fraction(60)
+    runs = [
+        RunRecord("a", "i1", Status.COMPLETE, Fraction(120, 2)),
+        RunRecord("b", "i1", Status.COMPLETE, timeout + Fraction(1, 1000)),
+        RunRecord("c", "i1", Status.COMPLETE, timeout - Fraction(1, 1000)),
+    ]
+    assert runs[0].time is not timeout
+    meta = InstanceMeta("i1", ProblemKind.DECISION, timeout)
+    built = build_dataset([meta], dict.fromkeys("abc", True), runs)
+    assert built.run("a", "i1") is runs[0] and built.run("c", "i1") is runs[2]
+    assert built.run("b", "i1").time is timeout
+    assert built.warnings == ("run ('b', 'i1'): time 60.001 exceeds timeout, clamped to 60.000",)
 
 
 def test_objective_inconsistency_warnings():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .pairscore import best_group
+from .pairscore import best_group, time_ticks
 from .runstore import DataError, Dataset, known_solvers
 
 
@@ -41,10 +41,12 @@ def build_coverage(
 
     A run counts as best if it is in the portfolio's ``best_group`` on the
     instance (a proven-complete run is, whatever objective it recorded) and its
-    time is within ``epsilon`` seconds of the fastest run there.
+    time is within ``epsilon`` seconds of the fastest run there. The test is
+    cross-multiplied over the group's ``time_ticks``, ``(T - F) * q <= p *
+    scale`` for ``epsilon = p / q``, so it builds and compares no ``Fraction``.
     """
     members = known_solvers(ds, solvers, "build_coverage") if solvers is not None else ds.solver_ids
-    if epsilon < 0:
+    if epsilon.numerator < 0:
         raise DataError("build_coverage: epsilon must be non-negative")
 
     best_sets: dict[str, set[str]] = {sid: set() for sid in members}
@@ -56,9 +58,11 @@ def build_coverage(
             unsolvable.add(iid)
             continue
         universe.add(iid)
-        fastest = min(run.time for _, run in group)
-        for sid, run in group:
-            if run.time - fastest <= epsilon:
+        ticks, scale = time_ticks(run.time for _, run in group)
+        fastest = min(ticks)
+        slack = epsilon.numerator * scale
+        for (sid, _), t in zip(group, ticks):
+            if (t - fastest) * epsilon.denominator <= slack:
                 best_sets[sid].add(iid)
     return CoverageMap(
         {sid: frozenset(ids) for sid, ids in best_sets.items()},

@@ -18,6 +18,10 @@ and reaches the pairwise sums without visiting every pair: it credits each
 solver with the number of solvers strictly worse than it, and splits time only
 inside a group of equal quality (an unsolved group's members score one point
 per other member).
+
+The baseline scorer, oracle coverage and Borda split and compare a group's
+times as integers: ``time_ticks`` scales them to tick counts over the lcm of
+their denominators, which leaves every split ``u / (t + u)`` unchanged.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class Comparable:
     kind: ProblemKind
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if self.time.numerator < 0:  # the sign alone: cheaper than a Fraction compare
             raise DataError("comparable: negative time")
         broken = run_shape_violation(self.kind, self.status, self.objective)
         if broken:
@@ -96,6 +100,20 @@ def best_group(
     return []
 
 
+def time_ticks(times: Iterable[Fraction]) -> tuple[list[int], int]:
+    """``times`` as integer tick counts over ``scale``, the lcm of their denominators.
+
+    Returns ``(ticks, scale)`` with ``ticks[k] / scale == times[k]``. A time
+    split such as ``u / (t + u)`` keeps its value over ticks, and a difference
+    compares against a tolerance ``e`` as ``(t - u) * e.denominator <=
+    e.numerator * scale``, so a best group is scored and covered in ``int``
+    arithmetic.
+    """
+    times = list(times)
+    scale = math.lcm(*(t.denominator for t in times))
+    return [t.numerator * (scale // t.denominator) for t in times], scale
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     """Per-instance pairwise totals plus per-solver totals and averages."""
@@ -110,17 +128,15 @@ class ScoreMatrix:
         return [(pos + 1, sid) for pos, sid in enumerate(order)]
 
 
-def _tie_group_scores(times: list[Fraction], below: int) -> list[Fraction]:
-    """Scores of a solved tie group's members, given ``below`` strictly worse solvers.
+def _tie_group_scores(ticks: list[int], below: int) -> list[Fraction]:
+    """Scores of a solved tie group's members from their ``time_ticks``, given
+    ``below`` strictly worse solvers.
 
     Each member gets ``below`` plus its time-split shares against the others.
-    The split ``u / (t + u)`` keeps its value when every time is scaled to an
-    integer tick count, so each distinct time sums its shares over one common
-    denominator (the lcm of its pair totals, and 2 for the even split between
-    equal times, zero included) and builds a single ``Fraction``.
+    Each distinct time sums its shares over one common denominator (the lcm of
+    its pair totals, and 2 for the even split between equal times, zero
+    included) and builds a single ``Fraction``.
     """
-    scale = math.lcm(*(t.denominator for t in times))
-    ticks = [t.numerator * (scale // t.denominator) for t in times]
     counts = Counter(ticks)
     scores = {}
     for mine, count in counts.items():
@@ -140,8 +156,13 @@ def borda(ds: Dataset) -> ScoreMatrix:
     every solver of ``ds``), walked worst first: a solver gets one point per
     solver in a strictly worse group, plus its share inside its own group of
     equal quality. There, unsolved members take one point per other member (the
-    ordered both-fail rule) and everyone else splits time pairwise. The exact
-    scores equal the pairwise sums.
+    ordered both-fail rule) and everyone else splits time pairwise over the
+    group's ``time_ticks``. The exact scores equal the pairwise sums.
+
+    Whole-point scores (an unsolved group, or a solved run alone in its group)
+    share one ``Fraction`` per point count and add to an ``int`` per solver;
+    only split groups build new ``Fraction`` values, and a solver's total is
+    one sum of its split scores over their common denominator.
     """
     solvers = ds.solver_ids
     instances = ds.instance_ids
@@ -151,6 +172,9 @@ def borda(ds: Dataset) -> ScoreMatrix:
         raise DataError("borda: dataset has no instances")
 
     n, m = len(solvers), len(instances)
+    points = [Fraction(k) for k in range(n)]
+    whole = dict.fromkeys(solvers, 0)
+    split: dict[str, list[Fraction]] = {sid: [] for sid in solvers}
     per_instance: dict[tuple[str, str], Fraction] = {}
     split_pairs = 0
     for iid in instances:
@@ -158,14 +182,17 @@ def borda(ds: Dataset) -> ScoreMatrix:
         below = 0
         for group in reversed(ds.quality_ranking[iid]):
             size = len(group)
-            runs = [ds.runs[(sid, iid)] for sid in group]
-            if runs[0].status is Status.UNSOLVED:
-                group_scores = [Fraction(below + size - 1)] * size
+            if size == 1 or ds.runs[(group[0], iid)].status is Status.UNSOLVED:
+                score = below + size - 1
+                for sid in group:
+                    scores[sid] = points[score]
+                    whole[sid] += score
             else:
-                group_scores = _tie_group_scores([run.time for run in runs], below)
+                ticks, _ = time_ticks(ds.runs[(sid, iid)].time for sid in group)
+                for sid, share in zip(group, _tie_group_scores(ticks, below)):
+                    scores[sid] = share
+                    split[sid].append(share)
                 split_pairs += size * (size - 1)
-            for sid, score in zip(group, group_scores):
-                scores[sid] = score
             below += size
         for sid in solvers:
             per_instance[(sid, iid)] = scores[sid]
@@ -177,8 +204,9 @@ def borda(ds: Dataset) -> ScoreMatrix:
     totals = {}
     for sid in solvers:
         # one exact sum over a common denominator, not one reducing addition per instance
-        scores = [per_instance[(sid, iid)] for iid in instances]
-        den = math.lcm(*(x.denominator for x in scores))
-        totals[sid] = Fraction(sum(x.numerator * (den // x.denominator) for x in scores), den)
+        shares = split[sid]
+        den = math.lcm(*(x.denominator for x in shares))
+        num = whole[sid] * den + sum(x.numerator * (den // x.denominator) for x in shares)
+        totals[sid] = Fraction(num, den)
     averages = {sid: totals[sid] / m for sid in solvers}
     return ScoreMatrix(per_instance, totals, averages)

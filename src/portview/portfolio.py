@@ -10,18 +10,19 @@ it are ``mincover.build_coverage``'s answer.
 Portfolio performance is the ratio of the pairwise scores of one VBS and a
 baseline VBS over all instances. A run's score against VBS(baseline) depends
 only on the baseline's ``best_group`` on that instance, so ``SubsetScorer``
-scores every run from that group alone, and ``perf`` is one scorer evaluation
-of the whole portfolio's mask.
+scores every run from that group alone, splitting its times as integer
+``time_ticks``, and ``perf`` is one scorer evaluation of the whole portfolio's
+mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
-from .pairscore import HALF, Comparable, best_group
+from .pairscore import Comparable, best_group, time_ticks
 from .runstore import DataError, Dataset, ProblemKind, Status, known_solvers
 
 
@@ -85,8 +86,11 @@ class SubsetScorer:
     members' scores. The empty subset's VBS solves nothing: it scores 1/2 on
     the tied-unsolved instances and 0 elsewhere.
 
-    The scores are kept as ``int`` rows over one common denominator
-    ``denominator`` (D, the lcm of every score's denominator): ``rows[j][i]``
+    Each member's score is ``F / (T + F)`` over the group's ``time_ticks``
+    (``F`` the fastest tick count), reduced once with ``gcd``; no ``Fraction``
+    is built or compared. The scores are kept as ``int`` rows over one common
+    denominator ``denominator`` (D, the lcm of the scored cells' denominators,
+    and 2 when an instance is tied unsolved; a 0 adds nothing): ``rows[j][i]``
     is solver j's score on instance i times D. A subset's total score is then
     the integer ``sum(max over members)`` over D, costing
     O(|subset| * |instances|) plain integer operations. Subsets go in as
@@ -103,31 +107,39 @@ class SubsetScorer:
         if not self.instances:
             raise DataError("scorer: dataset has no instances")
 
-        self.tied_unsolved = 0
-        zero = Fraction(0)
-        scores: list[list[Fraction]] = [[] for _ in self.space]
-        for iid in self.instances:
-            best = {sid: run.time for sid, run in best_group(ds, self.baseline, iid)}
-            if not best:
-                self.tied_unsolved += 1
-                for row in scores:
-                    row.append(HALF)
+        position = {sid: j for j, sid in enumerate(self.space)}
+        # (row, column, numerator, denominator) of each reduced member score
+        scored: list[tuple[int, int, int, int]] = []
+        tied: list[int] = []
+        for i, iid in enumerate(self.instances):
+            group = best_group(ds, self.baseline, iid)
+            if not group:
+                tied.append(i)
                 continue
-            fastest = min(best.values())
-            for sid, row in zip(self.space, scores):
-                t = best.get(sid)
-                if t is None:
-                    row.append(zero)
+            ticks, _ = time_ticks(run.time for _, run in group)
+            fastest = min(ticks)
+            for (sid, _), t in zip(group, ticks):
+                j = position.get(sid)
+                if j is None:
+                    continue
+                total = t + fastest
+                if total:
+                    g = gcd(fastest, total)
+                    scored.append((j, i, fastest // g, total // g))
                 else:
-                    row.append(fastest / (t + fastest) if t + fastest else HALF)
+                    scored.append((j, i, 1, 2))
+        self.tied_unsolved = len(tied)
         if self.tied_unsolved == len(self.instances):
             raise DataError("scorer: baseline portfolio solves no instance")
         # the 2 keeps the empty subset's half points integral when the space is empty
-        denominators = (x.denominator for row in scores for x in row)
-        self.denominator = lcm(2 if self.tied_unsolved else 1, *denominators)
-        self.rows = [
-            [x.numerator * (self.denominator // x.denominator) for x in row] for row in scores
-        ]
+        self.denominator = lcm(2 if tied else 1, *(den for *_, den in scored))
+        self.rows = [[0] * len(self.instances) for _ in self.space]
+        half = self.denominator // 2
+        for row in self.rows:
+            for i in tied:
+                row[i] = half
+        for j, i, num, den in scored:
+            self.rows[j][i] = num * (self.denominator // den)
         self._total = len(self.instances) * self.denominator
 
     def ratio_from_numerator(self, numerator: int) -> PerfRatio:

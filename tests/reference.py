@@ -9,6 +9,10 @@ instead, and the tests require equal results. ``reference_perf`` scores each
 instance's portfolio VBS against the baseline VBS with ``score_ordered``; the
 package scores every run from the baseline's best quality group instead
 (``portfolio.SubsetScorer``), and the tests require the same ratios.
+``reference_scorer_rows`` builds one ``Fraction`` per scored cell with
+``score_ordered`` and scales every cell to their lcm; the package splits the
+best group's integer ticks and reduces each score with ``gcd`` instead, and
+the tests require the same ``rows``, ``denominator`` and ``tied_unsolved``.
 ``reference_coerce_run`` spells out each repair of a lenient read case by
 case; the package repairs a run by following ``run_shape_violation``, and the
 tests require the same runs and the same number of warnings.
@@ -32,7 +36,7 @@ import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from portview.mincover import CoverageMap
 from portview.pairscore import HALF, Comparable, run_comparable, score_ordered
@@ -115,6 +119,32 @@ def reference_perf(ds: Dataset, portfolio, baseline) -> PerfRatio:
     if not baseline_solves:
         raise DataError("perf: baseline portfolio solves no instance")
     return PerfRatio(numerator, denominator, numerator / denominator, tied)
+
+
+def reference_scorer_rows(ds: Dataset, space, baseline) -> tuple[list[list[int]], int, int]:
+    """``SubsetScorer``'s ``rows``, ``denominator`` and ``tied_unsolved``, one ``Fraction`` per cell.
+
+    Each run of ``space`` is scored against VBS(baseline) with ``score_ordered``
+    (half a point where the baseline solves nothing), and every score is
+    scaled to the lcm of all of them (and of 2 when an instance is tied
+    unsolved).
+    """
+    members = known_solvers(ds, space, "scorer space")
+    base = known_solvers(ds, baseline, "scorer baseline")
+    cells: list[list[Fraction]] = [[] for _ in members]
+    tied = 0
+    for iid in ds.instance_ids:
+        best = reference_vbs_run(ds, base, iid)
+        if best.status is Status.UNSOLVED:
+            tied += 1
+        for sid, row in zip(members, cells):
+            if best.status is Status.UNSOLVED:
+                row.append(HALF)
+            else:
+                row.append(score_ordered(run_comparable(ds, sid, iid), best)[0])
+    denominator = lcm(2 if tied else 1, *(x.denominator for row in cells for x in row))
+    rows = [[int(x * denominator) for x in row] for row in cells]
+    return rows, denominator, tied
 
 
 def reference_coverage(ds: Dataset, solvers=None, epsilon: Fraction = Fraction(0)) -> CoverageMap:

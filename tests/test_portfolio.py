@@ -17,7 +17,7 @@ from portview.runstore import (
     quality_key,
 )
 from randgen import make_dataset, random_subset, tie_heavy_dataset
-from reference import reference_perf, reference_vbs_run
+from reference import reference_coverage, reference_perf, reference_scorer_rows, reference_vbs_run
 
 DEC = ProblemKind.DECISION
 MIN = ProblemKind.MINIMIZE
@@ -257,6 +257,78 @@ def test_scorer_matches_perf_at_realistic_size():
         assert perf(data, space, base) == reference_perf(data, space, base)
 
 
+def _assert_scorer_state_is_reference(ds, space, baseline):
+    scorer = SubsetScorer(ds, space, baseline)
+    rows, denominator, tied_unsolved = reference_scorer_rows(ds, space, baseline)
+    assert scorer.rows == rows
+    assert all(type(x) is int for row in scorer.rows for x in row)
+    assert scorer.denominator == denominator
+    assert scorer.tied_unsolved == tied_unsolved
+    return scorer
+
+
+def test_scorer_state_matches_reference_on_random_grids():
+    rng = random.Random(4242)
+    for _ in range(40):
+        ds = make_dataset(rng, max_solvers=6, max_instances=8, solve_all_solver=True)
+        baseline = tuple(sorted({"s00", *random_subset(rng, ds.solver_ids)}))
+        _assert_scorer_state_is_reference(ds, random_subset(rng, baseline), baseline)
+        _assert_scorer_state_is_reference(ds, ds.solver_ids, ds.solver_ids)
+
+
+def test_scorer_state_matches_reference_at_realistic_size():
+    """Tie-heavy data (zero and equal times), and a two-solver baseline with tied-unsolved instances."""
+    ties = tie_heavy_dataset(random.Random(2024), n_solvers=12, n_instances=100)
+    _assert_scorer_state_is_reference(ties, ties.solver_ids[:9], ties.solver_ids)
+    _assert_scorer_state_is_reference(ties, ties.participant_ids, ties.solver_ids)
+    ds = make_dataset(random.Random(7), n_solvers=8, n_instances=100)
+    pair = ds.solver_ids[:2]
+    for space in ((), pair[:1], pair):
+        assert _assert_scorer_state_is_reference(ds, space, pair).tied_unsolved > 0
+
+
+def test_scorer_state_matches_reference_off_the_millisecond_grid():
+    third, two_sevenths = Fraction(1, 3), Fraction(2, 7)
+    ds = _dataset(
+        [_decision("i1"), _decision("i2"), _decision("i3"), InstanceMeta("i4", MIN, Fraction(9))],
+        [
+            RunRecord("a", "i1", Status.COMPLETE, third),
+            RunRecord("b", "i1", Status.COMPLETE, two_sevenths),
+            RunRecord("c", "i1", Status.COMPLETE, third),
+            RunRecord("a", "i2", Status.COMPLETE, Fraction(0)),
+            RunRecord("b", "i2", Status.COMPLETE, Fraction(0)),
+            RunRecord("c", "i2", Status.COMPLETE, two_sevenths),
+            RunRecord("a", "i3", Status.UNSOLVED, Fraction(100)),
+            RunRecord("b", "i3", Status.UNSOLVED, Fraction(100)),
+            RunRecord("c", "i3", Status.UNSOLVED, Fraction(100)),
+            RunRecord("a", "i4", Status.INCOMPLETE, Fraction(1, 7), Fraction(3)),
+            RunRecord("b", "i4", Status.COMPLETE, Fraction(11, 3), Fraction(3)),
+            RunRecord("c", "i4", Status.COMPLETE, Fraction(2, 9), Fraction(3)),
+        ],
+    )
+    scorer = _assert_scorer_state_is_reference(ds, ["a", "b", "c"], ["a", "b", "c"])
+    # a on i1: (2/7) / (1/3 + 2/7) = 6/13; on i2 the zero times split evenly and c
+    # scores 0; a on i4 is outside the best group, b there (2/9) / (11/3 + 2/9) = 2/35
+    assert scorer.denominator == 2 * 13 * 35
+    assert scorer.tied_unsolved == 1
+    assert scorer.rows == [
+        [6 * 70, 455, 455, 0],
+        [455, 455, 455, 2 * 26],
+        [6 * 70, 0, 455, 455],
+    ]
+    rng = random.Random(99)
+    instances = [_decision(f"i{k}") for k in range(12)]
+    runs = [
+        RunRecord(sid, meta.instance_id, status, Fraction(rng.randint(0, 40), rng.choice([3, 7, 9, 11, 13])))
+        for meta in instances
+        for sid in "abcde"
+        for status in [rng.choice([Status.COMPLETE, Status.COMPLETE, Status.UNSOLVED])]
+    ]
+    odd = _dataset(instances, runs)
+    _assert_scorer_state_is_reference(odd, odd.solver_ids, odd.solver_ids)
+    _assert_scorer_state_is_reference(odd, ("b", "d"), odd.solver_ids)
+
+
 def test_each_run_is_ranked_once_per_dataset(monkeypatch):
     """The ranking keys each stored run once, and neither it nor a scorer lifts a run
     into a ``Comparable``.
@@ -287,3 +359,34 @@ def test_each_run_is_ranked_once_per_dataset(monkeypatch):
     borda(ds)
     build_coverage(ds)
     assert len(keyed) == len(ds.solver_ids) * len(ds.instance_ids)
+
+
+FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+    "__neg__", "__abs__", "__bool__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def test_scorer_and_cover_do_no_fraction_arithmetic(monkeypatch):
+    """The scorer's rows and the cover's time tolerance are integer tick arithmetic:
+    neither calls a ``Fraction`` operator or comparison, on tie-heavy data."""
+    ds = tie_heavy_dataset(random.Random(2024), n_solvers=12, n_instances=100)
+    epsilon = Fraction(1, 3)
+    want_rows = reference_scorer_rows(ds, ds.participant_ids, ds.solver_ids)
+    want_cover = reference_coverage(ds, epsilon=epsilon)
+    assert ds.quality_ranking  # ranked once per ingest, before the kernels run
+
+    def no_fraction_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic in an integer kernel")
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, no_fraction_arithmetic)
+    scorer = SubsetScorer(ds, ds.participant_ids, ds.solver_ids)
+    SubsetScorer(ds, ds.solver_ids, ds.solver_ids)
+    cover = build_coverage(ds, epsilon=epsilon)
+    monkeypatch.undo()
+    assert (scorer.rows, scorer.denominator, scorer.tied_unsolved) == want_rows
+    assert cover == want_cover
+    # the tolerance matters here: it admits runs up to 0.3 s behind the fastest
+    assert cover != build_coverage(ds)

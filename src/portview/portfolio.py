@@ -89,8 +89,8 @@ class SubsetScorer:
     Each member's score is ``F / (T + F)`` over the group's ``time_ticks``
     (``F`` the fastest tick count), reduced once with ``gcd``; no ``Fraction``
     is built or compared. The scores are kept as ``int`` rows over one common
-    denominator ``denominator`` (D, the lcm of the scored cells' denominators,
-    and 2 when an instance is tied unsolved; a 0 adds nothing): ``rows[j][i]``
+    denominator ``denominator`` (D, the lcm of the members' score denominators,
+    and of 2 when an instance is tied unsolved): ``rows[j][i]``
     is solver j's score on instance i times D. A subset's total score is then
     the integer ``sum(max over members)`` over D, costing
     O(|subset| * |instances|) plain integer operations. Subsets go in as

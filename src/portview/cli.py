@@ -53,11 +53,14 @@ class StageError(RuntimeError):
 
 
 def _stage(name: str, fn, *args, **kwargs):
-    """Run one pipeline stage; log its wall time (shown under ``-v``, on stderr)."""
+    """Run one pipeline stage; log its wall time (shown under ``-v``, on stderr).
+
+    A ``DataError`` or ``OSError`` leaves as a ``StageError`` naming the stage.
+    """
     started = time.perf_counter()
     try:
         return fn(*args, **kwargs)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         raise StageError(name, exc) from exc
     finally:
         log.info("stage %s: %.3f s", name, time.perf_counter() - started)
@@ -441,9 +444,9 @@ def cmd_report(args) -> int:
     files = run_pipeline(cfg)
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name in sorted(files):
             path = out_dir / name
             path.write_text(files[name], encoding="utf-8")

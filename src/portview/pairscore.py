@@ -17,7 +17,9 @@ portfolio's best group, through ``best_group``. ``borda`` walks every group
 and reaches the pairwise sums without visiting every pair: it credits each
 solver with the number of solvers strictly worse than it, and splits time only
 inside a group of equal quality (an unsolved group's members score one point
-per other member).
+per other member). It keeps only what a report prints, each solver's total
+over the instances and its average; Borda adds up over instances, so one
+instance's scores are the totals of ``borda`` on that instance alone.
 
 The baseline scorer, oracle coverage and Borda split and compare a group's
 times as integers: ``time_ticks`` scales them to tick counts over the lcm of
@@ -116,9 +118,8 @@ def time_ticks(times: Iterable[Fraction]) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Per-instance pairwise totals plus per-solver totals and averages."""
+    """Per-solver Borda totals, summed over instances, and their per-instance averages."""
 
-    per_instance: dict[tuple[str, str], Fraction]
     totals: dict[str, Fraction]
     averages: dict[str, Fraction]
 
@@ -157,12 +158,12 @@ def borda(ds: Dataset) -> ScoreMatrix:
     solver in a strictly worse group, plus its share inside its own group of
     equal quality. There, unsolved members take one point per other member (the
     ordered both-fail rule) and everyone else splits time pairwise over the
-    group's ``time_ticks``. The exact scores equal the pairwise sums.
+    group's ``time_ticks``. Each solver's exact total equals its pairwise sums.
 
     Whole-point scores (an unsolved group, or a solved run alone in its group)
-    share one ``Fraction`` per point count and add to an ``int`` per solver;
-    only split groups build new ``Fraction`` values, and a solver's total is
-    one sum of its split scores over their common denominator.
+    add to an ``int`` per solver; only split groups build ``Fraction`` values,
+    and a solver's total is one sum of its split scores over their common
+    denominator.
     """
     solvers = ds.solver_ids
     instances = ds.instance_ids
@@ -172,30 +173,22 @@ def borda(ds: Dataset) -> ScoreMatrix:
         raise DataError("borda: dataset has no instances")
 
     n, m = len(solvers), len(instances)
-    points = [Fraction(k) for k in range(n)]
     whole = dict.fromkeys(solvers, 0)
     split: dict[str, list[Fraction]] = {sid: [] for sid in solvers}
-    per_instance: dict[tuple[str, str], Fraction] = {}
     split_pairs = 0
     for iid in instances:
-        scores: dict[str, Fraction] = {}
         below = 0
         for group in reversed(ds.quality_ranking[iid]):
             size = len(group)
             if size == 1 or ds.runs[(group[0], iid)].status is Status.UNSOLVED:
-                score = below + size - 1
                 for sid in group:
-                    scores[sid] = points[score]
-                    whole[sid] += score
+                    whole[sid] += below + size - 1
             else:
                 ticks, _ = time_ticks(ds.runs[(sid, iid)].time for sid in group)
                 for sid, share in zip(group, _tie_group_scores(ticks, below)):
-                    scores[sid] = share
                     split[sid].append(share)
                 split_pairs += size * (size - 1)
             below += size
-        for sid in solvers:
-            per_instance[(sid, iid)] = scores[sid]
     log.info(
         "borda: %d solvers x %d instances, %d time-split pairs of %d",
         n, m, split_pairs, n * (n - 1) * m,
@@ -209,4 +202,4 @@ def borda(ds: Dataset) -> ScoreMatrix:
         num = whole[sid] * den + sum(x.numerator * (den // x.denominator) for x in shares)
         totals[sid] = Fraction(num, den)
     averages = {sid: totals[sid] / m for sid in solvers}
-    return ScoreMatrix(per_instance, totals, averages)
+    return ScoreMatrix(totals, averages)

@@ -60,8 +60,8 @@ CANONICAL_COLUMNS = (
     "timeout",
 )
 
-_TRUE_TOKENS = {"1", "TRUE", "YES"}
-_FALSE_TOKENS = {"0", "FALSE", "NO"}
+# upper-case participant-flag token -> flag
+_FLAG_TOKENS = {"1": True, "TRUE": True, "YES": True, "0": False, "FALSE": False, "NO": False}
 _STATUS_RANK = {Status.UNSOLVED: 0, Status.INCOMPLETE: 1, Status.COMPLETE: 2}
 
 
@@ -348,15 +348,6 @@ def build_dataset(
     return _complete(inst_map, solver_map, run_map, [])
 
 
-def _parse_flag(token: str, row: int) -> bool:
-    key = token.strip().upper()
-    if key in _TRUE_TOKENS:
-        return True
-    if key in _FALSE_TOKENS:
-        return False
-    raise DataError(f"row {row}: unparseable participant flag {_quoted(token)}")
-
-
 @dataclass
 class ColumnMapping:
     """How to pull canonical columns out of a results table.
@@ -497,10 +488,12 @@ def read_table(
         status = statuses.get(status_text.upper())
         if status is None:
             violation(f"row {row_no}: unknown status {_quoted(status_text)}", "recorded as UNSOLVED")
-        try:
-            participant = _parse_flag(flag_text, row_no)
-        except DataError as exc:
-            violation(str(exc), "recorded as non-participant")
+        participant = _FLAG_TOKENS.get(flag_text.upper())
+        if participant is None:
+            violation(
+                f"row {row_no}: unparseable participant flag {_quoted(flag_text)}",
+                "recorded as non-participant",
+            )
             participant = False
         objective = objectives.get(objective_text)
         if objective is None and objective_text:

@@ -191,6 +191,41 @@ def test_stage_error_names_borda(tmp_path, capsys):
     assert "error at stage borda" in capsys.readouterr().err
 
 
+def test_report_missing_data_names_stage_ingest(tmp_path, capsys):
+    missing, out_dir = tmp_path / "missing.csv", tmp_path / "out"
+    assert main(["report", "--data", str(missing), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error at stage ingest: [Errno 2] "), err
+    assert not out_dir.exists()
+
+
+def test_report_out_that_is_a_file_names_stage_write(demo_path, tmp_path, capsys):
+    out_file = tmp_path / "out"
+    out_file.write_text("keep\n", encoding="utf-8")
+    assert main(["report", "--data", str(demo_path), "--out", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error at stage write: [Errno 17] "), err
+    assert out_file.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_report_write_failure_removes_the_files_written(demo_path, tmp_path, capsys, monkeypatch):
+    real_write_text = Path.write_text
+    written = []
+
+    def write_text_failing_second(self, *args, **kwargs):
+        written.append(self.name)
+        if len(written) == 2:
+            raise OSError(28, "No space left on device")
+        return real_write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text_failing_second)
+    out_dir = tmp_path / "bundle"
+    assert main(["report", "--data", str(demo_path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error at stage write: [Errno 28] No space left on device\n"
+    assert written == sorted(EXPECTED_FILES)[:2]
+    assert list(out_dir.iterdir()) == []
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(

@@ -229,6 +229,22 @@ def test_unparseable_participant_flag_warns(flag):
         ingest(io.StringIO(raw))
 
 
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_accepted_participant_flag_tokens(strict):
+    tokens = {"1 ": True, " tRUe ": True, "Yes": True, " 0": False, "False ": False, " nO ": False}
+    no_flag_column = "solver,instance,kind,status,time,objective,timeout"
+    for token, flag in tokens.items():
+        as_cell = (f"{HEADER}\na,i1,DECISION,COMPLETE,1.000,,{token},10.000\n", ColumnMapping())
+        as_default = (
+            f"{no_flag_column}\na,i1,DECISION,COMPLETE,1.000,,10.000\n",
+            ColumnMapping(defaults={"participant": token}),
+        )
+        for raw, mapping in (as_cell, as_default):
+            ds = read_table(io.StringIO(raw), mapping, strict=strict)
+            assert ds.solvers == {"a": flag}, token
+            assert list(ds.warnings) == [], token
+
+
 @pytest.mark.parametrize(
     "kind, status, objective, rule, warning",
     [

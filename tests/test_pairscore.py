@@ -185,11 +185,27 @@ def test_scale_invariance_of_times():
         assert score_ordered(a, b) == score_ordered(a2, b2)
 
 
+def _instance_scores(ds):
+    """Each (solver, instance) Borda score, as the totals of ``borda`` on that
+    instance's one-instance dataset; asserts that the whole dataset's totals are
+    their sums, since Borda adds up over instances."""
+    scores = {}
+    for iid in ds.instance_ids:
+        runs = [ds.runs[(sid, iid)] for sid in ds.solver_ids]
+        one = build_dataset([ds.instances[iid]], ds.solvers, runs)
+        for sid, score in borda(one).totals.items():
+            scores[(sid, iid)] = score
+    totals = borda(ds).totals
+    for sid in ds.solver_ids:
+        assert totals[sid] == sum((scores[(sid, iid)] for iid in ds.instance_ids), Fraction(0))
+    return scores
+
+
 def test_borda_totals_sum_property():
     rng = random.Random(321)
     for _ in range(40):
         ds = make_dataset(rng, max_solvers=5, max_instances=5)
-        matrix = borda(ds)
+        scores = _instance_scores(ds)
         solvers = ds.solver_ids
         n = len(solvers)
         for iid in ds.instance_ids:
@@ -200,9 +216,7 @@ def test_borda_totals_sum_property():
                     ry = ds.run(solvers[y], iid)
                     if rx.status is Status.UNSOLVED and ry.status is Status.UNSOLVED:
                         both_fail_pairs += 1
-            instance_total = sum(
-                (matrix.per_instance[(sid, iid)] for sid in solvers), Fraction(0)
-            )
+            instance_total = sum((scores[(sid, iid)] for sid in solvers), Fraction(0))
             assert instance_total == Fraction(n * (n - 1), 2) + both_fail_pairs
 
 
@@ -210,8 +224,9 @@ def test_totals_and_averages_consistent():
     rng = random.Random(555)
     ds = make_dataset(rng, n_solvers=4, n_instances=6)
     matrix = borda(ds)
+    scores = _instance_scores(ds)
     for sid in ds.solver_ids:
-        total = sum((matrix.per_instance[(sid, iid)] for iid in ds.instance_ids), Fraction(0))
+        total = sum((scores[(sid, iid)] for iid in ds.instance_ids), Fraction(0))
         assert matrix.totals[sid] == total
         assert matrix.averages[sid] == total / len(ds.instance_ids)
 
@@ -244,10 +259,10 @@ def _pairwise_borda(ds):
 
 def _assert_borda_is_pairwise(ds, caplog):
     expected, split_pairs = _pairwise_borda(ds)
+    assert list(_instance_scores(ds).items()) == list(expected.items())
     with caplog.at_level(logging.INFO, logger="portview.pairscore"):
         caplog.clear()
         matrix = borda(ds)
-    assert list(matrix.per_instance.items()) == list(expected.items())
     m = len(ds.instance_ids)
     for sid in ds.solver_ids:
         total = sum((expected[(sid, iid)] for iid in ds.instance_ids), Fraction(0))

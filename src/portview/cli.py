@@ -16,7 +16,6 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -276,10 +275,14 @@ def _parse_levels(text: str) -> list[Fraction]:
 # full pipeline
 
 
-@dataclass
 class ReportConfig:
-    data: str
-    out_dir: str
+    """One ``report`` run: ``data``, ``out_dir`` and the annotated options by keyword.
+
+    Each option's default is a class attribute, which the CLI flags read; an
+    option given to the constructor is set on the instance. An unknown keyword
+    raises ``TypeError``.
+    """
+
     scenario: str = "participants"
     epsilon: Fraction = Fraction(0)
     cap: int = 1000
@@ -288,6 +291,14 @@ class ReportConfig:
     seed: int = 0
     levels: tuple[Fraction, ...] = DEFAULT_LEVELS
     formats: tuple[str, ...] = ("csv", "text", "json")
+
+    def __init__(self, data: str, out_dir: str, **options) -> None:
+        unknown = options.keys() - ReportConfig.__annotations__
+        if unknown:
+            raise TypeError(f"ReportConfig got unexpected keyword arguments {sorted(unknown)}")
+        self.data = data
+        self.out_dir = out_dir
+        vars(self).update(options)
 
 
 def run_pipeline(cfg: ReportConfig) -> dict[str, str]:
@@ -444,8 +455,13 @@ def cmd_report(args) -> int:
     files = run_pipeline(cfg)
 
     out_dir = Path(cfg.out_dir)
+    created: list[Path] = []  # directories this run makes, deepest first
     written: list[Path] = []
     try:
+        for directory in (out_dir, *out_dir.parents):
+            if directory.exists():
+                break
+            created.append(directory)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name in sorted(files):
             path = out_dir / name
@@ -454,6 +470,11 @@ def cmd_report(args) -> int:
     except OSError as exc:
         for path in written:
             path.unlink(missing_ok=True)
+        for directory in created:
+            try:
+                directory.rmdir()
+            except OSError:
+                pass  # never made, or no longer empty: left as it is
         raise StageError("write", exc) from exc
     print(f"wrote {len(written)} files to {out_dir}")
     return 0

@@ -11,16 +11,14 @@ and enumerates every optimal cover up to a cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .pairscore import best_group, time_ticks
 from .runstore import DataError, Dataset, known_solvers
 
 
-@dataclass(frozen=True)
-class CoverageMap:
+class CoverageMap(NamedTuple):
     """Which instances each solver covers, and the coverable universe.
 
     ``unsolvable`` lists instances no solver in the portfolio solved; they are
@@ -71,8 +69,7 @@ def build_coverage(
     )
 
 
-@dataclass(frozen=True)
-class CoverSolution:
+class CoverSolution(NamedTuple):
     """All minimum covers found; ``is_unique`` only when the optimum is alone."""
 
     portfolios: tuple[tuple[str, ...], ...]

@@ -31,9 +31,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .runstore import DataError, Dataset, ProblemKind, RunRecord, Status
 from .runstore import quality_key, run_shape_violation
@@ -43,21 +42,27 @@ log = logging.getLogger(__name__)
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Comparable:
-    """The performance facts needed to score one side of a pairwise comparison."""
-
+class _ComparableFields(NamedTuple):
     status: Status
     time: Fraction
     objective: Fraction | None
     kind: ProblemKind
 
-    def __post_init__(self) -> None:
-        if self.time.numerator < 0:  # the sign alone: cheaper than a Fraction compare
+
+class Comparable(_ComparableFields):
+    """The performance facts needed to score one side of a pairwise comparison."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, status: Status, time: Fraction, objective: Fraction | None, kind: ProblemKind
+    ) -> Comparable:
+        if time.numerator < 0:  # the sign alone: cheaper than a Fraction compare
             raise DataError("comparable: negative time")
-        broken = run_shape_violation(self.kind, self.status, self.objective)
+        broken = run_shape_violation(kind, status, objective)
         if broken:
             raise DataError(f"comparable: {broken}")
+        return tuple.__new__(cls, (status, time, objective, kind))
 
 
 def score_ordered(first: Comparable, second: Comparable) -> tuple[Fraction, Fraction]:
@@ -116,8 +121,7 @@ def time_ticks(times: Iterable[Fraction]) -> tuple[list[int], int]:
     return [t.numerator * (scale // t.denominator) for t in times], scale
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
+class ScoreMatrix(NamedTuple):
     """Per-solver Borda totals, summed over instances, and their per-instance averages."""
 
     totals: dict[str, Fraction]

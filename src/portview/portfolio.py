@@ -17,10 +17,9 @@ mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .pairscore import Comparable, best_group, time_ticks
 from .runstore import DataError, Dataset, ProblemKind, Status, known_solvers
@@ -46,8 +45,7 @@ def vbs_run(ds: Dataset, solvers: Iterable[str], instance_id: str) -> Comparable
     return Comparable(achievers[0][1].status, best_time, objective, meta.kind)
 
 
-@dataclass(frozen=True)
-class PerfRatio:
+class PerfRatio(NamedTuple):
     """Score ratio of a portfolio's VBS against a baseline VBS.
 
     ``tied_unsolved`` counts instances no side solved; those are scored half a

@@ -17,14 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from dataclasses import dataclass, field
 from decimal import Context, Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .render import csv_text
 
@@ -152,36 +151,49 @@ def format_rational(value: Fraction) -> str:
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 
-@dataclass(frozen=True)
-class InstanceMeta:
-    """Identity and problem kind of one benchmark instance."""
-
+class _InstanceFields(NamedTuple):
     instance_id: str
     kind: ProblemKind
     timeout: Fraction
 
-    def __post_init__(self) -> None:
-        if self.timeout.numerator <= 0:
-            raise DataError(f"instance {_quoted(self.instance_id)}: timeout must be positive")
+
+class InstanceMeta(_InstanceFields):
+    """Identity and problem kind of one benchmark instance."""
+
+    __slots__ = ()
+
+    def __new__(cls, instance_id: str, kind: ProblemKind, timeout: Fraction) -> InstanceMeta:
+        if timeout.numerator <= 0:
+            raise DataError(f"instance {_quoted(instance_id)}: timeout must be positive")
+        return tuple.__new__(cls, (instance_id, kind, timeout))
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One solver's observed result on one instance."""
-
+class _RunFields(NamedTuple):
     solver_id: str
     instance_id: str
     status: Status
     time: Fraction
     objective: Fraction | None = None
 
-    def __post_init__(self) -> None:
-        if self.time.numerator < 0:  # the sign alone: cheaper than a Fraction compare
-            ids = f"{_quoted(self.solver_id)}, {_quoted(self.instance_id)}"
-            raise DataError(f"run ({ids}): negative time")
+
+class RunRecord(_RunFields):
+    """One solver's observed result on one instance."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        solver_id: str,
+        instance_id: str,
+        status: Status,
+        time: Fraction,
+        objective: Fraction | None = None,
+    ) -> RunRecord:
+        if time.numerator < 0:  # the sign alone: cheaper than a Fraction compare
+            raise DataError(f"run ({_quoted(solver_id)}, {_quoted(instance_id)}): negative time")
+        return tuple.__new__(cls, (solver_id, instance_id, status, time, objective))
 
 
-@dataclass(frozen=True)
 class Dataset:
     """Immutable, validated competition results for one track.
 
@@ -190,13 +202,38 @@ class Dataset:
     ingestion notes (clamped times, inconsistent objectives) and is excluded
     from equality. ``quality_ranking``, keyed by ``quality_key``, is ranked once
     per ingest (``filter_solvers`` filters its parent's ranking) and is not a
-    field, so it takes no part in equality or repr either.
+    field, so it takes no part in equality or repr either. Setting or deleting
+    an attribute raises ``AttributeError``.
     """
 
-    instances: dict[str, InstanceMeta]
-    solvers: dict[str, bool]
-    runs: dict[tuple[str, str], RunRecord]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    def __init__(
+        self,
+        instances: dict[str, InstanceMeta],
+        solvers: dict[str, bool],
+        runs: dict[tuple[str, str], RunRecord],
+        warnings: tuple[str, ...] = (),
+    ) -> None:
+        vars(self).update(instances=instances, solvers=solvers, runs=runs, warnings=warnings)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"a Dataset is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.instances, self.solvers, self.runs) == (
+            other.instances, other.solvers, other.runs
+        )
+
+    __hash__ = None  # equal datasets hold equal dicts, which have no hash
+
+    def __repr__(self) -> str:
+        return (
+            f"Dataset(instances={self.instances!r}, solvers={self.solvers!r}, "
+            f"runs={self.runs!r}, warnings={self.warnings!r})"
+        )
 
     @property
     def solver_ids(self) -> tuple[str, ...]:
@@ -348,7 +385,6 @@ def build_dataset(
     return _complete(inst_map, solver_map, run_map, [])
 
 
-@dataclass
 class ColumnMapping:
     """How to pull canonical columns out of a results table.
 
@@ -357,15 +393,25 @@ class ColumnMapping:
     supplies a constant cell value for canonical columns with no source column.
     A canonical column listed in neither is read from the source column of the
     same name. ``status_map`` / ``kind_map`` translate source tokens
-    (case-insensitive) to canonical ones before normal parsing.
+    (case-insensitive) to canonical ones before normal parsing. A mapping left
+    out starts as a new empty dict.
     """
 
-    columns: dict[str, list[str]] = field(default_factory=dict)
-    defaults: dict[str, str] = field(default_factory=dict)
-    status_map: dict[str, str] = field(default_factory=dict)
-    kind_map: dict[str, str] = field(default_factory=dict)
-    delimiter: str = ","
-    join: str = "/"
+    def __init__(
+        self,
+        columns: dict[str, list[str]] | None = None,
+        defaults: dict[str, str] | None = None,
+        status_map: dict[str, str] | None = None,
+        kind_map: dict[str, str] | None = None,
+        delimiter: str = ",",
+        join: str = "/",
+    ) -> None:
+        self.columns = {} if columns is None else columns
+        self.defaults = {} if defaults is None else defaults
+        self.status_map = {} if status_map is None else status_map
+        self.kind_map = {} if kind_map is None else kind_map
+        self.delimiter = delimiter
+        self.join = join
 
 
 def _column_plan(header: Sequence[str], mapping: ColumnMapping):

@@ -16,11 +16,10 @@ The value of a coalition is its performance ratio against the fixed baseline
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial, gcd, inf
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .portfolio import SubsetScorer
 from .runstore import DataError, Dataset
@@ -57,8 +56,7 @@ class ShapleyMode(Enum):
     SAMPLED = "sampled"
 
 
-@dataclass(frozen=True)
-class AttributionReport:
+class AttributionReport(NamedTuple):
     """Per-solver contribution values for one portfolio/baseline pair."""
 
     values: dict[str, Fraction] | dict[str, float]

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heapreplace
 from itertools import accumulate, compress
 from operator import gt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .portfolio import PerfRatio, SubsetScorer
 from .runstore import DataError, Dataset, known_solvers
@@ -39,8 +38,7 @@ NODE_BUDGET = 230_000
 _PROGRESS_EVERY = 1 << 12
 
 
-@dataclass(frozen=True)
-class TradeoffEntry:
+class TradeoffEntry(NamedTuple):
     k: int
     subset: tuple[str, ...]
     ratio: PerfRatio
@@ -50,8 +48,7 @@ class TradeoffEntry:
         return self.ratio.value
 
 
-@dataclass(frozen=True)
-class TradeoffCurve:
+class TradeoffCurve(NamedTuple):
     entries: tuple[TradeoffEntry, ...]
     search_space: tuple[str, ...]
     baseline: tuple[str, ...]

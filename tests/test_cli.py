@@ -208,7 +208,8 @@ def test_report_out_that_is_a_file_names_stage_write(demo_path, tmp_path, capsys
     assert out_file.read_text(encoding="utf-8") == "keep\n"
 
 
-def test_report_write_failure_removes_the_files_written(demo_path, tmp_path, capsys, monkeypatch):
+def _fail_second_write(monkeypatch) -> list[str]:
+    """Make the second ``Path.write_text`` raise ENOSPC; returns the names written to."""
     real_write_text = Path.write_text
     written = []
 
@@ -219,11 +220,39 @@ def test_report_write_failure_removes_the_files_written(demo_path, tmp_path, cap
         return real_write_text(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "write_text", write_text_failing_second)
+    return written
+
+
+def test_report_write_failure_removes_the_files_written(demo_path, tmp_path, capsys, monkeypatch):
+    written = _fail_second_write(monkeypatch)
     out_dir = tmp_path / "bundle"
     assert main(["report", "--data", str(demo_path), "--out", str(out_dir)]) == 1
     assert capsys.readouterr().err == "error at stage write: [Errno 28] No space left on device\n"
     assert written == sorted(EXPECTED_FILES)[:2]
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
+
+
+def test_report_write_failure_removes_only_the_directories_it_made(
+    demo_path, tmp_path, capsys, monkeypatch
+):
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "other.txt").write_text("keep\n", encoding="utf-8")
+    _fail_second_write(monkeypatch)
+    assert main(["report", "--data", str(demo_path), "--out", str(kept / "a" / "b")]) == 1
+    assert capsys.readouterr().err == "error at stage write: [Errno 28] No space left on device\n"
+    assert sorted(p.name for p in kept.iterdir()) == ["other.txt"]
+
+
+def test_report_write_failure_keeps_an_existing_out_directory(
+    demo_path, tmp_path, capsys, monkeypatch
+):
+    out_dir = tmp_path / "bundle"
+    out_dir.mkdir()
+    _fail_second_write(monkeypatch)
+    assert main(["report", "--data", str(demo_path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error at stage write: [Errno 28] No space left on device\n"
+    assert out_dir.is_dir() and list(out_dir.iterdir()) == []
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

@@ -1,9 +1,14 @@
-"""The package's internal imports form an acyclic graph, all at module level.
+"""The package's imports: internal ones form an acyclic graph, all at module level,
+and a whole ``report`` run loads neither ``dataclasses`` nor ``inspect``.
 
-Each module of ``src/portview`` is parsed with ``ast``; none is imported.
+The graph tests parse each module of ``src/portview`` with ``ast`` and import
+none; the start-up test runs ``report`` in a fresh interpreter.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "portview"
@@ -60,3 +65,27 @@ def test_no_package_import_sits_inside_a_function():
         for dep, node in _imports_in(func)
     ]
     assert misplaced == []
+
+
+# Modules that cost a cold start several milliseconds each and that no run needs.
+_UNWANTED = ("dataclasses", "inspect")
+
+_REPORT_THEN_LIST_MODULES = f"""
+import sys
+from portview import cli
+code = cli.main(["report", "--data", sys.argv[1], "--out", sys.argv[2]])
+print(code, *sorted(set({_UNWANTED!r}) & sys.modules.keys()))
+"""
+
+
+def test_a_report_run_imports_neither_dataclasses_nor_inspect(demo_path, tmp_path):
+    # -S: no site-packages hook can load a module on the package's behalf
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _REPORT_THEN_LIST_MODULES, str(demo_path), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0", done.stdout

@@ -131,17 +131,13 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
                 mask |= 1 << pos
         if mask:
             candidates.append((sid, mask))
-    union_all = 0
-    for _, mask in candidates:
-        union_all |= mask
-    if union_all != full:
-        raise DataError("min_cover: universe is not coverable by the given sets")
-
     names = [sid for sid, _ in candidates]
     masks = [mask for _, mask in candidates]
     suffix_union = [0] * (len(masks) + 1)
     for idx in range(len(masks) - 1, -1, -1):
         suffix_union[idx] = suffix_union[idx + 1] | masks[idx]
+    if suffix_union[0] != full:
+        raise DataError("min_cover: universe is not coverable by the given sets")
 
     best_size = _greedy_cover_size(masks, full)
     solutions: list[tuple[int, ...]] = []
@@ -159,8 +155,6 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
                     solutions.append(chosen)
                 else:
                     cap_reached = True
-            return
-        if idx == len(masks):
             return
         if covered | suffix_union[idx] != full:
             return

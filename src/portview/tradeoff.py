@@ -73,12 +73,8 @@ def best_subsets(ds: Dataset, space: Iterable[str], baseline: Iterable[str]) -> 
     search = _Search(scorer.rows)
 
     entries = []
-    greedy = best = (0, ())
     for k in range(1, n + 1):
-        seeded = search.extend(best[1])
-        greedy = seeded if greedy[1] == best[1] else search.extend(greedy[1])
-        best = search.best(k, greedy, seeded)
-        total, combo = best
+        total, combo = search.best(k)
         scored = scorer.evaluate_mask(sum(1 << idx for idx in combo))
         assert scored == total, (combo, scored, total)
         subset = tuple(names[idx] for idx in combo)
@@ -141,10 +137,11 @@ class _Search:
         )
         return total, tuple(sorted(combo + (-add,)))
 
-    def best(self, k: int, *incumbents: tuple[int, tuple[int, ...]]):
-        """(total, subset) of the best k-subset, starting from the best of ``incumbents``."""
+    def best(self, k: int) -> tuple[int, tuple[int, ...]]:
+        """(total, subset) of the best k-subset; callers go k = 1, 2, ... in order, and the
+        incumbent starts as the best (k - 1)-subset plus its best single addition."""
         self.k = k
-        self.value, self.subset = min(incumbents, key=lambda entry: (-entry[0], entry[1]))
+        self.value, self.subset = self.extend(self.subset)
         self._expand((), self._row(()), self.base, k, self.alone)
         return self.value, self.subset
 

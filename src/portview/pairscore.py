@@ -64,6 +64,11 @@ class Comparable(_ComparableFields):
             raise DataError(f"comparable: {broken}")
         return tuple.__new__(cls, (status, time, objective, kind))
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Comparable:
+        """Build through ``__new__``'s checks; the tuple helper ``_replace`` calls this."""
+        return cls(*iterable)
+
 
 def score_ordered(first: Comparable, second: Comparable) -> tuple[Fraction, Fraction]:
     """Score an ordered pair; the two scores always sum to exactly 1."""

@@ -167,6 +167,11 @@ class InstanceMeta(_InstanceFields):
             raise DataError(f"instance {_quoted(instance_id)}: timeout must be positive")
         return tuple.__new__(cls, (instance_id, kind, timeout))
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> InstanceMeta:
+        """Build through ``__new__``'s check; the tuple helper ``_replace`` calls this."""
+        return cls(*iterable)
+
 
 class _RunFields(NamedTuple):
     solver_id: str
@@ -192,6 +197,11 @@ class RunRecord(_RunFields):
         if time.numerator < 0:  # the sign alone: cheaper than a Fraction compare
             raise DataError(f"run ({_quoted(solver_id)}, {_quoted(instance_id)}): negative time")
         return tuple.__new__(cls, (solver_id, instance_id, status, time, objective))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> RunRecord:
+        """Build through ``__new__``'s check; the tuple helper ``_replace`` calls this."""
+        return cls(*iterable)
 
 
 class Dataset:

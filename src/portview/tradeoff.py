@@ -10,8 +10,10 @@ Nemhauser 1977), so one depth-first search per size, over subsets in
 combinatorial order, can drop every branch whose upper bound cannot beat the
 incumbent: a union bound (each instance's best score among the remaining
 candidates) and a gain bound (the current total plus the largest marginal
-gains, Nemhauser, Wolsey & Fisher 1978). The search is exact; it stops with a
-``DataError`` once it has used ``NODE_BUDGET`` nodes.
+gains, Nemhauser, Wolsey & Fisher 1978). Each size starts from the previous
+size's best subset plus its best single addition. The search is exact; it stops
+with a ``DataError`` once it has used ``WORK_BUDGET`` work units: scoring one
+candidate costs one unit per 64-bit word of each shared instance's score.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from .runstore import DataError, Dataset, known_solvers
 log = logging.getLogger(__name__)
 
 # About the 60 s of shapley.EXACT_BUDGET_S. Calibrated on a 2-core x86 machine
-# with CPython 3.11 on the slowest realistic shape, a whole 30-solver x
-# 100-instance space: 348,290 nodes in 92 CPU s, ~3,800 nodes/s. A node costs
-# O(candidates x shared instances), so smaller spaces go faster: a 21-solver
-# cover of 25 x 100 ran ~7,700 nodes/s.
-NODE_BUDGET = 230_000
+# with CPython 3.11, in work units per CPU second: 274-290 million on a whole
+# 30-solver x 100-instance space (3,800-4,000 nodes/s), and 305-307 million on
+# the 15-solver cover of 16 solvers x 1,000 instances (313 nodes/s), whose
+# scores have ~12,800 bits against ~3,700.
+WORK_BUDGET = 16_000_000_000
 _PROGRESS_EVERY = 1 << 12
 
 
@@ -63,7 +65,7 @@ def best_subsets(ds: Dataset, space: Iterable[str], baseline: Iterable[str]) -> 
     smallest solver list wins, as in a scan of every subset in combinatorial
     order. Each size's winner is scored once more through
     ``SubsetScorer.evaluate_mask`` and becomes a ``PerfRatio``. Raises
-    ``DataError`` when the search needs more than ``NODE_BUDGET`` nodes.
+    ``DataError`` when the search needs more than ``WORK_BUDGET`` work units.
     """
     names = known_solvers(ds, space, "scorer space")
     n = len(names)
@@ -116,7 +118,11 @@ class _Search:
         ]
         # gains on the empty subset: every solver's own total
         self.alone = [own + sum(row) for own, row in zip(self.own, self.rows)]
-        self.nodes = 0
+        # scoring one candidate against a subset costs one pass over the shared
+        # instances, and each integer score there costs in proportion to its words
+        words = max(self.suffix_max[0], default=0).bit_length() // 64 + 1
+        self.width = max(1, len(shared)) * words
+        self.nodes = self.work = 0
         self.started = time.perf_counter()
         self.k = 0
         self.value, self.subset = 0, ()
@@ -163,12 +169,12 @@ class _Search:
         above: it is the candidate's gain on a smaller subset, by
         submodularity, and its exact gain at the root.
         """
-        self.nodes += 1
-        if self.nodes > NODE_BUDGET:
+        if self.work > WORK_BUDGET:
             raise DataError(
-                f"best_subsets: node budget exhausted after {NODE_BUDGET} nodes, at size "
+                f"best_subsets: work budget exhausted after {self.nodes} nodes, at size "
                 f"{self.k} of {self.n}; use a smaller search space"
             )
+        self.nodes += 1
         if self.nodes % _PROGRESS_EVERY == 0:
             rate = self.nodes / (time.perf_counter() - self.started)
             log.info("best_subsets: %d nodes (size %d, %.0f nodes/s)", self.nodes, self.k, rate)
@@ -179,10 +185,12 @@ class _Search:
             for j, bound in enumerate(upper, start):
                 if self._beaten(total + bound, combo, j, 1):
                     continue
+                self.work += self.width
                 value = total + self.own[j] + _gain(self.rows[j], cur)
                 if not self._beaten(value, combo, j, 1):
                     self.value, self.subset = value, combo + (j,)
             return
+        self.work += (n - start) * self.width
         gains = upper if not combo else [
             self.own[j] + _gain(self.rows[j], cur) for j in range(start, n)
         ]

@@ -410,12 +410,12 @@ def test_sampled_report_completes_at_25_solvers_x_100_instances(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["tradeoff", "report"])
-def test_node_budget_exhausted_exits_1_at_stage_tradeoff(
+def test_work_budget_exhausted_exits_1_at_stage_tradeoff(
     tmp_path, monkeypatch, capsys, command
 ):
     from portview import tradeoff
 
-    monkeypatch.setattr(tradeoff, "NODE_BUDGET", 50)
+    monkeypatch.setattr(tradeoff, "WORK_BUDGET", 10_000)
     data = _write_random_table(tmp_path / "w14.csv", 14, 100)
     args = [command, "--data", str(data)]
     if command == "report":
@@ -424,7 +424,7 @@ def test_node_budget_exhausted_exits_1_at_stage_tradeoff(
     prefix = "error at stage tradeoff: " if command == "report" else "error: "
     err = capsys.readouterr().err
     assert re.fullmatch(
-        re.escape(prefix) + r"best_subsets: node budget exhausted after 50 nodes, at size "
+        re.escape(prefix) + r"best_subsets: work budget exhausted after \d+ nodes, at size "
         r"\d+ of 13; use a smaller search space\n",
         err,
     ), err
@@ -647,15 +647,19 @@ def _bundle_digest(directory: Path) -> str:
 
 
 def _report_child(
-    data: Path, tmp_path: Path, *flags: str
+    data: Path, tmp_path: Path, *flags: str, mode: str = "exact", env: dict | None = None
 ) -> tuple[subprocess.CompletedProcess, str]:
-    """Run ``portview [flags] report`` in a child; return it and its bundle digest."""
+    """Run ``portview [flags] report --mode MODE`` in a child, with ``env`` added to its
+    environment; return it and its bundle digest."""
     shutil.copyfile(data, tmp_path / "demo.csv")
-    env = {**os.environ, "PYTHONPATH": str(Path(portview.__file__).resolve().parent.parent)}
+    env = {
+        **os.environ, "PYTHONPATH": str(Path(portview.__file__).resolve().parent.parent),
+        **(env or {}),
+    }
     shutil.rmtree(tmp_path / "bundle", ignore_errors=True)
     done = subprocess.run(
         [sys.executable, "-m", "portview.cli", *flags, "report", "--data", "demo.csv",
-         "--out", "bundle"],
+         "--out", "bundle", "--mode", mode],
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
@@ -673,6 +677,22 @@ def test_verbose_report_times_stages_on_stderr_only(demo_path, tmp_path):
         "ingest", "filter", "borda", "oracle", "mincover",
         "shapley", "tradeoff", "thresholds", "portfolio_borda",
     ]
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_report_bundles_are_identical_across_hash_seeds(demo_path, tmp_path, mode):
+    """Criterion 7: string hashing must not reach any ordering in the bundle."""
+    from portview.runstore import save_canonical
+    from randgen import tie_heavy_dataset
+
+    ties = tmp_path / "ties.csv"
+    save_canonical(tie_heavy_dataset(random.Random(5), 8, 40), ties)
+    for data in (demo_path, ties):
+        digests = {
+            _report_child(data, tmp_path, mode=mode, env={"PYTHONHASHSEED": seed})[1]
+            for seed in ("0", "1")
+        }
+        assert len(digests) == 1, data.name
 
 
 def test_verbose_report_logs_borda_pair_counts(demo_path, tmp_path):

@@ -2,7 +2,8 @@
 
 Result records are immutable named tuples: a field cannot be set, and they
 compare and unpack as tuples. ``Dataset`` is immutable too and its equality
-ignores ``warnings``. ``ReportConfig`` keeps its defaults as class attributes,
+ignores ``warnings``. The validating records check their values in ``_make``
+and ``_replace`` too. ``ReportConfig`` keeps its defaults as class attributes,
 which the CLI flags read; ``ColumnMapping`` gives each mapping its own dicts.
 """
 
@@ -17,6 +18,7 @@ from portview.pairscore import Comparable, ScoreMatrix
 from portview.portfolio import PerfRatio
 from portview.runstore import (
     ColumnMapping,
+    DataError,
     Dataset,
     InstanceMeta,
     ProblemKind,
@@ -32,6 +34,7 @@ HALF = Fraction(1, 2)
 RATIO = PerfRatio(HALF, Fraction(1), HALF)
 META = InstanceMeta("i1", ProblemKind.DECISION, Fraction(10))
 RUN = RunRecord("a", "i1", Status.COMPLETE, Fraction(1))
+COMPARABLE = Comparable(Status.COMPLETE, Fraction(1), None, ProblemKind.DECISION)
 DATASET = build_dataset([META], {"a": True}, [RUN])
 
 RECORDS = {
@@ -44,7 +47,7 @@ RECORDS = {
     "TradeoffCurve": (TradeoffCurve((TradeoffEntry(1, ("a",), RATIO),), ("a",), ("a",)), "entries"),
     "InstanceMeta": (META, "timeout"),
     "RunRecord": (RUN, "time"),
-    "Comparable": (Comparable(Status.COMPLETE, Fraction(1), None, ProblemKind.DECISION), "time"),
+    "Comparable": (COMPARABLE, "time"),
     "Dataset": (DATASET, "runs"),
 }
 
@@ -66,6 +69,31 @@ def test_records_compare_and_unpack_as_tuples():
     assert RATIO == (HALF, Fraction(1), HALF, 0)
     assert RUN == ("a", "i1", Status.COMPLETE, Fraction(1), None)
     assert TradeoffEntry(1, ("a",), RATIO).value == HALF
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RUN._replace(time=Fraction(-1)), r"^run \('a', 'i1'\): negative time$"),
+        (lambda: RunRecord._make(["a", "i1", Status.COMPLETE, Fraction(-2), None]),
+         r"^run \('a', 'i1'\): negative time$"),
+        (lambda: META._replace(timeout=Fraction(0)), r"^instance 'i1': timeout must be positive$"),
+        (lambda: COMPARABLE._replace(objective=Fraction(3)),
+         r"^comparable: decision instance must not carry an objective$"),
+    ],
+    ids=["run-replace", "run-make", "instance-replace", "comparable-replace"],
+)
+def test_tuple_helpers_apply_the_constructor_checks(build, message):
+    with pytest.raises(DataError, match=message):
+        build()
+
+
+def test_a_valid_replace_keeps_the_record_type():
+    later = RUN._replace(time=Fraction(2))
+    assert type(later) is RunRecord and later == ("a", "i1", Status.COMPLETE, Fraction(2), None)
+    assert RunRecord._make(later) == later
+    assert META._replace(timeout=Fraction(5)).timeout == 5
+    assert COMPARABLE._replace(time=Fraction(3)) == (Status.COMPLETE, 3, None, ProblemKind.DECISION)
 
 
 def test_dataset_equality_ignores_warnings():

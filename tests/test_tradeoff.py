@@ -225,3 +225,48 @@ def test_space_over_the_old_guard_completes(monkeypatch):
     # a size that reaches 1 needs no more solvers than one best solver per instance
     assert values.index(1) < 5
 
+
+def _counted_searches(monkeypatch) -> list:
+    """Swap ``tradeoff._Search`` for a subclass that keeps every search it builds."""
+    searches = []
+
+    class CountingSearch(tradeoff._Search):
+        def __init__(self, rows):
+            super().__init__(rows)
+            searches.append(self)
+
+    monkeypatch.setattr(tradeoff, "_Search", CountingSearch)
+    return searches
+
+
+def test_the_bounds_keep_the_18_solver_search_small(monkeypatch):
+    """The full 18 x 100 space takes 4,340 nodes; without the gain bound or the
+    union bound it takes over 15,000, which the exactness tests cannot see."""
+    searches = _counted_searches(monkeypatch)
+    ds = make_dataset(random.Random(7), n_solvers=18, n_instances=100)
+    best_subsets(ds, ds.solver_ids, ds.solver_ids)
+    assert len(searches) == 1 and searches[0].nodes <= 5_000
+
+
+def test_the_work_budget_counts_shared_instances(monkeypatch):
+    """Every instance copied 10 times: the same nodes, 10 times the work units,
+    so a budget between the two passes the original and stops the copy."""
+    searches = _counted_searches(monkeypatch)
+    ds = make_dataset(random.Random(3), n_solvers=9, n_instances=20)
+    instances, runs = [], []
+    for copy in range(10):
+        renamed = {iid: f"{iid}#{copy}" for iid in ds.instance_ids}
+        instances += [meta._replace(instance_id=renamed[iid]) for iid, meta in ds.instances.items()]
+        runs += [run._replace(instance_id=renamed[run.instance_id]) for run in ds.runs.values()]
+    copied = build_dataset(instances, ds.solvers, runs)
+    curve = best_subsets(ds, ds.solver_ids, ds.solver_ids)
+    assert [e.subset for e in best_subsets(copied, ds.solver_ids, ds.solver_ids).entries] == [
+        e.subset for e in curve.entries
+    ]
+    original, tenfold = searches
+    assert original.nodes == tenfold.nodes and original.work > 0
+    assert tenfold.work == 10 * original.work
+    monkeypatch.setattr(tradeoff, "WORK_BUDGET", 5 * original.work)
+    best_subsets(ds, ds.solver_ids, ds.solver_ids)
+    with pytest.raises(DataError, match=r"^best_subsets: work budget exhausted after \d+ nodes"):
+        best_subsets(copied, ds.solver_ids, ds.solver_ids)

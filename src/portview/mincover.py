@@ -5,8 +5,9 @@ the whole portfolio (the best quality group, time within a tolerance of the
 fastest in it). Any set of solvers covering every such instance reproduces the
 oracle's virtual best run everywhere, so the smallest covers are exactly the
 minimum oracle-equivalent portfolios. The search is complete branch and bound
-over bitmasks with a greedy upper bound and an element-disjoint lower bound,
-and enumerates every optimal cover up to a cap.
+over bitmasks: it branches on the uncovered instance with the fewest coverers,
+prunes on an element-disjoint lower bound, and enumerates every optimal cover
+up to a cap, where it stops.
 """
 
 from __future__ import annotations
@@ -78,40 +79,35 @@ class CoverSolution(NamedTuple):
     cap_reached: bool = False
 
 
-def _greedy_cover_size(masks: list[int], full: int) -> int:
-    covered = 0
-    picks = 0
-    while covered != full:
-        gain, best = 0, -1
-        for idx, m in enumerate(masks):
-            g = bin(m & ~covered).count("1")
-            if g > gain:
-                gain, best = g, idx
-        covered |= masks[best]
-        picks += 1
-    return picks
+def _disjoint_lower_bound(
+    uncovered: list[int], allowed: int, coverers: list[int], masks: list[int]
+) -> int:
+    """Count pairwise-independent uncovered elements; each needs its own set.
 
-
-def _disjoint_lower_bound(uncovered: int, masks: list[int]) -> int:
-    """Count pairwise-independent uncovered elements; each needs its own set."""
+    ``coverers[e] & allowed`` holds the allowed sets covering element ``e``, one
+    bit per index into ``masks``.
+    """
     bound = 0
-    rem = uncovered
-    while rem:
-        element = rem & -rem
-        hit = element
-        for m in masks:
-            if m & element:
-                hit |= m
-        rem &= ~hit
-        bound += 1
+    hit = 0
+    for e in uncovered:
+        if not hit >> e & 1:
+            bound += 1
+            sets = coverers[e] & allowed
+            while sets:
+                low = sets & -sets
+                hit |= masks[low.bit_length() - 1]
+                sets ^= low
     return bound
 
 
 def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
     """Enumerate every minimum-cardinality cover of the universe.
 
-    Deterministic: solvers are searched in sorted order and the optima are
-    reported sorted. When more optima exist than ``cap``, enumeration stops
+    Each node branches on the uncovered instance with the fewest allowed
+    coverers, s_1 ... s_r in solver order: branch i takes s_i and excludes
+    s_1 ... s_(i-1), so every cover is reached once (Knuth's Algorithm X).
+    Deterministic; the optima are reported sorted. When more optima exist than
+    ``cap``, only a smaller cover could change the answer, so enumeration stops
     and ``cap_reached`` is set (uniqueness is then unknown and reported False).
     """
     if cap < 1:
@@ -120,55 +116,54 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
     if not universe:
         raise DataError("min_cover: empty universe")
     index = {iid: pos for pos, iid in enumerate(universe)}
-    full = (1 << len(universe)) - 1
 
-    candidates = []
+    names: list[str] = []
+    masks: list[int] = []
+    # coverers[e]: the candidates covering instance e, one bit per candidate
+    coverers = [0] * len(universe)
     for sid in sorted(cov.best_sets):
-        mask = 0
-        for iid in cov.best_sets[sid]:
-            pos = index.get(iid)
-            if pos is not None:
-                mask |= 1 << pos
-        if mask:
-            candidates.append((sid, mask))
-    names = [sid for sid, _ in candidates]
-    masks = [mask for _, mask in candidates]
-    suffix_union = [0] * (len(masks) + 1)
-    for idx in range(len(masks) - 1, -1, -1):
-        suffix_union[idx] = suffix_union[idx + 1] | masks[idx]
-    if suffix_union[0] != full:
+        positions = [index[iid] for iid in cov.best_sets[sid] if iid in index]
+        if positions:
+            for pos in positions:
+                coverers[pos] |= 1 << len(names)
+            names.append(sid)
+            masks.append(sum(1 << pos for pos in positions))
+    if not all(coverers):
         raise DataError("min_cover: universe is not coverable by the given sets")
 
-    best_size = _greedy_cover_size(masks, full)
+    best_size = len(names)
     solutions: list[tuple[int, ...]] = []
     cap_reached = False
 
-    def dfs(idx: int, chosen: tuple[int, ...], covered: int) -> None:
+    def dfs(chosen: tuple[int, ...], uncovered: list[int], allowed: int) -> None:
         nonlocal best_size, solutions, cap_reached
-        if covered == full:
+        if not uncovered:
+            # the bound kept this cover from exceeding best_size
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 solutions = [chosen]
                 cap_reached = False
-            elif len(chosen) == best_size:
-                if len(solutions) < cap:
-                    solutions.append(chosen)
-                else:
-                    cap_reached = True
+            elif len(solutions) < cap:
+                solutions.append(chosen)
+            else:
+                cap_reached = True
             return
-        if covered | suffix_union[idx] != full:
+        fewest = min((coverers[e] & allowed for e in uncovered), key=int.bit_count)
+        if not fewest:
             return
-        remaining = masks[idx:]
-        bound = _disjoint_lower_bound(full & ~covered, remaining)
-        if len(chosen) + bound > best_size:
+        bound = _disjoint_lower_bound(uncovered, allowed, coverers, masks)
+        # past the cap, only a strictly smaller cover changes the answer
+        if len(chosen) + bound > best_size - cap_reached:
             return
-        # a minimum cover never includes a set adding nothing
-        if masks[idx] & ~covered:
-            dfs(idx + 1, chosen + (idx,), covered | masks[idx])
-        dfs(idx + 1, chosen, covered)
+        while fewest:
+            low = fewest & -fewest
+            fewest ^= low
+            allowed ^= low
+            j = low.bit_length() - 1
+            dfs(chosen + (j,), [e for e in uncovered if not masks[j] >> e & 1], allowed)
 
-    dfs(0, (), 0)
-    portfolios = sorted(tuple(names[i] for i in sol) for sol in solutions)
+    dfs((), list(range(len(universe))), (1 << len(names)) - 1)
+    portfolios = sorted(tuple(names[i] for i in sorted(sol)) for sol in solutions)
     return CoverSolution(
         tuple(portfolios),
         best_size,

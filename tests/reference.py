@@ -28,6 +28,9 @@ require the same text, byte for byte.
 ``SubsetScorer.evaluate_mask``; the package finds each size's best subset by
 branch and bound instead, and the tests require the same curve, subset for
 subset.
+``reference_min_cover`` includes or excludes each set in solver order under a
+greedy upper bound; the package branches on the instance with the fewest
+coverers instead, and the tests require the same optima below the cap.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 
-from portview.mincover import CoverageMap
+from portview.mincover import CoverageMap, CoverSolution
 from portview.pairscore import HALF, Comparable, run_comparable, score_ordered
 from portview.portfolio import PerfRatio, SubsetScorer, vbs_run
 from portview.render import SIG_DIGITS, csv_text
@@ -170,6 +173,100 @@ def reference_coverage(ds: Dataset, solvers=None, epsilon: Fraction = Fraction(0
         {sid: frozenset(ids) for sid, ids in best_sets.items()},
         frozenset(universe),
         frozenset(unsolvable),
+    )
+
+
+def _greedy_cover_size(masks: list[int], full: int) -> int:
+    covered = 0
+    picks = 0
+    while covered != full:
+        gain, best = 0, -1
+        for idx, m in enumerate(masks):
+            g = bin(m & ~covered).count("1")
+            if g > gain:
+                gain, best = g, idx
+        covered |= masks[best]
+        picks += 1
+    return picks
+
+
+def _disjoint_lower_bound(uncovered: int, masks: list[int]) -> int:
+    bound = 0
+    rem = uncovered
+    while rem:
+        element = rem & -rem
+        hit = element
+        for m in masks:
+            if m & element:
+                hit |= m
+        rem &= ~hit
+        bound += 1
+    return bound
+
+
+def reference_min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
+    """Include or exclude each set in solver order, from a greedy cover's size;
+    past the cap, covers of the optimal size are counted but not kept."""
+    if cap < 1:
+        raise DataError("min_cover: cap must be at least 1")
+    universe = sorted(cov.universe)
+    if not universe:
+        raise DataError("min_cover: empty universe")
+    index = {iid: pos for pos, iid in enumerate(universe)}
+    full = (1 << len(universe)) - 1
+
+    candidates = []
+    for sid in sorted(cov.best_sets):
+        mask = 0
+        for iid in cov.best_sets[sid]:
+            pos = index.get(iid)
+            if pos is not None:
+                mask |= 1 << pos
+        if mask:
+            candidates.append((sid, mask))
+    names = [sid for sid, _ in candidates]
+    masks = [mask for _, mask in candidates]
+    suffix_union = [0] * (len(masks) + 1)
+    for idx in range(len(masks) - 1, -1, -1):
+        suffix_union[idx] = suffix_union[idx + 1] | masks[idx]
+    if suffix_union[0] != full:
+        raise DataError("min_cover: universe is not coverable by the given sets")
+
+    best_size = _greedy_cover_size(masks, full)
+    solutions: list[tuple[int, ...]] = []
+    cap_reached = False
+
+    def dfs(idx: int, chosen: tuple[int, ...], covered: int) -> None:
+        nonlocal best_size, solutions, cap_reached
+        if covered == full:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                solutions = [chosen]
+                cap_reached = False
+            elif len(chosen) == best_size:
+                if len(solutions) < cap:
+                    solutions.append(chosen)
+                else:
+                    cap_reached = True
+            return
+        if covered | suffix_union[idx] != full:
+            return
+        remaining = masks[idx:]
+        bound = _disjoint_lower_bound(full & ~covered, remaining)
+        if len(chosen) + bound > best_size:
+            return
+        # a minimum cover never includes a set adding nothing
+        if masks[idx] & ~covered:
+            dfs(idx + 1, chosen + (idx,), covered | masks[idx])
+        dfs(idx + 1, chosen, covered)
+
+    dfs(0, (), 0)
+    portfolios = sorted(tuple(names[i] for i in sol) for sol in solutions)
+    return CoverSolution(
+        tuple(portfolios),
+        best_size,
+        is_unique=len(portfolios) == 1 and not cap_reached,
+        cap_reached=cap_reached,
     )
 
 

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
+from portview import mincover
 from portview.mincover import CoverageMap, build_coverage, min_cover
 from portview.portfolio import perf
 from portview.runstore import (
@@ -15,7 +17,7 @@ from portview.runstore import (
     build_dataset,
 )
 from randgen import make_dataset, random_subset, tie_heavy_dataset
-from reference import reference_coverage
+from reference import reference_coverage, reference_min_cover
 
 
 def _cover_map(best_sets: dict[str, set[str]], universe: set[str]) -> CoverageMap:
@@ -188,11 +190,16 @@ def test_build_coverage_matches_reference_on_toy_grids():
         _assert_coverage_matches_reference(make_dataset(rng, max_solvers=6, max_instances=8), rng)
 
 
-def test_min_cover_matches_exhaustive_search_and_oracle_equivalence():
+def _random_grids():
+    """120 small datasets, each with a solver solving every instance."""
     rng = random.Random(1789)
-    for trial in range(120):
+    for _ in range(120):
         n = rng.randint(1, 12)
-        ds = make_dataset(rng, n_solvers=n, max_instances=10, solve_all_solver=True)
+        yield make_dataset(rng, n_solvers=n, max_instances=10, solve_all_solver=True)
+
+
+def test_min_cover_matches_exhaustive_search_and_oracle_equivalence():
+    for ds in _random_grids():
         cov = build_coverage(ds)
         solution = min_cover(cov)
         size, optima = exhaustive_min_covers(cov.best_sets, cov.universe)
@@ -209,3 +216,62 @@ def test_min_cover_deterministic_under_input_order():
     reordered = {"c": {"i3"}, "a": {"i1", "i2"}, "b": {"i2", "i3"}}
     second = min_cover(_cover_map(reordered, universe))
     assert first == second
+
+
+@lru_cache(maxsize=None)
+def _covers_with_reference():
+    """(coverage, reference optima) on the random grids and on tie-heavy 30 x 100."""
+    tie_heavy = (tie_heavy_dataset(random.Random(seed), 30, 100) for seed in range(6))
+    covers = [build_coverage(ds) for ds in (*_random_grids(), *tie_heavy)]
+    return [(cov, reference_min_cover(cov)) for cov in covers]
+
+
+def test_min_cover_matches_reference_below_the_cap():
+    for cov, want in _covers_with_reference():
+        assert min_cover(cov) == want
+
+
+def test_capped_min_cover_keeps_optima_of_the_reference():
+    """Past the cap, which optima are kept may differ from the reference's; their
+    number, their size and the flags may not, and each is one of the optima."""
+    capped = 0
+    for cov, want in _covers_with_reference():
+        optima = len(want.portfolios)
+        for cap in (1, 2, 3):
+            got = min_cover(cov, cap)
+            assert got == reference_min_cover(cov, cap)._replace(portfolios=got.portfolios)
+            assert len(got.portfolios) == len(set(got.portfolios)) == min(optima, cap)
+            assert set(got.portfolios) <= set(want.portfolios)
+            capped += got.cap_reached
+    assert capped >= 30
+
+
+def _count_bound_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    bound = mincover._disjoint_lower_bound
+
+    def counted(*args):
+        calls[0] += 1
+        return bound(*args)
+
+    monkeypatch.setattr(mincover, "_disjoint_lower_bound", counted)
+    return calls
+
+
+def test_the_cap_stops_the_search(monkeypatch):
+    """16 pairs of twins: 2**16 optima, of which three are kept."""
+    calls = _count_bound_calls(monkeypatch)
+    cov = _cover_map(
+        {f"{twin}{j:02d}": {f"i{j:02d}"} for j in range(16) for twin in "ab"},
+        {f"i{j:02d}" for j in range(16)},
+    )
+    solution = min_cover(cov, cap=3)
+    assert (solution.size, len(solution.portfolios), solution.cap_reached) == (16, 3, True)
+    assert calls[0] <= 100
+
+
+def test_tie_heavy_cover_of_forty_solvers_searches_few_nodes(monkeypatch):
+    calls = _count_bound_calls(monkeypatch)
+    solution = min_cover(build_coverage(tie_heavy_dataset(random.Random(0), 40, 100)))
+    assert (solution.size, len(solution.portfolios), solution.cap_reached) == (11, 550, False)
+    assert calls[0] <= 20_000

@@ -4,19 +4,27 @@ Each solver covers the instances on which it ties the per-instance optimum of
 the whole portfolio (the best quality group, time within a tolerance of the
 fastest in it). Any set of solvers covering every such instance reproduces the
 oracle's virtual best run everywhere, so the smallest covers are exactly the
-minimum oracle-equivalent portfolios. The search is complete branch and bound
-over bitmasks: it branches on the uncovered instance with the fewest coverers,
-prunes on an element-disjoint lower bound, and enumerates every optimal cover
-up to a cap, where it stops.
+minimum oracle-equivalent portfolios. A complete branch and bound over bitmasks
+branches on the uncovered instance with the fewest coverers, prunes on an
+element-disjoint lower bound, and enumerates the optimal covers up to a cap.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .pairscore import best_group, time_ticks
 from .runstore import DataError, Dataset, known_solvers
+
+log = logging.getLogger(__name__)
+
+# Nodes times candidate sets; at most about the 60 s of shapley.EXACT_BUDGET_S at
+# 3.2-8.6 million per CPU second (2-core x86, CPython 3.11, tie-heavy data).
+WORK_BUDGET = 200_000_000
+_PROGRESS_EVERY = 1 << 12
 
 
 class CoverageMap(NamedTuple):
@@ -83,12 +91,8 @@ def _disjoint_lower_bound(
     uncovered: list[int], allowed: int, coverers: list[int], masks: list[int]
 ) -> int:
     """Count pairwise-independent uncovered elements; each needs its own set.
-
-    ``coverers[e] & allowed`` holds the allowed sets covering element ``e``, one
-    bit per index into ``masks``.
-    """
-    bound = 0
-    hit = 0
+    The bits of ``coverers[e] & allowed`` index the allowed sets covering ``e`` in ``masks``."""
+    bound = hit = 0
     for e in uncovered:
         if not hit >> e & 1:
             bound += 1
@@ -115,14 +119,13 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
     universe = sorted(cov.universe)
     if not universe:
         raise DataError("min_cover: empty universe")
-    index = {iid: pos for pos, iid in enumerate(universe)}
 
     names: list[str] = []
     masks: list[int] = []
     # coverers[e]: the candidates covering instance e, one bit per candidate
     coverers = [0] * len(universe)
     for sid in sorted(cov.best_sets):
-        positions = [index[iid] for iid in cov.best_sets[sid] if iid in index]
+        positions = [pos for pos, iid in enumerate(universe) if iid in cov.best_sets[sid]]
         if positions:
             for pos in positions:
                 coverers[pos] |= 1 << len(names)
@@ -134,26 +137,34 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
     best_size = len(names)
     solutions: list[tuple[int, ...]] = []
     cap_reached = False
+    nodes = 0
+    started = time.perf_counter()
 
     def dfs(chosen: tuple[int, ...], uncovered: list[int], allowed: int) -> None:
-        nonlocal best_size, solutions, cap_reached
+        nonlocal best_size, solutions, cap_reached, nodes
+        if nodes * len(names) > WORK_BUDGET:
+            raise DataError(
+                f"min_cover: work budget exhausted after {nodes} nodes, with a cover of "
+                f"{best_size} solvers found; use fewer solvers"
+            )
+        nodes += 1
+        if nodes % _PROGRESS_EVERY == 0:
+            rate = nodes / (time.perf_counter() - started)
+            log.info("min_cover: %d nodes (best size %d, %.0f nodes/s)", nodes, best_size, rate)
         if not uncovered:
             # the bound kept this cover from exceeding best_size
             if len(chosen) < best_size:
-                best_size = len(chosen)
-                solutions = [chosen]
-                cap_reached = False
+                best_size, solutions, cap_reached = len(chosen), [chosen], False
             elif len(solutions) < cap:
                 solutions.append(chosen)
             else:
                 cap_reached = True
             return
         fewest = min((coverers[e] & allowed for e in uncovered), key=int.bit_count)
-        if not fewest:
-            return
-        bound = _disjoint_lower_bound(uncovered, allowed, coverers, masks)
-        # past the cap, only a strictly smaller cover changes the answer
-        if len(chosen) + bound > best_size - cap_reached:
+        # prune an instance no allowed set covers, and covers too large; past the
+        # cap, only a strictly smaller cover changes the answer
+        limit = best_size - cap_reached - len(chosen)
+        if not fewest or _disjoint_lower_bound(uncovered, allowed, coverers, masks) > limit:
             return
         while fewest:
             low = fewest & -fewest
@@ -164,9 +175,5 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
 
     dfs((), list(range(len(universe))), (1 << len(names)) - 1)
     portfolios = sorted(tuple(names[i] for i in sorted(sol)) for sol in solutions)
-    return CoverSolution(
-        tuple(portfolios),
-        best_size,
-        is_unique=len(portfolios) == 1 and not cap_reached,
-        cap_reached=cap_reached,
-    )
+    is_unique = len(portfolios) == 1 and not cap_reached
+    return CoverSolution(tuple(portfolios), best_size, is_unique, cap_reached)

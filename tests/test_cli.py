@@ -431,6 +431,31 @@ def test_work_budget_exhausted_exits_1_at_stage_tradeoff(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["mincover", "report"])
+def test_work_budget_exhausted_exits_1_at_stage_mincover(
+    tmp_path, monkeypatch, capsys, command
+):
+    from portview import mincover
+    from portview.runstore import save_canonical
+    from randgen import tie_heavy_dataset
+
+    monkeypatch.setattr(mincover, "WORK_BUDGET", 3_000)
+    data = tmp_path / "ties30.csv"
+    save_canonical(tie_heavy_dataset(random.Random(0), 30, 100), data)
+    args = [command, "--data", str(data), "--scenario", "all"]
+    if command == "report":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    prefix = "error at stage mincover: " if command == "report" else "error: "
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        re.escape(prefix) + r"min_cover: work budget exhausted after \d+ nodes, with a cover "
+        r"of \d+ solvers found; use fewer solvers\n",
+        err,
+    ), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_over_the_exact_budget_fails_at_stage_shapley(tmp_path, monkeypatch, capsys):
     """14 solvers x 100 instances: a 13-solver cover, then the guard."""
     data = _write_random_table(tmp_path / "w14.csv", 14, 100)

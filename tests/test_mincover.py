@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -275,3 +276,32 @@ def test_tie_heavy_cover_of_forty_solvers_searches_few_nodes(monkeypatch):
     solution = min_cover(build_coverage(tie_heavy_dataset(random.Random(0), 40, 100)))
     assert (solution.size, len(solution.portfolios), solution.cap_reached) == (11, 550, False)
     assert calls[0] <= 20_000
+
+
+def test_work_budget_exhausted_names_nodes_and_best_size(monkeypatch):
+    monkeypatch.setattr(mincover, "WORK_BUDGET", 3_000)
+    cov = build_coverage(tie_heavy_dataset(random.Random(0), 30, 100))
+    with pytest.raises(DataError) as info:
+        min_cover(cov)
+    found = re.fullmatch(
+        r"min_cover: work budget exhausted after (\d+) nodes, with a cover of (\d+) "
+        r"solvers found; use fewer solvers",
+        str(info.value),
+    )
+    assert found, info.value
+    # 30 candidate sets, so 100 nodes use the 3,000 units
+    assert int(found[1]) == 101
+    assert 9 <= int(found[2]) <= 30
+
+
+def test_progress_line_reports_a_rate(monkeypatch, caplog):
+    monkeypatch.setattr(mincover, "_PROGRESS_EVERY", 1)
+    cov = build_coverage(tie_heavy_dataset(random.Random(0), 12, 30))
+    with caplog.at_level("INFO", logger="portview.mincover"):
+        solution = min_cover(cov)
+    line = re.compile(r"min_cover: (\d+) nodes \(best size (\d+), \d+ nodes/s\)")
+    matches = [line.fullmatch(r.getMessage()) for r in caplog.records]
+    assert len(matches) > 5 and all(matches)
+    assert [int(m[1]) for m in matches] == list(range(1, len(matches) + 1))
+    sizes = [int(m[2]) for m in matches]
+    assert sizes == sorted(sizes, reverse=True) and sizes[-1] == solution.size

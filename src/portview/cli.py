@@ -581,10 +581,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except StageError as exc:
         print(f"error at stage {exc.stage}: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -119,13 +119,14 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
     universe = sorted(cov.universe)
     if not universe:
         raise DataError("min_cover: empty universe")
+    index = {iid: pos for pos, iid in enumerate(universe)}
 
     names: list[str] = []
     masks: list[int] = []
     # coverers[e]: the candidates covering instance e, one bit per candidate
     coverers = [0] * len(universe)
     for sid in sorted(cov.best_sets):
-        positions = [pos for pos, iid in enumerate(universe) if iid in cov.best_sets[sid]]
+        positions = [index[iid] for iid in cov.best_sets[sid] if iid in index]
         if positions:
             for pos in positions:
                 coverers[pos] |= 1 << len(names)
@@ -137,8 +138,7 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
     best_size = len(names)
     solutions: list[tuple[int, ...]] = []
     cap_reached = False
-    nodes = 0
-    started = time.perf_counter()
+    nodes, started = 0, time.perf_counter()
 
     def dfs(chosen: tuple[int, ...], uncovered: list[int], allowed: int) -> None:
         nonlocal best_size, solutions, cap_reached, nodes

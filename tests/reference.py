@@ -206,7 +206,7 @@ def _disjoint_lower_bound(uncovered: int, masks: list[int]) -> int:
 
 def reference_min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
     """Include or exclude each set in solver order, from a greedy cover's size;
-    past the cap, covers of the optimal size are counted but not kept."""
+    past the cap, the search goes on and only sets ``cap_reached``."""
     if cap < 1:
         raise DataError("min_cover: cap must be at least 1")
     universe = sorted(cov.universe)

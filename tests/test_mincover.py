@@ -1,7 +1,6 @@
 import random
 import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -219,24 +218,24 @@ def test_min_cover_deterministic_under_input_order():
     assert first == second
 
 
-@lru_cache(maxsize=None)
-def _covers_with_reference():
+@pytest.fixture(scope="module")
+def covers_with_reference():
     """(coverage, reference optima) on the random grids and on tie-heavy 30 x 100."""
     tie_heavy = (tie_heavy_dataset(random.Random(seed), 30, 100) for seed in range(6))
     covers = [build_coverage(ds) for ds in (*_random_grids(), *tie_heavy)]
     return [(cov, reference_min_cover(cov)) for cov in covers]
 
 
-def test_min_cover_matches_reference_below_the_cap():
-    for cov, want in _covers_with_reference():
+def test_min_cover_matches_reference_below_the_cap(covers_with_reference):
+    for cov, want in covers_with_reference:
         assert min_cover(cov) == want
 
 
-def test_capped_min_cover_keeps_optima_of_the_reference():
+def test_capped_min_cover_keeps_optima_of_the_reference(covers_with_reference):
     """Past the cap, which optima are kept may differ from the reference's; their
     number, their size and the flags may not, and each is one of the optima."""
     capped = 0
-    for cov, want in _covers_with_reference():
+    for cov, want in covers_with_reference:
         optima = len(want.portfolios)
         for cap in (1, 2, 3):
             got = min_cover(cov, cap)

@@ -21,9 +21,9 @@ from .runstore import DataError, Dataset, known_solvers
 
 log = logging.getLogger(__name__)
 
-# Nodes times candidate sets; at most about the 60 s of shapley.EXACT_BUDGET_S at
-# 3.2-8.6 million per CPU second (2-core x86, CPython 3.11, tie-heavy data).
-WORK_BUDGET = 200_000_000
+# Search nodes; at most about the 60 s of shapley.EXACT_BUDGET_S at 58-208 thousand per
+# CPU second, the slowest and fastest measured (2-core x86, CPython 3.11, tie-heavy data).
+NODE_BUDGET = 3_500_000
 _PROGRESS_EVERY = 1 << 12
 
 
@@ -142,7 +142,7 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
 
     def dfs(chosen: tuple[int, ...], uncovered: list[int], allowed: int) -> None:
         nonlocal best_size, solutions, cap_reached, nodes
-        if nodes * len(names) > WORK_BUDGET:
+        if nodes > NODE_BUDGET:
             raise DataError(
                 f"min_cover: work budget exhausted after {nodes} nodes, with a cover of "
                 f"{best_size} solvers found; use fewer solvers"

@@ -439,7 +439,7 @@ def test_work_budget_exhausted_exits_1_at_stage_mincover(
     from portview.runstore import save_canonical
     from randgen import tie_heavy_dataset
 
-    monkeypatch.setattr(mincover, "WORK_BUDGET", 3_000)
+    monkeypatch.setattr(mincover, "NODE_BUDGET", 100)
     data = tmp_path / "ties30.csv"
     save_canonical(tie_heavy_dataset(random.Random(0), 30, 100), data)
     args = [command, "--data", str(data), "--scenario", "all"]

@@ -278,7 +278,7 @@ def test_tie_heavy_cover_of_forty_solvers_searches_few_nodes(monkeypatch):
 
 
 def test_work_budget_exhausted_names_nodes_and_best_size(monkeypatch):
-    monkeypatch.setattr(mincover, "WORK_BUDGET", 3_000)
+    monkeypatch.setattr(mincover, "NODE_BUDGET", 100)
     cov = build_coverage(tie_heavy_dataset(random.Random(0), 30, 100))
     with pytest.raises(DataError) as info:
         min_cover(cov)
@@ -288,7 +288,7 @@ def test_work_budget_exhausted_names_nodes_and_best_size(monkeypatch):
         str(info.value),
     )
     assert found, info.value
-    # 30 candidate sets, so 100 nodes use the 3,000 units
+    # the check precedes the count: the 101st node is searched, the 102nd refused
     assert int(found[1]) == 101
     assert 9 <= int(found[2]) <= 30
 

@@ -228,10 +228,10 @@ def _cover_or_full(args, ds: Dataset, solvers: tuple[str, ...], choice: str):
 
 
 def cmd_tradeoff(args) -> int:
+    levels = _parse_levels(args.levels)
     ds = ingest(args.data)
     solvers = _scenario_solvers(ds, args.scenario)
     curve = best_subsets(ds, _cover_or_full(args, ds, solvers, args.space), solvers)
-    levels = _parse_levels(args.levels)
     reached = thresholds(curve, levels)
     text = _render(args.format, _tradeoff_table(curve), _thresholds_table(levels, reached))
     _emit(text, args.out)
@@ -280,7 +280,7 @@ class ReportConfig:
 
     Each option's default is a class attribute, which the CLI flags read; an
     option given to the constructor is set on the instance. An unknown keyword
-    raises ``TypeError``.
+    raises ``TypeError``, and an unknown output format ``DataError``.
     """
 
     scenario: str = "participants"
@@ -290,7 +290,7 @@ class ReportConfig:
     samples: int = 10000
     seed: int = 0
     levels: tuple[Fraction, ...] = DEFAULT_LEVELS
-    formats: tuple[str, ...] = ("csv", "text", "json")
+    formats: tuple[str, ...] = ("csv", "text", "json")  # every known format
 
     def __init__(self, data: str, out_dir: str, **options) -> None:
         unknown = options.keys() - ReportConfig.__annotations__
@@ -299,6 +299,9 @@ class ReportConfig:
         self.data = data
         self.out_dir = out_dir
         vars(self).update(options)
+        for fmt in self.formats:
+            if fmt not in ReportConfig.formats:
+                raise DataError(f"unknown output format {fmt!r}")
 
 
 def run_pipeline(cfg: ReportConfig) -> dict[str, str]:
@@ -449,9 +452,6 @@ def cmd_report(args) -> int:
         levels=tuple(_parse_levels(args.levels)),
         formats=tuple(args.formats.split(",")),
     )
-    for fmt in cfg.formats:
-        if fmt not in ("csv", "text", "json"):
-            raise DataError(f"unknown output format {fmt!r}")
     files = run_pipeline(cfg)
 
     out_dir = Path(cfg.out_dir)
@@ -584,7 +584,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

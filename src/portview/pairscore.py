@@ -34,7 +34,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .runstore import DataError, Dataset, ProblemKind, RunRecord, Status
+from .runstore import CheckedRecord, DataError, Dataset, ProblemKind, RunRecord, Status
 from .runstore import quality_key, run_shape_violation
 
 log = logging.getLogger(__name__)
@@ -49,7 +49,7 @@ class _ComparableFields(NamedTuple):
     kind: ProblemKind
 
 
-class Comparable(_ComparableFields):
+class Comparable(CheckedRecord, _ComparableFields):
     """The performance facts needed to score one side of a pairwise comparison."""
 
     __slots__ = ()
@@ -63,11 +63,6 @@ class Comparable(_ComparableFields):
         if broken:
             raise DataError(f"comparable: {broken}")
         return tuple.__new__(cls, (status, time, objective, kind))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Comparable:
-        """Build through ``__new__``'s checks; the tuple helper ``_replace`` calls this."""
-        return cls(*iterable)
 
 
 def score_ordered(first: Comparable, second: Comparable) -> tuple[Fraction, Fraction]:

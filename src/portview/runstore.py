@@ -151,13 +151,23 @@ def format_rational(value: Fraction) -> str:
     return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
 
 
+class CheckedRecord:
+    """Mixin, listed before a record's fields: ``_make`` and ``_replace`` run ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+
 class _InstanceFields(NamedTuple):
     instance_id: str
     kind: ProblemKind
     timeout: Fraction
 
 
-class InstanceMeta(_InstanceFields):
+class InstanceMeta(CheckedRecord, _InstanceFields):
     """Identity and problem kind of one benchmark instance."""
 
     __slots__ = ()
@@ -166,11 +176,6 @@ class InstanceMeta(_InstanceFields):
         if timeout.numerator <= 0:
             raise DataError(f"instance {_quoted(instance_id)}: timeout must be positive")
         return tuple.__new__(cls, (instance_id, kind, timeout))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> InstanceMeta:
-        """Build through ``__new__``'s check; the tuple helper ``_replace`` calls this."""
-        return cls(*iterable)
 
 
 class _RunFields(NamedTuple):
@@ -181,7 +186,7 @@ class _RunFields(NamedTuple):
     objective: Fraction | None = None
 
 
-class RunRecord(_RunFields):
+class RunRecord(CheckedRecord, _RunFields):
     """One solver's observed result on one instance."""
 
     __slots__ = ()
@@ -197,11 +202,6 @@ class RunRecord(_RunFields):
         if time.numerator < 0:  # the sign alone: cheaper than a Fraction compare
             raise DataError(f"run ({_quoted(solver_id)}, {_quoted(instance_id)}): negative time")
         return tuple.__new__(cls, (solver_id, instance_id, status, time, objective))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> RunRecord:
-        """Build through ``__new__``'s check; the tuple helper ``_replace`` calls this."""
-        return cls(*iterable)
 
 
 class Dataset:

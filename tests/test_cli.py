@@ -776,3 +776,97 @@ def test_report_parses_each_cell_text_once_and_keys_each_run_once(tmp_path, monk
         "parse_duration": len({r["time"] for r in rows} | {r["timeout"] for r in rows}),
         "parse_rational": len({r["objective"] for r in rows} - {""}),
     }
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [("", "no threshold levels given"), ("0.9,0.8", "threshold levels must be ascending")],
+    ids=["empty", "descending"],
+)
+@pytest.mark.parametrize("command", ["tradeoff", "report"])
+def test_bad_levels_are_validation_errors(command, levels, message, demo_path, tmp_path, capsys):
+    args = [command, "--data", str(demo_path), "--levels", levels]
+    if command == "report":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_tradeoff_checks_its_levels_before_the_search(demo_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "best_subsets", lambda *args: calls.append(args))
+    assert main(["tradeoff", "--data", str(demo_path), "--levels", "0.9,0.8"]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == "error: threshold levels must be ascending\n"
+
+
+def test_report_rejects_an_unknown_format(demo_path, tmp_path, capsys):
+    args = ["report", "--data", str(demo_path), "--out", str(tmp_path / "out")]
+    assert main(args + ["--formats", "csv,pdf"]) == 1
+    assert capsys.readouterr().err == "error: unknown output format 'pdf'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_config_rejects_an_unknown_format(demo_path, tmp_path):
+    with pytest.raises(DataError, match=r"^unknown output format 'pdf'$"):
+        ReportConfig(str(demo_path), str(tmp_path / "out"), formats=("pdf",))
+
+
+@pytest.mark.parametrize("command", ["mincover", "report"])
+def test_cap_zero_is_a_validation_error(command, demo_path, tmp_path, capsys):
+    args = [command, "--data", str(demo_path), "--cap", "0"]
+    if command == "report":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    prefix = "error at stage mincover: " if command == "report" else "error: "
+    assert capsys.readouterr().err == prefix + "min_cover: cap must be at least 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _ingest_text(tmp_path, capsys, text: str) -> tuple[int, str]:
+    data = tmp_path / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    return main(["ingest", "--data", str(data)]), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("objective", ["1/0", "x/2"])
+def test_unparseable_objective_fails_ingest_naming_the_row(objective, tmp_path, capsys):
+    code, err = _ingest_text(
+        tmp_path, capsys,
+        "solver,instance,kind,status,time,objective,participant,timeout\n"
+        f"a,i1,MINIMIZE,COMPLETE,1.000,{objective},1,10.000\n",
+    )
+    assert (code, err) == (1, f"error: row 2: unparseable objective {objective!r}\n")
+
+
+def test_an_empty_file_is_a_validation_error(tmp_path, capsys):
+    assert _ingest_text(tmp_path, capsys, "") == (1, "error: empty input: missing header row\n")
+
+
+def test_a_blank_line_is_skipped_and_counted_in_row_numbers(tmp_path, capsys):
+    header = "solver,instance,kind,status,time,objective,participant,timeout\n"
+    row = "a,i1,DECISION,COMPLETE,1.000,,1,10.000\n"
+    bad_row = "b,i1,DECISION,COMPLETE,-1,,1,10.000\n"
+    code, err = _ingest_text(tmp_path, capsys, header + row + "\n" + bad_row)
+    assert (code, err) == (1, "error: row 4: run ('b', 'i1'): negative time\n")
+    assert _ingest_text(tmp_path, capsys, header + "\n" + row) == (0, "")
+
+
+def test_an_empty_solver_id_is_a_validation_error(tmp_path, capsys):
+    code, err = _ingest_text(
+        tmp_path, capsys,
+        "solver,instance,kind,status,time,objective,participant,timeout\n"
+        ",i1,DECISION,COMPLETE,1.000,,1,10.000\n",
+    )
+    assert (code, err) == (1, "error: row 2: empty solver or instance id\n")
+
+
+def test_an_unexpected_exception_exits_2(demo_path, tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise RuntimeError("stage broke")
+
+    monkeypatch.setattr(cli, "borda", fail)
+    assert main(["report", "--data", str(demo_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "internal error: stage broke\n"
+    assert not (tmp_path / "out").exists()

@@ -314,3 +314,8 @@ def test_best_group_is_the_subsets_runs_with_the_largest_quality_key():
             for iid in ds.instance_ids
         )
     assert solved_by_nobody >= 10 and checked >= 1000
+
+
+def test_borda_rejects_a_dataset_without_instances():
+    with pytest.raises(DataError, match=r"^borda: dataset has no instances$"):
+        borda(build_dataset([], {"a": True}, []))

@@ -390,3 +390,9 @@ def test_scorer_and_cover_do_no_fraction_arithmetic(monkeypatch):
     assert cover == want_cover
     # the tolerance matters here: it admits runs up to 0.3 s behind the fastest
     assert cover != build_coverage(ds)
+
+
+def test_scorer_rejects_a_dataset_without_instances():
+    ds = build_dataset([], {"a": True}, [])
+    with pytest.raises(DataError, match=r"^scorer: dataset has no instances$"):
+        SubsetScorer(ds, ["a"], ["a"])

@@ -327,3 +327,9 @@ def test_exact_scores_no_coalition_through_evaluate_mask(monkeypatch):
     report = shapley_exact(ds, ds.solver_ids, ds.solver_ids)
     assert len(report.values) == 8
     assert len(calls) <= 1
+
+
+def test_sampled_attribution_of_an_empty_portfolio_is_empty():
+    ds = worked_example_dataset()
+    report = shapley_sampled(ds, [], ds.solver_ids, samples=5)
+    assert report == ({}, ShapleyMode.SAMPLED, (), ("a", "b"), 5)

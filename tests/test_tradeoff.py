@@ -14,7 +14,7 @@ from portview.runstore import (
     Status,
     build_dataset,
 )
-from portview.tradeoff import best_subsets, thresholds
+from portview.tradeoff import TradeoffCurve, best_subsets, thresholds
 from randgen import make_dataset, random_subset, tie_heavy_dataset
 from reference import reference_best_subsets, reference_perf
 
@@ -270,3 +270,8 @@ def test_the_work_budget_counts_shared_instances(monkeypatch):
     best_subsets(ds, ds.solver_ids, ds.solver_ids)
     with pytest.raises(DataError, match=r"^best_subsets: work budget exhausted after \d+ nodes"):
         best_subsets(copied, ds.solver_ids, ds.solver_ids)
+
+
+def test_thresholds_reject_an_empty_curve():
+    with pytest.raises(DataError, match=r"^thresholds: empty curve$"):
+        thresholds(TradeoffCurve((), ("a",), ("a",)), [Fraction(1, 2)])

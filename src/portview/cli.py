@@ -40,6 +40,7 @@ from .tradeoff import best_subsets, thresholds
 log = logging.getLogger(__name__)
 
 SCENARIOS = ("participants", "all")
+MODES = tuple(mode.value for mode in ShapleyMode)
 DEFAULT_LEVELS = (Fraction(4, 5), Fraction(9, 10), Fraction(19, 20))
 
 
@@ -280,7 +281,7 @@ class ReportConfig:
 
     Each option's default is a class attribute, which the CLI flags read; an
     option given to the constructor is set on the instance. An unknown keyword
-    raises ``TypeError``, and an unknown output format ``DataError``.
+    raises ``TypeError``, and an unknown scenario, mode or format ``DataError``.
     """
 
     scenario: str = "participants"
@@ -299,9 +300,11 @@ class ReportConfig:
         self.data = data
         self.out_dir = out_dir
         vars(self).update(options)
-        for fmt in self.formats:
-            if fmt not in ReportConfig.formats:
-                raise DataError(f"unknown output format {fmt!r}")
+        checks = [("scenario", self.scenario, SCENARIOS), ("mode", self.mode, MODES)]
+        checks += [("output format", fmt, ReportConfig.formats) for fmt in self.formats]
+        for option, value, known in checks:
+            if value not in known:
+                raise DataError(f"unknown {option} {value!r}")
 
 
 def run_pipeline(cfg: ReportConfig) -> dict[str, str]:
@@ -492,7 +495,7 @@ _SHARED_FLAGS = {
         default=format_rational(ReportConfig.epsilon), help="time-tie tolerance in seconds"
     ),
     "--cap": dict(type=int, default=ReportConfig.cap, help="max optima to enumerate"),
-    "--mode": dict(choices=[m.value for m in ShapleyMode], default=ReportConfig.mode),
+    "--mode": dict(choices=MODES, default=ReportConfig.mode),
     "--samples": dict(type=int, default=ReportConfig.samples),
     "--seed": dict(type=int, default=ReportConfig.seed),
     "--levels": dict(default=",".join(map(format_rational, DEFAULT_LEVELS))),

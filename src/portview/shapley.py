@@ -15,37 +15,36 @@ The value of a coalition is its performance ratio against the fixed baseline
 
 from __future__ import annotations
 
+import logging
 import random
 from enum import Enum
 from fractions import Fraction
-from math import factorial, gcd, inf
+from math import factorial, gcd, inf, prod
 from typing import Iterable, NamedTuple
 
 from .portfolio import SubsetScorer
 from .runstore import DataError, Dataset
 
+log = logging.getLogger(__name__)
+
 # Exact mode runs only when its estimated time (``_exact_seconds``) is within
 # this many seconds; larger portfolios need ``sampled`` mode.
 EXACT_BUDGET_S = 60.0
-
-# Exact sums fold integer numerators up the product tree of the coalition
-# denominators until its nodes average this many bits (see ``shapley_exact``).
-_REDUCED_BITS = 4096
 
 
 def _exact_seconds(n: int, m: int, denominator: int) -> float:
     """Estimated seconds of ``shapley_exact``, from its size alone.
 
     Calibrated on a 2-core x86 machine with CPython 3.11: each of the 2^n
-    coalitions costs about 5 us per player, and the exact sums, 52.8 s for 12
+    coalitions costs about 5 us per player, and the exact sums, 18 s for 12
     players over 100 instances with 2,384-bit scores (the bits of ``m *
     denominator``), grow x14 per two more players and with the square of the
-    bits. That constant was measured for running Fraction sums, which the
-    pairwise sums of ``shapley_exact`` beat by 7-32% at 10-12 players.
+    bits. It is at or above every run measured at 10-14 random players over
+    100-150 instances, and 1.5-3x above those at 12-14 players.
     """
     bits = (m * denominator).bit_length()
     try:
-        return 5e-6 * n * 2.0**n + 52.8 * 14 ** ((n - 12) / 2) * (bits / 2384) ** 2
+        return 5e-6 * n * 2.0**n + 18 * 14 ** ((n - 12) / 2) * (bits / 2384) ** 2
     except OverflowError:
         return inf
 
@@ -92,22 +91,13 @@ def _coalition_totals(rows: list[list[int]], m: int) -> list[tuple[int, int, int
     return totals
 
 
-def _product_tree(qs: list[int], top_bits: int) -> list[list[int]]:
-    """Product-tree levels over ``qs``, leaves up to the root or to nodes of ``top_bits`` bits."""
-    levels = [qs]
-    bits = sum(q.bit_length() for q in qs)
-    while len(qs) > 1 and len(qs) * top_bits > bits:
-        qs = [qs[j] * qs[j + 1] for j in range(0, len(qs) - 1, 2)] + qs[len(qs) & ~1 :]
-        levels.append(qs)
-    return levels
-
-
-def _fold(xs: list[int], levels: list[list[int]]) -> list[int]:
-    """Numerators over the nodes above ``levels``: x_L*Q_R + x_R*Q_L over Q_L*Q_R."""
-    for q in levels:
-        pairs = range(0, len(q) - 1, 2)
-        xs = [xs[j] * q[j + 1] + xs[j + 1] * q[j] for j in pairs] + xs[len(xs) & ~1 :]
-    return xs
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """``Fraction(numerator, denominator)`` of coprime ints, ``denominator > 0``, without a
+    gcd: ``Fraction(numerator)`` runs none, and ``_denominator`` is the slot that holds the
+    denominator on CPython 3.10-3.13, so the result is the reduced ``Fraction`` it equals."""
+    value = Fraction(numerator)
+    value._denominator = denominator
+    return value
 
 
 def shapley_exact(
@@ -122,13 +112,20 @@ def shapley_exact(
     containing it and loses s!(n-s-1)!/n! * v(S) from each non-empty S without
     it (in sum mode both coefficients are 1 and there is no n!). Each
     coalition's total score is one incremental step of ``_coalition_totals``,
-    and its value N/(T-N) is reduced once to p_S/q_S. One product tree of the
-    q_S serves every player, whose numerators fold up it in plain integers
-    with no gcd until its nodes average ``_REDUCED_BITS`` bits. From there the
-    node sums are reduced Fractions added pairwise: each addition's gcd is
-    between two halves' denominators, and a gcd costs the square of its size,
-    so they cost about half of one gcd over the whole product. The estimate is
-    checked before any coalition is scored; over budget raises DataError.
+    and its value N/(T-N) is reduced once to p_S/q_S.
+
+    All big gcds run once, for every player: one lcm tree over the q_S takes a
+    gcd g of each two siblings, keeps the cofactors right/g and left/g, and
+    multiplies g into a product of suspects that starts at n! (1 in sum mode).
+    Each player's numerators fold up the tree in plain integers to X/D, with
+    D = n!*L and L the lcm at the root, and X/D is reduced by gcd(X, R), R the
+    part of D made of suspect primes. That is exact: a prime p of D that
+    divides no coefficient and no two q_S (else it divides the sibling gcd at
+    their lowest common ancestor) divides a single q_T. Every term of X but
+    T's is then a multiple of p, and T's, coefficient * p_T * L/q_T, is not.
+    No coefficient is 0 at a player's own coalitions, so a zero sum is 0/1.
+    The estimate is checked before any coalition is scored; over budget
+    raises DataError.
     """
     if mode is ShapleyMode.SAMPLED:
         raise DataError("shapley_exact: use shapley_sampled for sampled mode")
@@ -157,15 +154,29 @@ def shapley_exact(
         ins.append(numerator // g * inside[size - 1])
         outs.append(numerator // g * outside[size - 1])
         qs.append((total - numerator) // g)
-    levels = _product_tree(qs, _REDUCED_BITS)
+    suspects = scale = fact[n] if exact else 1
+    levels = []  # per level, each merge's cofactors for its left and right child
+    while len(qs) > 1:
+        gs = [gcd(left, right) for left, right in zip(qs[::2], qs[1::2])]
+        suspects *= prod(gs)
+        level = [(right // g, left // g) for left, right, g in zip(qs[::2], qs[1::2], gs)]
+        qs = [left * right for left, (right, _) in zip(qs[::2], level)] + qs[2 * len(level) :]
+        levels.append(level)
+    denominator = scale * prod(qs)
+    suspect_part, g = 1, gcd(denominator, suspects)
+    while g > 1:  # gather the suspect primes of the denominator to their full powers
+        suspect_part *= g
+        g = gcd(denominator // suspect_part, g)
+    line = "shapley_exact: %d coalitions, %d-bit denominator, estimate %.3g s"
+    log.info(line, len(masks), denominator.bit_length(), estimate)
     values = {}
     for a, player in enumerate(players):
         xs = [x if mask >> a & 1 else y for mask, x, y in zip(masks, ins, outs)]
-        parts = [Fraction(x, q) for x, q in zip(_fold(xs, levels[:-1]), levels[-1])]
-        while len(parts) > 1:
-            pairs = range(0, len(parts) - 1, 2)
-            parts = [parts[j] + parts[j + 1] for j in pairs] + parts[len(parts) & ~1 :]
-        values[player] = parts[0] / (fact[n] if exact else 1)
+        for level in levels:
+            pairs = zip(xs[::2], xs[1::2], level)
+            xs = [x * left + y * right for x, y, (left, right) in pairs] + xs[2 * len(level) :]
+        g = gcd(xs[0], suspect_part)
+        values[player] = _coprime_fraction(xs[0] // g, denominator // g)
     return AttributionReport(values, mode, players, scorer.baseline)
 
 

@@ -457,14 +457,14 @@ def test_work_budget_exhausted_exits_1_at_stage_mincover(
 
 
 def test_report_over_the_exact_budget_fails_at_stage_shapley(tmp_path, monkeypatch, capsys):
-    """14 solvers x 100 instances: a 13-solver cover, then the guard."""
-    data = _write_random_table(tmp_path / "w14.csv", 14, 100)
+    """15 solvers x 100 instances: a 14-solver cover, then the guard."""
+    data = _write_random_table(tmp_path / "w15.csv", 15, 100)
     evaluated = _count_coalitions(monkeypatch)
     out_dir = tmp_path / "out"
     assert main(["report", "--data", str(data), "--out", str(out_dir)]) == 1
     assert evaluated == []
     err = capsys.readouterr().err
-    assert err.startswith("error at stage shapley: shapley_exact: 13 solvers over 100 instances")
+    assert err.startswith("error at stage shapley: shapley_exact: 14 solvers over 100 instances")
     assert err.endswith("; use --mode sampled\n")
     assert not out_dir.exists()
 
@@ -811,6 +811,23 @@ def test_report_rejects_an_unknown_format(demo_path, tmp_path, capsys):
 def test_report_config_rejects_an_unknown_format(demo_path, tmp_path):
     with pytest.raises(DataError, match=r"^unknown output format 'pdf'$"):
         ReportConfig(str(demo_path), str(tmp_path / "out"), formats=("pdf",))
+
+
+@pytest.mark.parametrize("option, known", [("scenario", cli.SCENARIOS), ("mode", cli.MODES)])
+def test_report_config_rejects_an_unknown_scenario_or_mode(option, known, demo_path):
+    with pytest.raises(DataError, match=rf"^unknown {option} 'bogus'$"):
+        ReportConfig(str(demo_path), "unused", **{option: "bogus"})
+    for value in known:
+        assert getattr(ReportConfig(str(demo_path), "unused", **{option: value}), option) == value
+
+
+@pytest.mark.parametrize("option", ["scenario", "mode"])
+def test_run_pipeline_on_an_unknown_scenario_or_mode_reads_nothing(option, demo_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "ingest", calls.append)
+    with pytest.raises(DataError, match=rf"^unknown {option} 'bogus'$"):
+        run_pipeline(ReportConfig(str(demo_path), "unused", **{option: "bogus"}))
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["mincover", "report"])

@@ -1,7 +1,10 @@
+import logging
+import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -14,7 +17,13 @@ from portview.runstore import (
     Status,
     build_dataset,
 )
-from portview.shapley import ShapleyMode, shapley_exact, shapley_sampled
+from portview.shapley import (
+    ShapleyMode,
+    _coprime_fraction,
+    _exact_seconds,
+    shapley_exact,
+    shapley_sampled,
+)
 from randgen import make_dataset, random_subset, tie_heavy_dataset
 from reference import reference_perf, reference_shapley_exact, reference_shapley_sampled
 
@@ -205,13 +214,16 @@ def test_guards():
 
 
 def test_exact_cost_estimate_follows_its_calibration():
-    from portview.shapley import EXACT_BUDGET_S, _exact_seconds
+    from portview.shapley import EXACT_BUDGET_S
 
     den = 2**2376  # 100 * den has 2,384 bits
     at_12 = _exact_seconds(12, 100, den)
-    assert 52.8 < at_12 < 53.2 < EXACT_BUDGET_S
-    assert 13.9 < _exact_seconds(14, 100, den) / at_12 < 14.1
-    assert _exact_seconds(13, 100, den) > EXACT_BUDGET_S
+    assert 18.2 < at_12 < 18.3 < EXACT_BUDGET_S  # 18 s of sums, 0.25 s of coalitions
+    assert 13.8 < _exact_seconds(14, 100, den) / at_12 < 13.9
+    # 14 random players over 100 instances took 56 s with 1,801-bit scores
+    assert _exact_seconds(14, 100, den) > EXACT_BUDGET_S
+    # 13 took 26-28 s with 1,957-bit scores, which the parent's estimate refused
+    assert 28 < _exact_seconds(13, 100, 2**1950) < EXACT_BUDGET_S
     # many players over one instance: the per-coalition cost alone is over budget
     assert _exact_seconds(23, 1, 2) > EXACT_BUDGET_S
     assert _exact_seconds(10**4, 100, den) == float("inf")
@@ -275,18 +287,58 @@ def test_exact_and_sum_equal_reference_for_zero_to_nine_solvers():
         _assert_exact_and_sum_equal_reference(ds, rng.sample(ds.solver_ids, n), ds.solver_ids)
 
 
-@pytest.mark.parametrize("reduced_bits", [1, 10**9])
-def test_exact_and_sum_equal_reference_however_high_the_integer_fold_goes(
-    monkeypatch, reduced_bits
-):
-    """1 bit: a Fraction at every coalition; 10^9 bits: one Fraction at the root."""
-    monkeypatch.setattr("portview.shapley._REDUCED_BITS", reduced_bits)
+def test_exact_and_sum_equal_reference_on_small_and_tie_heavy_grids():
     rng = random.Random(59)
     for n in (1, 2, 3, 6, 8):
         ds = make_dataset(rng, n_solvers=n + 1, n_instances=60, solve_all_solver=True)
         _assert_exact_and_sum_equal_reference(ds, rng.sample(ds.solver_ids, n), ds.solver_ids)
     ties = tie_heavy_dataset(rng, n_solvers=8, n_instances=50)
     _assert_exact_and_sum_equal_reference(ties, ties.solver_ids[:5], ties.solver_ids)
+
+
+def test_values_are_reduced_when_coalition_denominators_share_primes():
+    """A twin repeats coalition values, so many q_S are equal or share primes."""
+    rng = random.Random(61)
+    ties = tie_heavy_dataset(rng, n_solvers=7, n_instances=40)
+    ds = _with_dummy(_with_twin(_with_twin(ties, "s00", "zztwin"), "s01", "zztwin2"))
+    portfolio = ("s00", "s01", "s02", "zztwin", "zztwin2", "zzdummy")
+    for mode in (ShapleyMode.EXACT, ShapleyMode.SUM):
+        values = shapley_exact(ds, portfolio, ds.solver_ids, mode).values
+        assert values == reference_shapley_exact(ds, portfolio, ds.solver_ids, mode)
+        assert values["s00"] == values["zztwin"] and values["s01"] == values["zztwin2"]
+        for value in values.values():
+            assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
+
+
+COPRIME_PAIRS = [(0, 1), (3, 5), (-7, 2), (2**521 - 1, 3**200), (-(3**150), 2**300 + 1)]
+
+
+@pytest.mark.parametrize("numerator, denominator", COPRIME_PAIRS)
+def test_coprime_fraction_is_the_reduced_fraction(numerator, denominator):
+    value = _coprime_fraction(numerator, denominator)
+    expected = Fraction(numerator, denominator)
+    assert type(value) is Fraction and value == expected
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    assert hash(value) == hash(expected) and str(value) == str(expected)
+    copied = pickle.loads(pickle.dumps(value))
+    assert type(copied) is Fraction and copied == expected and hash(copied) == hash(expected)
+    assert (copied.numerator, copied.denominator) == (numerator, denominator)
+
+
+def test_exact_logs_its_coalitions_denominator_and_estimate(caplog):
+    ds = make_dataset(random.Random(67), n_solvers=5, n_instances=30, solve_all_solver=True)
+    with caplog.at_level(logging.INFO, logger="portview.shapley"):
+        report = shapley_exact(ds, ds.solver_ids, ds.solver_ids)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "portview.shapley"]
+    pattern = r"shapley_exact: (\d+) coalitions, (\d+)-bit denominator, estimate (\S+) s"
+    match = re.fullmatch(pattern, line)
+    assert match and int(match[1]) == 31 and len(report.values) == 5
+    players = ds.solver_ids
+    coalitions = [c for size in range(1, 6) for c in combinations(players, size)]
+    q_lcm = lcm(*(reference_perf(ds, c, players).value.denominator for c in coalitions))
+    assert int(match[2]) == (factorial(5) * q_lcm).bit_length()
+    estimate = _exact_seconds(5, 30, SubsetScorer(ds, players, players).denominator)
+    assert match[3] == f"{estimate:.3g}"
 
 
 def test_exact_and_sum_equal_reference_on_ties_unsolved_columns_and_null_rows():

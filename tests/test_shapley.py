@@ -287,12 +287,27 @@ def test_exact_and_sum_equal_reference_for_zero_to_nine_solvers():
         _assert_exact_and_sum_equal_reference(ds, rng.sample(ds.solver_ids, n), ds.solver_ids)
 
 
-def test_exact_and_sum_equal_reference_on_small_and_tie_heavy_grids():
+def _with_finer_times(ds, grain, rng):
+    """Each run time scaled by a random factor in (1/2, 1] on a grid of 1/grain."""
+    runs = []
+    for _, r in sorted(ds.runs.items()):
+        time = r.time * Fraction(grain - rng.randrange(grain // 2 + 1), grain)
+        runs.append(RunRecord(r.solver_id, r.instance_id, r.status, time, r.objective))
+    return build_dataset(list(ds.instances.values()), dict(ds.solvers), runs)
+
+
+@pytest.mark.parametrize("grain", [1, 10**9])
+def test_exact_and_sum_equal_reference_however_high_the_integer_fold_goes(grain):
+    """Grain 1 keeps the generated times; grain 10^9 gives every score a large
+    denominator, so the q_S and the integers folded up the lcm tree run to
+    thousands of bits."""
     rng = random.Random(59)
+    fine = random.Random(grain)
     for n in (1, 2, 3, 6, 8):
         ds = make_dataset(rng, n_solvers=n + 1, n_instances=60, solve_all_solver=True)
+        ds = _with_finer_times(ds, grain, fine)
         _assert_exact_and_sum_equal_reference(ds, rng.sample(ds.solver_ids, n), ds.solver_ids)
-    ties = tie_heavy_dataset(rng, n_solvers=8, n_instances=50)
+    ties = _with_finer_times(tie_heavy_dataset(rng, n_solvers=8, n_instances=50), grain, fine)
     _assert_exact_and_sum_equal_reference(ties, ties.solver_ids[:5], ties.solver_ids)
 
 

@@ -282,6 +282,7 @@ class ReportConfig:
     Each option's default is a class attribute, which the CLI flags read; an
     option given to the constructor is set on the instance. An unknown keyword
     raises ``TypeError``, and an unknown scenario, mode or format ``DataError``.
+    An instance is immutable, so what the constructor checked is what runs.
     """
 
     scenario: str = "participants"
@@ -297,14 +298,17 @@ class ReportConfig:
         unknown = options.keys() - ReportConfig.__annotations__
         if unknown:
             raise TypeError(f"ReportConfig got unexpected keyword arguments {sorted(unknown)}")
-        self.data = data
-        self.out_dir = out_dir
-        vars(self).update(options)
+        vars(self).update(options, data=data, out_dir=out_dir)
         checks = [("scenario", self.scenario, SCENARIOS), ("mode", self.mode, MODES)]
         checks += [("output format", fmt, ReportConfig.formats) for fmt in self.formats]
         for option, value, known in checks:
             if value not in known:
                 raise DataError(f"unknown {option} {value!r}")
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"a ReportConfig is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def run_pipeline(cfg: ReportConfig) -> dict[str, str]:

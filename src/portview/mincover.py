@@ -21,8 +21,8 @@ from .runstore import DataError, Dataset, known_solvers
 
 log = logging.getLogger(__name__)
 
-# Search nodes; at most about the 60 s of shapley.EXACT_BUDGET_S at 58-208 thousand per
-# CPU second, the slowest and fastest measured (2-core x86, CPython 3.11, tie-heavy data).
+# Search nodes; 36 s at the slowest rate measured, 97 thousand per CPU second, and 7 s at the
+# fastest, 473 thousand (2-core x86, CPython 3.11, tie-heavy data); within shapley.EXACT_BUDGET_S.
 NODE_BUDGET = 3_500_000
 _PROGRESS_EVERY = 1 << 12
 
@@ -87,23 +87,6 @@ class CoverSolution(NamedTuple):
     cap_reached: bool = False
 
 
-def _disjoint_lower_bound(
-    uncovered: list[int], allowed: int, coverers: list[int], masks: list[int]
-) -> int:
-    """Count pairwise-independent uncovered elements; each needs its own set.
-    The bits of ``coverers[e] & allowed`` index the allowed sets covering ``e`` in ``masks``."""
-    bound = hit = 0
-    for e in uncovered:
-        if not hit >> e & 1:
-            bound += 1
-            sets = coverers[e] & allowed
-            while sets:
-                low = sets & -sets
-                hit |= masks[low.bit_length() - 1]
-                sets ^= low
-    return bound
-
-
 def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
     """Enumerate every minimum-cardinality cover of the universe.
 
@@ -140,7 +123,7 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
     cap_reached = False
     nodes, started = 0, time.perf_counter()
 
-    def dfs(chosen: tuple[int, ...], uncovered: list[int], allowed: int) -> None:
+    def dfs(chosen: tuple[int, ...], uncovered: int, allowed: int) -> None:
         nonlocal best_size, solutions, cap_reached, nodes
         if nodes > NODE_BUDGET:
             raise DataError(
@@ -160,20 +143,36 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
             else:
                 cap_reached = True
             return
-        fewest = min((coverers[e] & allowed for e in uncovered), key=int.bit_count)
-        # prune an instance no allowed set covers, and covers too large; past the
-        # cap, only a strictly smaller cover changes the answer
+        # one ascending pass keeps the first instance with the fewest allowed coverers and
+        # counts instances that pairwise share no allowed set (each needs its own); it prunes
+        # an instance no allowed set covers and covers too large (past the cap: not smaller)
         limit = best_size - cap_reached - len(chosen)
-        if not fewest or _disjoint_lower_bound(uncovered, allowed, coverers, masks) > limit:
-            return
+        fewest, least, bound, hit, rest = 0, len(names) + 1, 0, 0, uncovered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sets = coverers[low.bit_length() - 1] & allowed
+            count = sets.bit_count()
+            if count < least:
+                if not count:
+                    return
+                fewest, least = sets, count
+            if not hit & low:
+                bound += 1
+                if bound > limit:
+                    return
+                while sets:
+                    first = sets & -sets
+                    hit |= masks[first.bit_length() - 1]
+                    sets ^= first
         while fewest:
             low = fewest & -fewest
             fewest ^= low
             allowed ^= low
             j = low.bit_length() - 1
-            dfs(chosen + (j,), [e for e in uncovered if not masks[j] >> e & 1], allowed)
+            dfs(chosen + (j,), uncovered & ~masks[j], allowed)
 
-    dfs((), list(range(len(universe))), (1 << len(names)) - 1)
+    dfs((), (1 << len(universe)) - 1, (1 << len(names)) - 1)
     portfolios = sorted(tuple(names[i] for i in sorted(sol)) for sol in solutions)
     is_unique = len(portfolios) == 1 and not cap_reached
     return CoverSolution(tuple(portfolios), best_size, is_unique, cap_reached)

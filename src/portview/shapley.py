@@ -30,6 +30,11 @@ log = logging.getLogger(__name__)
 # Exact mode runs only when its estimated time (``_exact_seconds``) is within
 # this many seconds; larger portfolios need ``sampled`` mode.
 EXACT_BUDGET_S = 60.0
+# Sampled mode runs only within this many work units, one per player and one per
+# non-zero score per permutation: about 60 s at the slowest of 10.4-29.6 million
+# units per CPU second measured (2-core x86, CPython 3.11, 8-60 players, 20-1,000
+# instances, random and tie-heavy data).
+SAMPLED_WORK_BUDGET = 600_000_000
 
 
 def _exact_seconds(n: int, m: int, denominator: int) -> float:
@@ -191,7 +196,9 @@ def shapley_sampled(
 
     Each sampled permutation credits every solver with its marginal value at
     its position; reported values are the sample means. Deterministic for a
-    fixed seed. Values are floats (the estimator is approximate anyway).
+    fixed seed. Values are floats (the estimator is approximate anyway). Raises
+    ``DataError`` before the first permutation when the samples would take more
+    than ``SAMPLED_WORK_BUDGET`` work units.
     """
     if samples < 1:
         raise DataError("shapley_sampled: samples must be at least 1")
@@ -205,6 +212,13 @@ def shapley_sampled(
     # score never raises the running best, so only the others are kept
     rows = [[(i, x / scorer.denominator) for i, x in enumerate(row) if x] for row in scorer.rows]
     m = len(scorer.instances)
+    per_sample = n + sum(map(len, rows))
+    if samples * per_sample > SAMPLED_WORK_BUDGET:
+        raise DataError(
+            f"shapley_sampled: {samples} samples of {n} solvers with {per_sample - n} non-zero "
+            f"scores are {samples * per_sample} work units, over the budget of "
+            f"{SAMPLED_WORK_BUDGET}; use --samples {SAMPLED_WORK_BUDGET // per_sample} or fewer"
+        )
     rng = random.Random(rng_seed)
     acc = [0.0] * n
     order = list(range(n))

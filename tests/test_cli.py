@@ -469,6 +469,22 @@ def test_report_over_the_exact_budget_fails_at_stage_shapley(tmp_path, monkeypat
     assert not out_dir.exists()
 
 
+def test_report_over_the_sampled_budget_fails_at_stage_shapley(
+    demo_path, tmp_path, monkeypatch, capsys
+):
+    from portview import shapley
+
+    monkeypatch.setattr(shapley, "SAMPLED_WORK_BUDGET", 1_000)
+    out_dir = tmp_path / "out"
+    args = ["report", "--data", str(demo_path), "--out", str(out_dir), "--mode", "sampled"]
+    assert main(args + ["--samples", "142"]) == 0
+    assert main(args + ["--samples", "143"]) == 1
+    assert capsys.readouterr().err == (
+        "error at stage shapley: shapley_sampled: 143 samples of 2 solvers with 5 non-zero "
+        "scores are 1001 work units, over the budget of 1000; use --samples 142 or fewer\n"
+    )
+
+
 HEADER = "solver,instance,kind,status,time,objective,participant,timeout"
 UNREADABLE = {
     "not-utf8": (b"solver,instance\n\xff\xfe\n", "input is not UTF-8 text"),

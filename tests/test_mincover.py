@@ -246,35 +246,36 @@ def test_capped_min_cover_keeps_optima_of_the_reference(covers_with_reference):
     assert capped >= 30
 
 
-def _count_bound_calls(monkeypatch) -> list[int]:
-    calls = [0]
-    bound = mincover._disjoint_lower_bound
-
-    def counted(*args):
-        calls[0] += 1
-        return bound(*args)
-
-    monkeypatch.setattr(mincover, "_disjoint_lower_bound", counted)
-    return calls
+def _searched(monkeypatch, caplog, cov: CoverageMap, cap: int = 1000):
+    """``min_cover``'s solution and its node count, read off one progress line per node."""
+    monkeypatch.setattr(mincover, "_PROGRESS_EVERY", 1)
+    with caplog.at_level("INFO", logger="portview.mincover"):
+        solution = min_cover(cov, cap)
+    return solution, sum(r.name == "portview.mincover" for r in caplog.records)
 
 
-def test_the_cap_stops_the_search(monkeypatch):
+def test_the_cap_stops_the_search(monkeypatch, caplog):
     """16 pairs of twins: 2**16 optima, of which three are kept."""
-    calls = _count_bound_calls(monkeypatch)
     cov = _cover_map(
         {f"{twin}{j:02d}": {f"i{j:02d}"} for j in range(16) for twin in "ab"},
         {f"i{j:02d}" for j in range(16)},
     )
-    solution = min_cover(cov, cap=3)
+    solution, nodes = _searched(monkeypatch, caplog, cov, cap=3)
     assert (solution.size, len(solution.portfolios), solution.cap_reached) == (16, 3, True)
-    assert calls[0] <= 100
+    assert nodes <= 100
 
 
-def test_tie_heavy_cover_of_forty_solvers_searches_few_nodes(monkeypatch):
-    calls = _count_bound_calls(monkeypatch)
-    solution = min_cover(build_coverage(tie_heavy_dataset(random.Random(0), 40, 100)))
+def test_tie_heavy_cover_of_forty_solvers_searches_few_nodes(monkeypatch, caplog):
+    cov = build_coverage(tie_heavy_dataset(random.Random(0), 40, 100))
+    solution, nodes = _searched(monkeypatch, caplog, cov)
     assert (solution.size, len(solution.portfolios), solution.cap_reached) == (11, 550, False)
-    assert calls[0] <= 20_000
+    assert nodes <= 20_000
+
+
+def test_tie_heavy_cover_of_forty_solvers_keeps_its_search_tree(monkeypatch, caplog):
+    """The branching instance, the bound and the prunes fix the tree: its size is pinned."""
+    cov = build_coverage(tie_heavy_dataset(random.Random(0), 40, 100))
+    assert _searched(monkeypatch, caplog, cov)[1] == 10_409
 
 
 def test_work_budget_exhausted_names_nodes_and_best_size(monkeypatch):

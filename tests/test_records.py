@@ -4,7 +4,8 @@ Result records are immutable named tuples: a field cannot be set, and they
 compare and unpack as tuples. ``Dataset`` is immutable too and its equality
 ignores ``warnings``. The validating records check their values in ``_make``
 and ``_replace`` too. ``ReportConfig`` keeps its defaults as class attributes,
-which the CLI flags read; ``ColumnMapping`` gives each mapping its own dicts.
+which the CLI flags read, and an instance cannot be changed once checked;
+``ColumnMapping`` gives each mapping its own dicts.
 """
 
 from fractions import Fraction
@@ -122,6 +123,17 @@ def test_report_config_builds_by_keyword_and_rejects_unknown_ones():
     assert cfg.samples == ReportConfig.samples and ReportConfig.mode == "exact"
     with pytest.raises(TypeError, match="modes"):
         ReportConfig(data="d.csv", out_dir="out", modes="sampled")
+
+
+def test_a_report_config_cannot_be_changed_after_its_checks():
+    cfg = ReportConfig(data="d.csv", out_dir="out", scenario="all")
+    for name in ("scenario", "mode", "data", "extra"):
+        with pytest.raises(AttributeError, match=f"immutable: cannot set or delete '{name}'"):
+            setattr(cfg, name, "bogus")
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(cfg, name)
+    assert (cfg.data, cfg.scenario, cfg.mode) == ("d.csv", "all", "exact")
+    assert not hasattr(cfg, "extra")
 
 
 def test_default_column_mappings_share_no_dict():

@@ -8,6 +8,7 @@ from math import factorial, gcd, lcm
 
 import pytest
 
+from portview import shapley
 from portview.portfolio import SubsetScorer, perf
 from portview.runstore import (
     DataError,
@@ -400,3 +401,16 @@ def test_sampled_attribution_of_an_empty_portfolio_is_empty():
     ds = worked_example_dataset()
     report = shapley_sampled(ds, [], ds.solver_ids, samples=5)
     assert report == ({}, ShapleyMode.SAMPLED, (), ("a", "b"), 5)
+
+
+def test_sampled_over_its_work_budget_is_refused(monkeypatch):
+    """Worked example: 2 players and 4 non-zero scores, so 6 work units a sample."""
+    ds = worked_example_dataset()
+    monkeypatch.setattr(shapley, "SAMPLED_WORK_BUDGET", 60)
+    assert shapley_sampled(ds, ds.solver_ids, ds.solver_ids, samples=10).sample_count == 10
+    with pytest.raises(DataError) as info:
+        shapley_sampled(ds, ds.solver_ids, ds.solver_ids, samples=11)
+    assert str(info.value) == (
+        "shapley_sampled: 11 samples of 2 solvers with 4 non-zero scores are 66 work units, "
+        "over the budget of 60; use --samples 10 or fewer"
+    )

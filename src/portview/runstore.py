@@ -37,9 +37,9 @@ class ProblemKind(Enum):
     MINIMIZE = "MINIMIZE"
     MAXIMIZE = "MAXIMIZE"
 
-    @property
-    def is_optimization(self) -> bool:
-        return self is not ProblemKind.DECISION
+    def __init__(self, value: str) -> None:
+        # a plain attribute: every row's shape check reads it, and an enum property is slow
+        self.is_optimization = value != "DECISION"
 
 
 class Status(Enum):
@@ -47,6 +47,9 @@ class Status(Enum):
     INCOMPLETE = "INCOMPLETE"  # some solution found, optimality not proven
     UNSOLVED = "UNSOLVED"
 
+
+# on CPython 3.11 a member read off its class costs about 20 global reads; loops test every run
+_COMPLETE, _INCOMPLETE, _UNSOLVED = Status.COMPLETE, Status.INCOMPLETE, Status.UNSOLVED
 
 CANONICAL_COLUMNS = (
     "solver",
@@ -61,7 +64,7 @@ CANONICAL_COLUMNS = (
 
 # upper-case participant-flag token -> flag
 _FLAG_TOKENS = {"1": True, "TRUE": True, "YES": True, "0": False, "FALSE": False, "NO": False}
-_STATUS_RANK = {Status.UNSOLVED: 0, Status.INCOMPLETE: 1, Status.COMPLETE: 2}
+_STATUS_RANK = {_UNSOLVED: 0, _INCOMPLETE: 1, _COMPLETE: 2}
 
 
 # Most digits a number's integer numerator or power-of-ten denominator may need:
@@ -264,15 +267,26 @@ class Dataset:
     def quality_ranking(self) -> dict[str, tuple[tuple[str, ...], ...]]:
         """Per instance, all solver ids best first, in sorted tuples of equal ``quality_key``.
 
-        Keys each stored run once per ingest; ``filter_solvers``, ``borda`` and ``best_group`` read it.
+        COMPLETE runs share the top key and UNSOLVED runs the bottom one, so only
+        INCOMPLETE runs are keyed and sorted. Ranked once per ingest (``filter_solvers``
+        filters its parent's ranking); ``borda`` and ``best_group`` read it.
         """
-        solvers = self.solver_ids
+        buckets = {iid: ([], [], []) for iid in self.instances}  # COMPLETE, INCOMPLETE, UNSOLVED
+        for run in self.runs.values():
+            complete, incomplete, unsolved = buckets[run.instance_id]
+            if run.status is _INCOMPLETE:
+                incomplete.append(run)
+            else:
+                (complete if run.status is _COMPLETE else unsolved).append(run.solver_id)
         ranking = {}
-        for iid, meta in self.instances.items():
-            runs = [self.runs[(sid, iid)] for sid in solvers]
-            keys = {r.solver_id: quality_key(meta.kind, r.status, r.objective) for r in runs}
+        for iid, (complete, incomplete, unsolved) in buckets.items():
+            kind = self.instances[iid].kind
+            incomplete.sort()  # by solver id: an instance's runs differ there first
+            keys = {r.solver_id: quality_key(kind, r.status, r.objective) for r in incomplete}
             best_first = sorted(keys, key=keys.__getitem__, reverse=True)  # stable: ids ascend
-            ranking[iid] = tuple(tuple(group) for _, group in groupby(best_first, keys.__getitem__))
+            groups = (tuple(group) for _, group in groupby(best_first, keys.__getitem__))
+            ranked = (tuple(sorted(complete)), *groups, tuple(sorted(unsolved)))
+            ranking[iid] = tuple(group for group in ranked if group)
         return ranking
 
 
@@ -280,13 +294,13 @@ def run_shape_violation(
     kind: ProblemKind, status: Status, objective: Fraction | None
 ) -> str | None:
     """The data-model rule a run of this shape breaks on a ``kind`` instance, or None."""
-    if status is Status.UNSOLVED:
+    if status is _UNSOLVED:
         if objective is not None:
             return "unsolved run must not carry an objective"
     elif kind.is_optimization:
         if objective is None:
             return "solved run on an optimization instance requires an objective"
-    elif status is Status.INCOMPLETE:
+    elif status is _INCOMPLETE:
         return "INCOMPLETE is not valid on a decision instance"
     elif objective is not None:
         return "decision instance must not carry an objective"
@@ -301,40 +315,9 @@ def quality_key(
     Only two incomplete solutions compare by objective: a proven-complete run
     outranks any incomplete one regardless of recorded objective values.
     """
-    if status is Status.INCOMPLETE:
+    if status is _INCOMPLETE:
         return _STATUS_RANK[status], -objective if kind is ProblemKind.MINIMIZE else objective
     return _STATUS_RANK[status], 0
-
-
-def _objective_consistency(
-    instances: Mapping[str, InstanceMeta],
-    solver_ids: Sequence[str],
-    runs: Mapping[tuple[str, str], RunRecord],
-    warnings: list[str],
-) -> None:
-    """Append a warning for each objective value that contradicts proven-optimal runs."""
-    for iid, meta in sorted(instances.items()):
-        if not meta.kind.is_optimization:
-            continue
-        here = [runs[(sid, iid)] for sid in solver_ids]
-        complete = [r for r in here if r.status is Status.COMPLETE]
-        incomplete = [r for r in here if r.status is Status.INCOMPLETE]
-        if not complete:
-            continue
-        objectives = {r.objective for r in complete}
-        if len(objectives) > 1:
-            warnings.append(
-                f"instance {_quoted(iid)}: proven-optimal runs disagree on the objective value"
-            )
-        best = min(objectives) if meta.kind is ProblemKind.MINIMIZE else max(objectives)
-        for r in incomplete:
-            worse_ok = r.objective >= best if meta.kind is ProblemKind.MINIMIZE else r.objective <= best
-            if not worse_ok:
-                warnings.append(
-                    f"run ({_quoted(r.solver_id)}, {_quoted(iid)}): incomplete objective "
-                    f"{format_rational(r.objective)} is better than the proven optimum "
-                    f"{format_rational(best)}"
-                )
 
 
 def _complete(
@@ -343,7 +326,9 @@ def _complete(
     runs: dict[tuple[str, str], RunRecord],
     warnings: list[str],
 ) -> Dataset:
-    """Complete checked ``runs`` in place: clamp times, fill missing pairs, cross-check objectives."""
+    """Complete checked ``runs`` in place: clamp times, fill missing pairs, and warn of
+    each objective value that contradicts proven-optimal runs."""
+    complete, incomplete = {}, {}  # instance id -> its COMPLETE runs, its INCOMPLETE runs
     for key, run in runs.items():
         timeout, time = instances[run.instance_id].timeout, run.time
         # read_table shares parsed values; an integer compare (positive denominators) for the rest
@@ -355,12 +340,35 @@ def _complete(
                 f"{format_duration(run.time)} exceeds timeout, clamped to "
                 f"{format_duration(timeout)}"
             )
-            runs[key] = RunRecord(run.solver_id, run.instance_id, run.status, timeout, run.objective)
-    for sid in solvers:
-        for iid, meta in instances.items():
-            if (sid, iid) not in runs:
-                runs[(sid, iid)] = RunRecord(sid, iid, Status.UNSOLVED, meta.timeout)
-    _objective_consistency(instances, sorted(solvers), runs, warnings)
+            run = runs[key] = RunRecord(
+                run.solver_id, run.instance_id, run.status, timeout, run.objective
+            )
+        if run.status is not _UNSOLVED:
+            by_status = complete if run.status is _COMPLETE else incomplete
+            by_status.setdefault(run.instance_id, []).append(run)
+    if len(runs) < len(solvers) * len(instances):  # every key is a (solver, instance) pair
+        for sid in solvers:
+            for iid, meta in instances.items():
+                if (sid, iid) not in runs:
+                    runs[(sid, iid)] = RunRecord(sid, iid, _UNSOLVED, meta.timeout)
+    for iid, meta in sorted(instances.items()):
+        if not meta.kind.is_optimization or iid not in complete:
+            continue
+        objectives = {r.objective for r in complete[iid]}
+        if len(objectives) > 1:
+            warnings.append(
+                f"instance {_quoted(iid)}: proven-optimal runs disagree on the objective value"
+            )
+        minimize = meta.kind is ProblemKind.MINIMIZE
+        best = min(objectives) if minimize else max(objectives)
+        for r in sorted(incomplete.get(iid, ())):  # an instance's runs sort by solver id
+            worse_ok = r.objective >= best if minimize else r.objective <= best
+            if not worse_ok:
+                warnings.append(
+                    f"run ({_quoted(r.solver_id)}, {_quoted(iid)}): incomplete objective "
+                    f"{format_rational(r.objective)} is better than the proven optimum "
+                    f"{format_rational(best)}"
+                )
     return Dataset(instances, solvers, runs, tuple(warnings))
 
 
@@ -427,7 +435,7 @@ class ColumnMapping:
 def _column_plan(header: Sequence[str], mapping: ColumnMapping):
     """Resolve ``mapping`` against ``header`` once.
 
-    Returns a function from a row's cells to the stripped canonical cells.
+    Returns a function from a row's cells to the canonical cells, unstripped.
     Joined and default columns are appended to the row; all are picked by index.
     """
     names = [name.strip().lower() for name in header]
@@ -456,23 +464,18 @@ def _column_plan(header: Sequence[str], mapping: ColumnMapping):
             )
     pick = operator.itemgetter(*picks)
     if not extras:
-        return lambda cells: [text.strip() for text in pick(cells)]
-    return lambda cells: [text.strip() for text in pick(cells + [f(cells) for f in extras])]
+        return pick
+    return lambda cells: pick(cells + [f(cells) for f in extras])
 
 
 def _token_table(enum: type[Enum], synonyms: Mapping[str, str]) -> dict[str, Enum | None]:
-    """Upper-case token -> member; a synonym of no canonical token maps to None."""
+    """Upper-case token -> member; a synonym of no canonical token maps to None.
+
+    Holds no token that upper-casing changes: a cell found as written maps as its upper case.
+    """
     table: dict[str, Enum | None] = {m.value: m for m in enum}
-    table.update({token: table.get(canonical) for token, canonical in synonyms.items()})
+    table.update({t: table.get(c) for t, c in synonyms.items() if t == t.upper()})
     return table
-
-
-def _checked_rows(reader):
-    """The rows of a csv reader; a row the csv module cannot parse raises DataError."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"row {reader.line_num}: {exc}") from None
 
 
 def read_table(
@@ -499,13 +502,20 @@ def read_table(
         except UnicodeDecodeError as exc:
             raise DataError(f"input is not UTF-8 text: {exc}") from None
     try:
-        reader = _checked_rows(csv.reader(source, delimiter=mapping.delimiter))
+        reader = csv.reader(source, delimiter=mapping.delimiter)
     except TypeError:
         raise DataError(f"delimiter {mapping.delimiter!r} is not a single character") from None
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty input: missing header row") from None
+        return _read_rows(reader, mapping, strict)
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: {exc}") from None
+
+
+def _read_rows(reader, mapping: ColumnMapping, strict: bool) -> Dataset:
+    """``read_table``'s pass over the rows of a csv reader, header first."""
+    header = next(reader, None)
+    if header is None:
+        raise DataError("empty input: missing header row")
     canonical_cells = _column_plan(header, mapping)
     kinds = _token_table(ProblemKind, mapping.kind_map)
     statuses = _token_table(Status, mapping.status_map)
@@ -523,13 +533,14 @@ def read_table(
     objectives: dict[str, Fraction] = {}
     solver_flags: dict[str, bool] = {}
     runs: dict[tuple[str, str], RunRecord] = {}
+    strip, width, flags = str.strip, len(header), _FLAG_TOKENS
     for row_no, cells in enumerate(reader, start=2):
         if not "".join(cells).strip():
             continue
-        if len(cells) != len(header):
-            raise DataError(f"row {row_no}: expected {len(header)} fields, got {len(cells)}")
+        if len(cells) != width:
+            raise DataError(f"row {row_no}: expected {width} fields, got {len(cells)}")
         solver, instance, kind_text, status_text, time_text, objective_text, flag_text, \
-            timeout_text = canonical_cells(cells)
+            timeout_text = map(strip, canonical_cells(cells))
         if not solver or not instance:
             raise DataError(f"row {row_no}: empty solver or instance id")
         key = (solver, instance)
@@ -538,13 +549,14 @@ def read_table(
                 f"row {row_no}: duplicate run for solver {_quoted(solver)} "
                 f"on instance {_quoted(instance)}"
             )
-        kind = kinds.get(kind_text.upper())
+        # a token is looked up as written first: canonical files spell it in upper case
+        kind = kinds.get(kind_text) or kinds.get(kind_text.upper())
         if kind is None:
             raise DataError(f"row {row_no}: unknown problem kind {_quoted(kind_text)}")
-        status = statuses.get(status_text.upper())
+        status = statuses.get(status_text) or statuses.get(status_text.upper())
         if status is None:
             violation(f"row {row_no}: unknown status {_quoted(status_text)}", "recorded as UNSOLVED")
-        participant = _FLAG_TOKENS.get(flag_text.upper())
+        participant = flags[flag_text] if flag_text in flags else flags.get(flag_text.upper())
         if participant is None:
             violation(
                 f"row {row_no}: unparseable participant flag {_quoted(flag_text)}",
@@ -575,7 +587,7 @@ def read_table(
             time, status = timeout, None
         if status is None:
             # unknown status or unusable time, already reported: drop the objective too
-            status, objective = Status.UNSOLVED, None
+            status, objective = _UNSOLVED, None
         # one broken rule at a time; the objective and the status each change at most once
         for _ in range(2):
             broken = run_shape_violation(kind, status, objective)
@@ -587,7 +599,7 @@ def read_table(
                 objective = None
             else:
                 violation(message, "recorded as UNSOLVED")
-                status = Status.UNSOLVED
+                status = _UNSOLVED
         if meta.kind is not kind or (meta.timeout is not timeout and meta.timeout != timeout):
             raise DataError(
                 f"row {row_no}: instance {_quoted(instance)} redeclared with different "
@@ -602,7 +614,8 @@ def read_table(
                 f"row {row_no}: solver {_quoted(solver)} redeclared with different "
                 "participant flag"
             )
-        runs[key] = RunRecord(solver, instance, status, time, objective)
+        # checked above: the time's sign, or the instance's timeout in its place
+        runs[key] = tuple.__new__(RunRecord, (solver, instance, status, time, objective))
 
     return _complete(instances, solver_flags, runs, warnings)
 

@@ -30,11 +30,13 @@ log = logging.getLogger(__name__)
 # Exact mode runs only when its estimated time (``_exact_seconds``) is within
 # this many seconds; larger portfolios need ``sampled`` mode.
 EXACT_BUDGET_S = 60.0
-# Sampled mode runs only within this many work units, one per player and one per
-# non-zero score per permutation: about 60 s at the slowest of 10.4-29.6 million
+# Sampled mode runs only within this many work units, _PLAYER_UNITS per player and
+# one per non-zero score per permutation: a player's step costs about 13 scores'
+# (0.47 against 0.036 us). That is about 56 s at the slowest of 17.8-34.6 million
 # units per CPU second measured (2-core x86, CPython 3.11, 8-60 players, 20-1,000
 # instances, random and tie-heavy data).
-SAMPLED_WORK_BUDGET = 600_000_000
+SAMPLED_WORK_BUDGET = 1_000_000_000
+_PLAYER_UNITS = 13
 
 
 def _exact_seconds(n: int, m: int, denominator: int) -> float:
@@ -212,10 +214,11 @@ def shapley_sampled(
     # score never raises the running best, so only the others are kept
     rows = [[(i, x / scorer.denominator) for i, x in enumerate(row) if x] for row in scorer.rows]
     m = len(scorer.instances)
-    per_sample = n + sum(map(len, rows))
+    scores = sum(map(len, rows))
+    per_sample = _PLAYER_UNITS * n + scores
     if samples * per_sample > SAMPLED_WORK_BUDGET:
         raise DataError(
-            f"shapley_sampled: {samples} samples of {n} solvers with {per_sample - n} non-zero "
+            f"shapley_sampled: {samples} samples of {n} solvers with {scores} non-zero "
             f"scores are {samples * per_sample} work units, over the budget of "
             f"{SAMPLED_WORK_BUDGET}; use --samples {SAMPLED_WORK_BUDGET // per_sample} or fewer"
         )

@@ -31,14 +31,28 @@ subset.
 ``reference_min_cover`` includes or excludes each set in solver order under a
 greedy upper bound; the package branches on the instance with the fewest
 coverers instead, and the tests require the same optima below the cap.
+``reference_read_table`` reads rows through a generator that turns a
+``csv.Error`` into a ``DataError``, strips every picked cell in a list,
+upper-cases every token before its lookup, checks each run's time again in
+``RunRecord``, fills the grid pair by pair and lists each instance's runs in
+solver order to cross-check objectives; the package iterates the csv reader
+directly, looks tokens up as written first, trusts the checked fields, groups
+the solved runs while it clamps and skips the fill on a full grid, and the
+tests require the same ``Dataset``, the same warnings in the same order, or
+the same ``DataError`` text.
+``reference_quality_ranking`` keys and sorts every run of an instance; the
+package keys and sorts only the INCOMPLETE runs instead, and the tests require
+the same ranking.
 """
 
 from __future__ import annotations
 
+import csv
+import operator
 import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import factorial, lcm
 
 from portview.mincover import CoverageMap, CoverSolution
@@ -47,16 +61,20 @@ from portview.portfolio import PerfRatio, SubsetScorer, vbs_run
 from portview.render import SIG_DIGITS, csv_text
 from portview.runstore import (
     CANONICAL_COLUMNS,
+    ColumnMapping,
     DataError,
     Dataset,
     InstanceMeta,
     ProblemKind,
     RunRecord,
     Status,
+    format_duration,
     format_rational,
     known_solvers,
     parse_duration,
+    parse_rational,
     quality_key,
+    run_shape_violation,
 )
 from portview.shapley import ShapleyMode
 from portview.tradeoff import TradeoffCurve, TradeoffEntry
@@ -315,6 +333,208 @@ def reference_coerce_run(
         warnings.append(f"row {row_no}: objective on an UNSOLVED run, dropped")
         objective = None
     return RunRecord(solver, meta.instance_id, status, time, objective)
+
+
+def _quoted(text: str) -> str:
+    return repr(text if len(text) <= 40 else text[:40] + "…")
+
+
+def _reference_column_plan(header, mapping: ColumnMapping):
+    names = [name.strip().lower() for name in header]
+    positions = {name: idx for idx, name in enumerate(names)}
+    picks: list[int] = []
+    extras = []
+    for name in CANONICAL_COLUMNS:
+        if name not in mapping.columns and name in mapping.defaults:
+            picks.append(len(header) + len(extras))
+            extras.append(lambda cells, value=mapping.defaults[name]: value)
+            continue
+        idxs = []
+        for col in mapping.columns.get(name, [name]):
+            key = col.strip().lower()
+            if key not in positions:
+                raise DataError(f"missing required column {col!r}")
+            if names.count(key) > 1:
+                raise DataError(f"column {col!r} appears more than once in the header")
+            idxs.append(positions[key])
+        if len(idxs) == 1:
+            picks.append(idxs[0])
+        else:
+            picks.append(len(header) + len(extras))
+            extras.append(
+                lambda cells, idxs=idxs: mapping.join.join(cells[i].strip() for i in idxs)
+            )
+    pick = operator.itemgetter(*picks)
+    return lambda cells: [text.strip() for text in pick(cells + [f(cells) for f in extras])]
+
+
+def _reference_checked_rows(reader):
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: {exc}") from None
+
+
+def _reference_complete(instances, solvers, runs, warnings) -> Dataset:
+    for key, run in runs.items():
+        timeout = instances[run.instance_id].timeout
+        if run.time > timeout:
+            warnings.append(
+                f"run ({_quoted(run.solver_id)}, {_quoted(run.instance_id)}): time "
+                f"{format_duration(run.time)} exceeds timeout, clamped to "
+                f"{format_duration(timeout)}"
+            )
+            runs[key] = RunRecord(run.solver_id, run.instance_id, run.status, timeout, run.objective)
+    for sid in solvers:
+        for iid, meta in instances.items():
+            if (sid, iid) not in runs:
+                runs[(sid, iid)] = RunRecord(sid, iid, Status.UNSOLVED, meta.timeout)
+    for iid, meta in sorted(instances.items()):
+        if not meta.kind.is_optimization:
+            continue
+        here = [runs[(sid, iid)] for sid in sorted(solvers)]
+        complete = [r for r in here if r.status is Status.COMPLETE]
+        if not complete:
+            continue
+        objectives = {r.objective for r in complete}
+        if len(objectives) > 1:
+            warnings.append(
+                f"instance {_quoted(iid)}: proven-optimal runs disagree on the objective value"
+            )
+        minimize = meta.kind is ProblemKind.MINIMIZE
+        best = min(objectives) if minimize else max(objectives)
+        for r in here:
+            if r.status is Status.INCOMPLETE and (r.objective < best if minimize else r.objective > best):
+                warnings.append(
+                    f"run ({_quoted(r.solver_id)}, {_quoted(iid)}): incomplete objective "
+                    f"{format_rational(r.objective)} is better than the proven optimum "
+                    f"{format_rational(best)}"
+                )
+    return Dataset(instances, solvers, runs, tuple(warnings))
+
+
+def reference_read_table(source, mapping: ColumnMapping, *, strict: bool) -> Dataset:
+    """``read_table`` on an open text source, every cell stripped and every token
+    upper-cased before its lookup, each run built through ``RunRecord``'s checks."""
+    try:
+        reader = _reference_checked_rows(csv.reader(source, delimiter=mapping.delimiter))
+    except TypeError:
+        raise DataError(f"delimiter {mapping.delimiter!r} is not a single character") from None
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty input: missing header row") from None
+    canonical_cells = _reference_column_plan(header, mapping)
+    kinds = {m.value: m for m in ProblemKind}
+    kinds.update({t: kinds.get(c) for t, c in mapping.kind_map.items()})
+    statuses = {m.value: m for m in Status}
+    statuses.update({t: statuses.get(c) for t, c in mapping.status_map.items()})
+    flags = {"1": True, "TRUE": True, "YES": True, "0": False, "FALSE": False, "NO": False}
+
+    warnings: list[str] = []
+
+    def violation(message: str, consequence: str) -> None:
+        if strict:
+            raise DataError(message)
+        warnings.append(f"{message}, {consequence}")
+
+    instances: dict[str, InstanceMeta] = {}
+    durations: dict[str, Fraction] = {}
+    objectives: dict[str, Fraction] = {}
+    solver_flags: dict[str, bool] = {}
+    runs: dict[tuple[str, str], RunRecord] = {}
+    for row_no, cells in enumerate(reader, start=2):
+        if not "".join(cells).strip():
+            continue
+        if len(cells) != len(header):
+            raise DataError(f"row {row_no}: expected {len(header)} fields, got {len(cells)}")
+        solver, instance, kind_text, status_text, time_text, objective_text, flag_text, \
+            timeout_text = canonical_cells(cells)
+        if not solver or not instance:
+            raise DataError(f"row {row_no}: empty solver or instance id")
+        key = (solver, instance)
+        if key in runs:
+            raise DataError(
+                f"row {row_no}: duplicate run for solver {_quoted(solver)} "
+                f"on instance {_quoted(instance)}"
+            )
+        kind = kinds.get(kind_text.upper())
+        if kind is None:
+            raise DataError(f"row {row_no}: unknown problem kind {_quoted(kind_text)}")
+        status = statuses.get(status_text.upper())
+        if status is None:
+            violation(f"row {row_no}: unknown status {_quoted(status_text)}", "recorded as UNSOLVED")
+        participant = flags.get(flag_text.upper())
+        if participant is None:
+            violation(
+                f"row {row_no}: unparseable participant flag {_quoted(flag_text)}",
+                "recorded as non-participant",
+            )
+            participant = False
+        objective = objectives.get(objective_text)
+        if objective is None and objective_text:
+            try:
+                objective = objectives[objective_text] = parse_rational(objective_text)
+            except DataError as exc:
+                violation(f"row {row_no}: {exc}", "dropped")
+        try:
+            timeout = durations.get(timeout_text)
+            if timeout is None:
+                timeout = durations[timeout_text] = parse_duration(timeout_text, what="timeout")
+            meta = instances.get(instance) or InstanceMeta(instance, kind, timeout)
+        except DataError as exc:
+            raise DataError(f"row {row_no}: {exc}") from None
+        try:
+            time = durations.get(time_text)
+            if time is None:
+                time = durations[time_text] = parse_duration(time_text)
+            if time < 0:
+                raise DataError(f"run ({_quoted(solver)}, {_quoted(instance)}): negative time")
+        except DataError as exc:
+            violation(f"row {row_no}: {exc}", "recorded as UNSOLVED")
+            time, status = timeout, None
+        if status is None:
+            status, objective = Status.UNSOLVED, None
+        for _ in range(2):
+            broken = run_shape_violation(kind, status, objective)
+            if broken is None:
+                break
+            message = f"row {row_no}: run ({_quoted(solver)}, {_quoted(instance)}): {broken}"
+            if objective is not None and run_shape_violation(kind, status, None) != broken:
+                violation(message, "objective dropped")
+                objective = None
+            else:
+                violation(message, "recorded as UNSOLVED")
+                status = Status.UNSOLVED
+        if meta.kind is not kind or meta.timeout != timeout:
+            raise DataError(
+                f"row {row_no}: instance {_quoted(instance)} redeclared with different "
+                "kind or timeout"
+            )
+        instances[instance] = meta
+        known_flag = solver_flags.get(solver)
+        if known_flag is None:
+            solver_flags[solver] = participant
+        elif known_flag != participant:
+            raise DataError(
+                f"row {row_no}: solver {_quoted(solver)} redeclared with different "
+                "participant flag"
+            )
+        runs[key] = RunRecord(solver, instance, status, time, objective)
+    return _reference_complete(instances, solver_flags, runs, warnings)
+
+
+def reference_quality_ranking(ds: Dataset) -> dict[str, tuple[tuple[str, ...], ...]]:
+    """Per instance, every run keyed by ``quality_key``, best first, ids ascending within a key."""
+    ranking = {}
+    for iid, meta in ds.instances.items():
+        keys = {
+            sid: quality_key(meta.kind, ds.runs[(sid, iid)].status, ds.runs[(sid, iid)].objective)
+            for sid in sorted(ds.solvers)
+        }
+        best_first = sorted(keys, key=keys.__getitem__, reverse=True)
+        ranking[iid] = tuple(tuple(group) for _, group in groupby(best_first, keys.__getitem__))
+    return ranking
 
 
 def reference_fmt_sig(value: Fraction) -> str:

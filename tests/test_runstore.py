@@ -27,7 +27,12 @@ from portview.runstore import (
     write_canonical,
 )
 from randgen import make_dataset, random_subset, tie_heavy_dataset
-from reference import reference_format_duration, reference_write_canonical
+from reference import (
+    reference_format_duration,
+    reference_quality_ranking,
+    reference_read_table,
+    reference_write_canonical,
+)
 
 HEADER = "solver,instance,kind,status,time,objective,participant,timeout"
 
@@ -510,3 +515,224 @@ def test_dataset_equality_and_repr_ignore_the_ranking():
     assert "quality_ranking" in vars(ds) and "quality_ranking" not in vars(twin)
     assert ds == twin and twin == ds
     assert repr(ds) == text
+
+
+KIND_COL, STATUS_COL, TIME_COL, OBJECTIVE_COL, FLAG_COL, TIMEOUT_COL = 2, 3, 4, 5, 6, 7
+
+
+def _edit(col: int, value, where=lambda row: True, count: int = 1):
+    """A fault that sets column ``col`` of ``count`` random rows matching ``where``;
+    ``value`` is a string or a function of the row."""
+
+    def fault(rows, rng):
+        for row in rng.sample([r for r in rows if where(r)], count):
+            row[col] = value(row) if callable(value) else value
+
+    return fault
+
+
+def _other_kind(row):
+    return next(k.value for k in ProblemKind if k.value != row[KIND_COL])
+
+
+def _recase(rows, rng):
+    for row in rng.sample(rows, len(rows) // 3):
+        row[KIND_COL] = rng.choice([str.lower, str.title, str.upper])(row[KIND_COL])
+        row[STATUS_COL] = rng.choice([str.lower, str.title])(row[STATUS_COL])
+        row[FLAG_COL] = rng.choice(["yes", "True", "TRUE"] if row[FLAG_COL] == "1" else ["no", "False"])
+
+
+def _pad(rows, rng):
+    for row in rng.sample(rows, len(rows) // 3):
+        row[:] = [f" {cell}\t" for cell in row]
+
+
+def _insert(rows, rng, row):
+    rows.insert(rng.randrange(len(rows) + 1), row)
+
+
+def _blank_rows(rows, rng):
+    for row in ([], [""] * 8, ["  ", " \t"]):
+        _insert(rows, rng, row)
+
+
+def _duplicate_pair(rows, rng):
+    _insert(rows, rng, list(rng.choice(rows)))
+
+
+def _drop_pairs(rows, rng):
+    for row in rng.sample(rows, 5):
+        rows.remove(row)
+
+
+def _resize(delta):
+    def fault(rows, rng):
+        row = rng.choice(rows)
+        row[:] = row[:-1] if delta < 0 else row + ["extra"]
+
+    return fault
+
+
+def _negative_time_and_timeout(rows, rng):
+    """On a row of an instance read before: the negative time is reported, then the
+    instance is found redeclared."""
+    first = {row[1]: row for row in reversed(rows)}
+    row = rng.choice([r for r in rows if first[r[1]] is not r])
+    row[TIME_COL] = row[TIMEOUT_COL] = "-5.000"
+
+
+def _incomplete_decision_with_objective(rows, rng):
+    row = rng.choice([r for r in rows if _decision(r)])
+    row[STATUS_COL], row[OBJECTIVE_COL] = "INCOMPLETE", "2"  # two rules broken at once
+
+
+def _truncate(rows, rng):
+    rows.clear()
+
+
+def _status_is(*statuses):
+    return lambda row: row[STATUS_COL] in statuses
+
+
+def _decision(row):
+    return row[KIND_COL] == "DECISION"
+
+
+def _solved_optimization(row):
+    return row[KIND_COL] != "DECISION" and row[STATUS_COL] != "UNSOLVED"
+
+
+# one injected fault (or token variation) per entry; every entry changes the table
+READER_FAULTS = {
+    "clean": lambda rows, rng: None,
+    "unknown-kind": _edit(KIND_COL, "PUZZLE"),
+    "unknown-status": _edit(STATUS_COL, "FINISHED"),
+    "unknown-flag": _edit(FLAG_COL, "maybe"),
+    "lower-case-tokens": _recase,
+    "padded-cells": _pad,
+    "bad-time": _edit(TIME_COL, "soon"),
+    "negative-time": _edit(TIME_COL, "-1.5"),
+    "negative-time-and-timeout": _negative_time_and_timeout,
+    "bad-objective": _edit(OBJECTIVE_COL, "1/0"),
+    "non-finite-objective": _edit(OBJECTIVE_COL, "nan"),
+    "unsolved-with-objective": _edit(OBJECTIVE_COL, "3", _status_is("UNSOLVED")),
+    "solved-without-objective": _edit(OBJECTIVE_COL, "", _solved_optimization),
+    "incomplete-on-decision": _edit(STATUS_COL, "INCOMPLETE", _decision),
+    "decision-with-objective": _edit(
+        OBJECTIVE_COL, "1", lambda row: _decision(row) and row[STATUS_COL] == "COMPLETE"
+    ),
+    "incomplete-decision-with-objective": _incomplete_decision_with_objective,
+    "duplicate-pair": _duplicate_pair,
+    "redeclared-kind": _edit(KIND_COL, _other_kind),
+    "redeclared-timeout": _edit(TIMEOUT_COL, "999.000"),
+    "redeclared-flag": _edit(FLAG_COL, lambda row: "0" if row[FLAG_COL] == "1" else "1"),
+    "blank-rows": _blank_rows,
+    "short-row": _resize(-1),
+    "long-row": _resize(+1),
+    "time-over-timeout": _edit(TIME_COL, "1000.5", count=3),
+    "missing-pairs": _drop_pairs,
+    "empty-id": _edit(0, "  "),
+    "bad-timeout": _edit(TIMEOUT_COL, "soon"),
+    "zero-timeout": _edit(TIMEOUT_COL, "0"),
+    "csv-error": _edit(1, lambda row: row[1] + "\r1"),
+    "huge-field": _edit(1, "x" * 140_000),
+    "header-only": _truncate,
+}
+
+
+def _outcome(read, text: str, mapping: ColumnMapping, strict: bool):
+    """What one reader makes of ``text``: the dataset's repr and warnings, or the error."""
+    try:
+        ds = read(io.StringIO(text), mapping, strict=strict)
+    except DataError as exc:
+        return "error", str(exc)
+    return "read", repr(ds), ds.warnings
+
+
+def _assert_reads_as_the_reference(text: str, mapping: ColumnMapping = ColumnMapping()):
+    for strict in (True, False):
+        assert _outcome(read_table, text, mapping, strict) == _outcome(
+            reference_read_table, text, mapping, strict
+        )
+
+
+def _table(header: list[str], rows: list[list[str]]) -> str:
+    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+
+
+@pytest.mark.parametrize("fault", sorted(READER_FAULTS))
+def test_read_table_reads_as_the_reference_reader(fault):
+    """Shuffled canonical tables, with one fault injected, give the reference reader's
+    ``Dataset`` and warnings in order, or its ``DataError`` text, under both policies.
+
+    An instance's rows then come in any solver order, which the objective
+    cross-check must still report in solver order (tie-heavy data has such warnings).
+    """
+    for seed in range(4):
+        for make in (make_dataset, tie_heavy_dataset):
+            lines = write_canonical(make(random.Random(seed), 6, 15)).splitlines()
+            header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+            rng = random.Random(f"{fault}:{seed}")
+            rng.shuffle(rows)
+            clean = _table(header, rows)
+            READER_FAULTS[fault](rows, rng)
+            text = _table(header, rows)
+            assert (text == clean) == (fault == "clean")
+            _assert_reads_as_the_reference(text)
+
+
+def test_read_table_reads_synonyms_joins_and_defaults_as_the_reference_reader():
+    """Mapped tokens in any case, a synonym given in lower case (which no cell can
+    reach), a synonym of no canonical token, a joined id and a default column."""
+    mapping = ColumnMapping(
+        columns={"solver": ["solver", "variant"]},
+        defaults={"participant": " yes "},
+        status_map={"OK": "COMPLETE", "ok": "INCOMPLETE", "GONE": "BOGUS"},
+        kind_map={"MIN": "MINIMIZE", "max": "MAXIMIZE"},
+        join=" + ",
+    )
+    spelled = {
+        "COMPLETE": ["ok", "Ok", "OK", "complete"],
+        "INCOMPLETE": ["incomplete", "INCOMPLETE"],
+        "UNSOLVED": ["unsolved", "gone", "GONE"],
+        "MINIMIZE": ["min", "MIN", "Minimize"],
+        "MAXIMIZE": ["MAXIMIZE", "max", "Max"],
+        "DECISION": ["decision"],
+    }
+    for seed in range(4):
+        lines = write_canonical(tie_heavy_dataset(random.Random(seed), 5, 12)).splitlines()
+        rng = random.Random(seed)
+        header = lines[0].split(",") + ["variant"]
+        rows = []
+        for line in lines[1:]:
+            row = line.split(",") + [rng.choice(["", " a ", "b"])]
+            row[KIND_COL] = rng.choice(spelled[row[KIND_COL]])
+            row[STATUS_COL] = rng.choice(spelled[row[STATUS_COL]])
+            rows.append(row)
+        _assert_reads_as_the_reference(_table(header, rows), mapping)
+
+
+def test_empty_input_reads_as_the_reference_reader():
+    _assert_reads_as_the_reference("")
+    _assert_reads_as_the_reference("\n\n")
+
+
+def test_quality_ranking_is_every_run_sorted_by_quality_key():
+    """Random and tie-heavy grids, runs stored in any order, and a filtered child:
+    the ranking equals keying and sorting every run, INCOMPLETE ties included."""
+    tied = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        for ds in (make_dataset(rng, 8, 20), tie_heavy_dataset(rng, 12, 30)):
+            runs = list(ds.runs.items())
+            rng.shuffle(runs)
+            ds = Dataset(ds.instances, ds.solvers, dict(runs))
+            want = reference_quality_ranking(ds)
+            assert ds.quality_ranking == want
+            child = filter_solvers(ds, random_subset(rng, ds.solver_ids))
+            assert child.quality_ranking == reference_quality_ranking(child)
+            for iid, groups in want.items():
+                for group in groups:
+                    if len(group) > 1 and ds.run(group[0], iid).status is Status.INCOMPLETE:
+                        tied.add(ds.instances[iid].kind)
+    assert tied == {ProblemKind.MINIMIZE, ProblemKind.MAXIMIZE}

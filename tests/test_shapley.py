@@ -404,13 +404,13 @@ def test_sampled_attribution_of_an_empty_portfolio_is_empty():
 
 
 def test_sampled_over_its_work_budget_is_refused(monkeypatch):
-    """Worked example: 2 players and 4 non-zero scores, so 6 work units a sample."""
+    """Worked example: 2 players at 13 units and 4 non-zero scores, so 30 work units a sample."""
     ds = worked_example_dataset()
     monkeypatch.setattr(shapley, "SAMPLED_WORK_BUDGET", 60)
-    assert shapley_sampled(ds, ds.solver_ids, ds.solver_ids, samples=10).sample_count == 10
+    assert shapley_sampled(ds, ds.solver_ids, ds.solver_ids, samples=2).sample_count == 2
     with pytest.raises(DataError) as info:
-        shapley_sampled(ds, ds.solver_ids, ds.solver_ids, samples=11)
+        shapley_sampled(ds, ds.solver_ids, ds.solver_ids, samples=3)
     assert str(info.value) == (
-        "shapley_sampled: 11 samples of 2 solvers with 4 non-zero scores are 66 work units, "
-        "over the budget of 60; use --samples 10 or fewer"
+        "shapley_sampled: 3 samples of 2 solvers with 4 non-zero scores are 90 work units, "
+        "over the budget of 60; use --samples 2 or fewer"
     )

@@ -6,12 +6,14 @@ usage), 2 on internal errors. ``report`` runs the whole pipeline (ingest,
 scenario filter, Borda, oracle ratio, minimum cover, attribution over the
 cover, trade-off curve with the cover as search space) and writes one
 deterministic bundle: delimited tables, an aligned-text report, and a JSON
-sidecar carrying every number as an exact rational.
+sidecar carrying every number as an exact rational. Its subcommands run the
+same helper per analysis, so they time and name the same stages.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -52,31 +54,62 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-def _stage(name: str, fn, *args, **kwargs):
-    """Run one pipeline stage; log its wall time (shown under ``-v``, on stderr).
-
-    A ``DataError`` or ``OSError`` leaves as a ``StageError`` naming the stage.
-    """
+@contextlib.contextmanager
+def _stage(name: str):
+    """Run the block as stage ``name``: log its wall time (shown under ``-v``, on stderr),
+    and let a ``DataError`` or ``OSError`` leave as a ``StageError`` naming the stage."""
     started = time.perf_counter()
     try:
-        return fn(*args, **kwargs)
+        yield
     except (DataError, OSError) as exc:
         raise StageError(name, exc) from exc
     finally:
         log.info("stage %s: %.3f s", name, time.perf_counter() - started)
 
 
-def _scenario_solvers(ds: Dataset, scenario: str) -> tuple[str, ...]:
-    if scenario == "participants":
-        chosen = ds.participant_ids
-        if not chosen:
+def _dataset(cfg) -> tuple[Dataset, tuple[str, ...]]:
+    with _stage("ingest"):
+        ds = ingest(cfg.data)
+    with _stage("filter"):
+        if cfg.scenario == "participants" and not ds.participant_ids:
             raise DataError("scenario 'participants' selected but no solver is flagged as one")
-        return chosen
-    return ds.solver_ids
+        return ds, ds.participant_ids if cfg.scenario == "participants" else ds.solver_ids
 
 
-def _scenario_dataset(ds: Dataset, scenario: str) -> Dataset:
-    return filter_solvers(ds, _scenario_solvers(ds, scenario))
+def _borda_over(ds: Dataset, solvers, stage: str = "borda") -> ScoreMatrix:
+    """Borda over ``solvers``; over ``ds`` itself, uncopied, when they are all of its solvers."""
+    with _stage(stage):
+        return borda(ds if set(solvers) == ds.solvers.keys() else filter_solvers(ds, solvers))
+
+
+def _oracle(ds: Dataset):
+    with _stage("oracle"):
+        return perf(ds, ds.participant_ids, ds.solver_ids)
+
+
+def _mincover(ds: Dataset, solvers, cfg):
+    with _stage("mincover"):
+        coverage = build_coverage(ds, solvers, cfg.epsilon)
+        return coverage, min_cover(coverage, cfg.cap)
+
+
+def _cover_or_full(ds: Dataset, solvers, cfg, choice: str):
+    return solvers if choice == "full" else _mincover(ds, solvers, cfg)[1].portfolios[0]
+
+
+def _shapley(ds: Dataset, portfolio, baseline, cfg):
+    with _stage("shapley"):
+        if ShapleyMode(cfg.mode) is ShapleyMode.SAMPLED:
+            return shapley_sampled(ds, portfolio, baseline, cfg.samples, cfg.seed)
+        return shapley_exact(ds, portfolio, baseline, ShapleyMode(cfg.mode))
+
+
+def _tradeoff(ds: Dataset, space, baseline, cfg):
+    """Stages ``tradeoff`` and ``thresholds``: the best subset per size, the size per level."""
+    with _stage("tradeoff"):
+        curve = best_subsets(ds, space, baseline)
+    with _stage("thresholds"):
+        return curve, thresholds(curve, list(cfg.levels))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -169,16 +202,17 @@ def cmd_convert(args) -> int:
 
 
 def cmd_borda(args) -> int:
-    ds = _scenario_dataset(ingest(args.data), args.scenario)
-    _emit(_render(args.format, _borda_table(borda(ds))), args.out)
+    ds, solvers = _dataset(_config(args))
+    _emit(_render(args.format, _borda_table(_borda_over(ds, solvers))), args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
     results = []
     for path in args.data:
-        ds = ingest(path)
-        results.append((Path(path).stem, ds, perf(ds, ds.participant_ids, ds.solver_ids)))
+        with _stage("ingest"):
+            ds = ingest(path)
+        results.append((Path(path).stem, ds, _oracle(ds)))
     _emit(_render(args.format, _oracle_table(results)), args.out)
     for label, _, ratio in results:
         if ratio.tied_unsolved:
@@ -190,16 +224,10 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _cover_for(ds: Dataset, solvers: tuple[str, ...], epsilon: Fraction, cap: int):
-    coverage = build_coverage(ds, solvers, epsilon)
-    return coverage, min_cover(coverage, cap)
-
-
 def cmd_mincover(args) -> int:
-    ds = ingest(args.data)
-    solvers = _scenario_solvers(ds, args.scenario)
-    epsilon = parse_rational(args.epsilon, what="epsilon")
-    coverage, solution = _cover_for(ds, solvers, epsilon, args.cap)
+    cfg = _config(args)
+    ds, solvers = _dataset(cfg)
+    coverage, solution = _mincover(ds, solvers, cfg)
     table = _mincover_table(ds, solution.portfolios[0])
     if args.format == "csv":
         text = _render("csv", table)
@@ -219,42 +247,23 @@ def cmd_mincover(args) -> int:
     return 0
 
 
-def _cover_or_full(args, ds: Dataset, solvers: tuple[str, ...], choice: str):
-    """The first minimum cover of ``solvers`` for choice ``cover``, else all of them."""
-    epsilon = parse_rational(args.epsilon, what="epsilon")
-    if choice == "full":
-        return solvers
-    _, solution = _cover_for(ds, solvers, epsilon, args.cap)
-    return solution.portfolios[0]
-
-
 def cmd_tradeoff(args) -> int:
-    levels = _parse_levels(args.levels)
-    ds = ingest(args.data)
-    solvers = _scenario_solvers(ds, args.scenario)
-    curve = best_subsets(ds, _cover_or_full(args, ds, solvers, args.space), solvers)
-    reached = thresholds(curve, levels)
-    text = _render(args.format, _tradeoff_table(curve), _thresholds_table(levels, reached))
+    cfg = _config(args)
+    ds, solvers = _dataset(cfg)
+    curve, reached = _tradeoff(ds, _cover_or_full(ds, solvers, cfg, args.space), solvers, cfg)
+    text = _render(args.format, _tradeoff_table(curve), _thresholds_table(cfg.levels, reached))
     _emit(text, args.out)
     return 0
 
 
 def cmd_shapley(args) -> int:
-    ds = ingest(args.data)
-    solvers = _scenario_solvers(ds, args.scenario)
-    portfolio = _cover_or_full(args, ds, solvers, args.portfolio)
-    report = _attribution(ds, portfolio, solvers, args.mode, args.samples, args.seed)
-    table = _shapley_table(
-        report, borda(filter_solvers(ds, solvers)), borda(filter_solvers(ds, portfolio))
-    )
-    _emit(_render(args.format, table), args.out)
+    cfg = _config(args)
+    ds, solvers = _dataset(cfg)
+    portfolio = _cover_or_full(ds, solvers, cfg, args.portfolio)
+    attribution = _shapley(ds, portfolio, solvers, cfg)
+    all_borda, core_borda = _borda_over(ds, solvers), _borda_over(ds, portfolio, "portfolio_borda")
+    _emit(_render(args.format, _shapley_table(attribution, all_borda, core_borda)), args.out)
     return 0
-
-
-def _attribution(ds, portfolio, baseline, mode: str, samples: int, seed: int):
-    if ShapleyMode(mode) is ShapleyMode.SAMPLED:
-        return shapley_sampled(ds, portfolio, baseline, samples, seed)
-    return shapley_exact(ds, portfolio, baseline, ShapleyMode(mode))
 
 
 def _fmt_value(value) -> str:
@@ -263,13 +272,13 @@ def _fmt_value(value) -> str:
     return f"{value:.6g}"
 
 
-def _parse_levels(text: str) -> list[Fraction]:
+def _parse_levels(text: str) -> tuple[Fraction, ...]:
     levels = [parse_rational(part, what="level") for part in text.split(",") if part.strip()]
     if not levels:
         raise DataError("no threshold levels given")
     if levels != sorted(levels):
         raise DataError("threshold levels must be ascending")
-    return levels
+    return tuple(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +286,7 @@ def _parse_levels(text: str) -> list[Fraction]:
 
 
 class ReportConfig:
-    """One ``report`` run: ``data``, ``out_dir`` and the annotated options by keyword.
+    """One analysis run: ``data``, ``out_dir`` and the annotated options by keyword.
 
     Each option's default is a class attribute, which the CLI flags read; an
     option given to the constructor is set on the instance. An unknown keyword
@@ -311,30 +320,33 @@ class ReportConfig:
     __delattr__ = __setattr__
 
 
+def _config(args) -> ReportConfig:
+    """The options of a parsed command line; an option it has no flag for keeps its default."""
+    parse = {"epsilon": lambda text: parse_rational(text, what="epsilon"),
+             "levels": _parse_levels, "formats": lambda text: tuple(text.split(","))}
+    options = {name: parse.get(name, lambda value: value)(value)
+               for name, value in vars(args).items() if name in ReportConfig.__annotations__}
+    return ReportConfig(data=args.data, out_dir=args.out, **options)
+
+
 def run_pipeline(cfg: ReportConfig) -> dict[str, str]:
     """Execute all stages and return the report bundle as {filename: content}.
 
     Nothing is written here, so a failing stage leaves no partial output; any
     stage failure is re-raised as a StageError naming the stage.
     """
-    ds = _stage("ingest", ingest, cfg.data)
-    scenario_ds = _stage("filter", _scenario_dataset, ds, cfg.scenario)
-    solvers = scenario_ds.solver_ids
-
-    matrix = _stage("borda", borda, scenario_ds)
-    oracle = _stage("oracle", perf, ds, ds.participant_ids, ds.solver_ids)
-    coverage, solution = _stage("mincover", _cover_for, ds, solvers, cfg.epsilon, cfg.cap)
+    ds, solvers = _dataset(cfg)
+    matrix = _borda_over(ds, solvers)
+    oracle = _oracle(ds)
+    coverage, solution = _mincover(ds, solvers, cfg)
     core = solution.portfolios[0]
     # attribution first: exact mode's cost guard then fails before the trade-off search
-    attribution = _stage(
-        "shapley", _attribution, ds, core, solvers, cfg.mode, cfg.samples, cfg.seed
-    )
-    curve = _stage("tradeoff", best_subsets, ds, core, solvers)
-    reached = _stage("thresholds", thresholds, curve, list(cfg.levels))
+    attribution = _shapley(ds, core, solvers, cfg)
+    curve, reached = _tradeoff(ds, core, solvers, cfg)
 
     files: dict[str, str] = {}
     if "csv" in cfg.formats or "text" in cfg.formats:
-        core_borda = _stage("portfolio_borda", lambda: borda(filter_solvers(ds, core)))
+        core_borda = _borda_over(ds, core, "portfolio_borda")
         tables = {
             "borda": _borda_table(matrix),
             "oracle": _oracle_table([(Path(cfg.data).stem, ds, oracle)]),
@@ -447,21 +459,9 @@ def _json_sidecar(cfg, ds, matrix, oracle, solution, curve, reached, attribution
 
 
 def cmd_report(args) -> int:
-    cfg = ReportConfig(
-        data=args.data,
-        out_dir=args.out,
-        scenario=args.scenario,
-        epsilon=parse_rational(args.epsilon, what="epsilon"),
-        cap=args.cap,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        levels=tuple(_parse_levels(args.levels)),
-        formats=tuple(args.formats.split(",")),
-    )
-    files = run_pipeline(cfg)
+    files = run_pipeline(_config(args))
 
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(args.out)
     created: list[Path] = []  # directories this run makes, deepest first
     written: list[Path] = []
     try:

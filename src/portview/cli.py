@@ -344,28 +344,30 @@ def run_pipeline(cfg: ReportConfig) -> dict[str, str]:
     attribution = _shapley(ds, core, solvers, cfg)
     curve, reached = _tradeoff(ds, core, solvers, cfg)
 
+    tabular = "csv" in cfg.formats or "text" in cfg.formats
+    core_borda = _borda_over(ds, core, "portfolio_borda") if tabular else None
     files: dict[str, str] = {}
-    if "csv" in cfg.formats or "text" in cfg.formats:
-        core_borda = _borda_over(ds, core, "portfolio_borda")
-        tables = {
-            "borda": _borda_table(matrix),
-            "oracle": _oracle_table([(Path(cfg.data).stem, ds, oracle)]),
-            "mincover": _mincover_table(ds, core),
-            "tradeoff": _tradeoff_table(curve),
-            "thresholds": _thresholds_table(cfg.levels, reached),
-            "shapley": _shapley_table(attribution, matrix, core_borda),
-        }
-    if "csv" in cfg.formats:
-        for name, table in tables.items():
-            files[f"{name}.csv"] = _render("csv", table)
-    if "text" in cfg.formats:
-        files["report.txt"] = _text_report(
-            cfg, ds, matrix, oracle, coverage.unsolvable, solution, attribution, tables
-        )
-    if "json" in cfg.formats:
-        files["exact.json"] = _json_sidecar(
-            cfg, ds, matrix, oracle, solution, curve, reached, attribution
-        )
+    with _stage("serialize"):
+        if tabular:
+            tables = {
+                "borda": _borda_table(matrix),
+                "oracle": _oracle_table([(Path(cfg.data).stem, ds, oracle)]),
+                "mincover": _mincover_table(ds, core),
+                "tradeoff": _tradeoff_table(curve),
+                "thresholds": _thresholds_table(cfg.levels, reached),
+                "shapley": _shapley_table(attribution, matrix, core_borda),
+            }
+        if "csv" in cfg.formats:
+            for name, table in tables.items():
+                files[f"{name}.csv"] = _render("csv", table)
+        if "text" in cfg.formats:
+            files["report.txt"] = _text_report(
+                cfg, ds, matrix, oracle, coverage.unsolvable, solution, attribution, tables
+            )
+        if "json" in cfg.formats:
+            files["exact.json"] = _json_sidecar(
+                cfg, ds, matrix, oracle, solution, curve, reached, attribution
+            )
     return files
 
 

@@ -182,6 +182,20 @@ def test_report_stage_error_at_filter(tmp_path, capsys):
     assert "error at stage filter" in captured.err
 
 
+@pytest.mark.parametrize("command", ["borda", "mincover", "tradeoff", "shapley"])
+def test_a_subcommand_without_participants_fails_at_stage_filter(command, tmp_path, capsys):
+    no_participants = tmp_path / "nopart.csv"
+    no_participants.write_text(
+        "solver,instance,kind,status,time,objective,participant,timeout\n"
+        "a,i1,DECISION,COMPLETE,1.000,,0,10.000\n",
+        encoding="utf-8",
+    )
+    assert main([command, "--data", str(no_participants), "--scenario", "participants"]) == 1
+    assert capsys.readouterr().err == (
+        "error at stage filter: scenario 'participants' selected but no solver is flagged as one\n"
+    )
+
+
 def test_stage_error_names_borda(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text(
@@ -716,8 +730,36 @@ def test_verbose_report_times_stages_on_stderr_only(demo_path, tmp_path):
     stages = re.findall(r"^stage (\w+): \d+\.\d{3} s$", loud.stderr, re.MULTILINE)
     assert stages == [
         "ingest", "filter", "borda", "oracle", "mincover",
-        "shapley", "tradeoff", "thresholds", "portfolio_borda",
+        "shapley", "tradeoff", "thresholds", "portfolio_borda", "serialize",
     ]
+
+
+# Each analysis subcommand runs report's helpers, so it logs their stages, in report's order.
+SUBCOMMAND_STAGES = {
+    "borda": ["ingest", "filter", "borda"],
+    "oracle": ["ingest", "oracle"],
+    "mincover": ["ingest", "filter", "mincover"],
+    "tradeoff --space cover": ["ingest", "filter", "mincover", "tradeoff", "thresholds"],
+    "tradeoff --space full": ["ingest", "filter", "tradeoff", "thresholds"],
+    "shapley --portfolio cover": [
+        "ingest", "filter", "mincover", "shapley", "borda", "portfolio_borda",
+    ],
+    "shapley --portfolio full": ["ingest", "filter", "shapley", "borda", "portfolio_borda"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_STAGES))
+def test_verbose_subcommand_times_its_stages_on_stderr(command, demo_path, capsys):
+    env = {**os.environ, "PYTHONPATH": str(Path(portview.__file__).resolve().parent.parent)}
+    loud = subprocess.run(
+        [sys.executable, "-m", "portview.cli", "-v", *command.split(), "--data", str(demo_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert loud.returncode == 0, loud.stderr
+    assert main([*command.split(), "--data", str(demo_path)]) == 0
+    assert loud.stdout == capsys.readouterr().out
+    stages = re.findall(r"^stage (\w+): \d+\.\d{3} s$", loud.stderr, re.MULTILINE)
+    assert stages == SUBCOMMAND_STAGES[command]
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
@@ -765,6 +807,40 @@ def test_portfolio_borda_failure_names_its_stage(demo_path, monkeypatch):
         run_pipeline(ReportConfig(data=str(demo_path), out_dir="unused"))
     assert caught.value.stage == "portfolio_borda"
     assert len(calls) == 2
+
+
+def test_serialize_failure_names_its_stage(demo_path, monkeypatch):
+    def fail(value):
+        raise DataError("cannot render")
+
+    monkeypatch.setattr(cli, "frac_str", fail)
+    with pytest.raises(StageError, match="cannot render") as caught:
+        run_pipeline(ReportConfig(data=str(demo_path), out_dir="unused", formats=("json",)))
+    assert caught.value.stage == "serialize"
+
+
+@pytest.mark.parametrize(
+    "args, copies",
+    [(["report", "--scenario", "all"], 0),
+     (["shapley", "--scenario", "all", "--portfolio", "full"], 0),
+     # two of the three solvers participate, and both are in their minimum cover
+     (["report"], 2)],
+    ids=["report-all", "shapley-all-full", "report-participants"],
+)
+def test_borda_copies_the_dataset_only_to_drop_solvers(
+    args, copies, demo_path, tmp_path, monkeypatch
+):
+    kept = []
+
+    def counted(ds, keep):
+        kept.append(tuple(keep))
+        return runstore.filter_solvers(ds, keep)
+
+    monkeypatch.setattr(cli, "filter_solvers", counted)
+    if args[0] == "report":
+        args = args + ["--out", str(tmp_path / "out")]
+    assert main([*args, "--data", str(demo_path)]) == 0
+    assert kept == [("alpha", "beta")] * copies
 
 
 def test_report_parses_each_cell_text_once_and_keys_each_run_once(tmp_path, monkeypatch):
@@ -853,7 +929,8 @@ def test_cap_zero_is_a_validation_error(command, demo_path, tmp_path, capsys):
     if command == "report":
         args += ["--out", str(tmp_path / "out")]
     assert main(args) == 1
-    assert capsys.readouterr().err == "error at stage mincover: min_cover: cap must be at least 1\n"
+    err = capsys.readouterr().err
+    assert err == "error at stage mincover: min_cover: cap must be at least 1\n"
     assert not (tmp_path / "out").exists()
 
 

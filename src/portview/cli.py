@@ -31,7 +31,6 @@ from .runstore import (
     DataError,
     Dataset,
     filter_solvers,
-    format_rational,
     ingest,
     parse_rational,
     write_canonical,
@@ -43,7 +42,6 @@ log = logging.getLogger(__name__)
 
 SCENARIOS = ("participants", "all")
 MODES = tuple(mode.value for mode in ShapleyMode)
-DEFAULT_LEVELS = (Fraction(4, 5), Fraction(9, 10), Fraction(19, 20))
 
 
 class StageError(RuntimeError):
@@ -288,10 +286,10 @@ def _parse_levels(text: str) -> tuple[Fraction, ...]:
 class ReportConfig:
     """One analysis run: ``data``, ``out_dir`` and the annotated options by keyword.
 
-    Each option's default is a class attribute, which the CLI flags read; an
-    option given to the constructor is set on the instance. An unknown keyword
-    raises ``TypeError``, and an unknown scenario, mode or format ``DataError``.
-    An instance is immutable, so what the constructor checked is what runs.
+    Each option's default is its class attribute and nowhere else: the CLI flags
+    have none, so an option left off the command line or the constructor keeps
+    it. An unknown keyword raises ``TypeError``, and an unknown scenario, mode
+    or format ``DataError``. An instance is immutable, so what is checked runs.
     """
 
     scenario: str = "participants"
@@ -300,7 +298,7 @@ class ReportConfig:
     mode: str = "exact"
     samples: int = 10000
     seed: int = 0
-    levels: tuple[Fraction, ...] = DEFAULT_LEVELS
+    levels: tuple[Fraction, ...] = (Fraction(4, 5), Fraction(9, 10), Fraction(19, 20))
     formats: tuple[str, ...] = ("csv", "text", "json")  # every known format
 
     def __init__(self, data: str, out_dir: str, **options) -> None:
@@ -321,11 +319,12 @@ class ReportConfig:
 
 
 def _config(args) -> ReportConfig:
-    """The options of a parsed command line; an option it has no flag for keeps its default."""
+    """The options given on a parsed command line; one not given (``None``) keeps its default."""
     parse = {"epsilon": lambda text: parse_rational(text, what="epsilon"),
              "levels": _parse_levels, "formats": lambda text: tuple(text.split(","))}
     options = {name: parse.get(name, lambda value: value)(value)
-               for name, value in vars(args).items() if name in ReportConfig.__annotations__}
+               for name, value in vars(args).items()
+               if name in ReportConfig.__annotations__ and value is not None}
     return ReportConfig(data=args.data, out_dir=args.out, **options)
 
 
@@ -493,31 +492,46 @@ def cmd_report(args) -> int:
 # argument parsing
 
 
-# Flags that several subcommands take; report defaults come from ReportConfig.
-_SHARED_FLAGS = {
+# Each flag's argparse keywords. A ReportConfig option's flag has no default, so
+# an option left off the command line keeps its class attribute (see ``_config``).
+_FLAGS = {
+    "--data": dict(required=True, help="canonical dataset file"),
+    "--out": dict(help="output file (default: stdout)"),
     "--format": dict(choices=("text", "csv"), default="text"),
-    "--scenario": dict(choices=SCENARIOS, default=ReportConfig.scenario),
-    "--epsilon": dict(
-        default=format_rational(ReportConfig.epsilon), help="time-tie tolerance in seconds"
-    ),
-    "--cap": dict(type=int, default=ReportConfig.cap, help="max optima to enumerate"),
-    "--mode": dict(choices=MODES, default=ReportConfig.mode),
-    "--samples": dict(type=int, default=ReportConfig.samples),
-    "--seed": dict(type=int, default=ReportConfig.seed),
-    "--levels": dict(default=",".join(map(format_rational, DEFAULT_LEVELS))),
+    "--scenario": dict(choices=SCENARIOS),
+    "--epsilon": dict(help="time-tie tolerance in seconds"),
+    "--cap": dict(type=int, help="max optima to enumerate"),
+    "--space": dict(choices=("cover", "full"), default="cover"),
+    "--portfolio": dict(choices=("cover", "full"), default="cover"),
+    "--mode": dict(choices=MODES),
+    "--samples": dict(type=int),
+    "--seed": dict(type=int),
+    "--levels": dict(),
+    "--formats": dict(),
+    "--delimiter": dict(default=","),
+    "--mapping": dict(help="JSON column-mapping config"),
 }
+_COMMON = ("--data", "--out", "--format", "--scenario")
+_COVER = ("--epsilon", "--cap")
 
-
-def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        p.add_argument(flag, **_SHARED_FLAGS[flag])
-
-
-def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    """``--data``, ``--out``, ``--format`` and ``--scenario``, then the given shared flags."""
-    p.add_argument("--data", required=True, help="canonical dataset file")
-    p.add_argument("--out", help="output file (default: stdout)")
-    _add_shared(p, "--format", "--scenario", *flags)
+# Each subcommand's function, help and flags, in --help order; a (flag, keywords)
+# pair overrides some of that flag's keywords.
+_COMMANDS = {
+    "ingest": (cmd_ingest, "validate and canonicalize a dataset", ("--data", "--out", "--delimiter")),
+    "convert": (cmd_convert, "adapt an external results table",
+                (("--data", dict(help="external results table")), "--out", "--mapping")),
+    "borda": (cmd_borda, "pairwise-score ranking table", _COMMON),
+    "oracle": (cmd_oracle, "participant-oracle vs oracle ratio",
+               (("--data", dict(nargs="+", help="canonical dataset files")), "--out", "--format")),
+    "mincover": (cmd_mincover, "minimum oracle-equivalent portfolios", (*_COMMON, *_COVER)),
+    "tradeoff": (cmd_tradeoff, "best subset per portfolio size",
+                 (*_COMMON, *_COVER, "--space", "--levels")),
+    "shapley": (cmd_shapley, "per-solver contribution values",
+                (*_COMMON, *_COVER, "--portfolio", "--mode", "--samples", "--seed")),
+    "report": (cmd_report, "run the full pipeline into a bundle",
+               ("--data", ("--out", dict(required=True, help="output directory")), "--scenario",
+                *_COVER, "--mode", "--samples", "--seed", "--levels", "--formats")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -527,52 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate and canonicalize a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    p.add_argument("--delimiter", default=",")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("convert", help="adapt an external results table")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    p.add_argument("--mapping", help="JSON column-mapping config")
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("borda", help="pairwise-score ranking table")
-    _add_common(p)
-    p.set_defaults(func=cmd_borda)
-
-    p = sub.add_parser("oracle", help="participant-oracle vs oracle ratio")
-    p.add_argument("--data", required=True, nargs="+")
-    p.add_argument("--out")
-    _add_shared(p, "--format")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("mincover", help="minimum oracle-equivalent portfolios")
-    _add_common(p, "--epsilon", "--cap")
-    p.set_defaults(func=cmd_mincover)
-
-    p = sub.add_parser("tradeoff", help="best subset per portfolio size")
-    _add_common(p, "--epsilon", "--cap")
-    p.add_argument("--space", choices=("cover", "full"), default="cover")
-    _add_shared(p, "--levels")
-    p.set_defaults(func=cmd_tradeoff)
-
-    p = sub.add_parser("shapley", help="per-solver contribution values")
-    _add_common(p, "--epsilon", "--cap")
-    p.add_argument("--portfolio", choices=("cover", "full"), default="cover")
-    _add_shared(p, "--mode", "--samples", "--seed")
-    p.set_defaults(func=cmd_shapley)
-
-    p = sub.add_parser("report", help="run the full pipeline into a bundle")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    _add_shared(p, "--scenario", "--epsilon", "--cap", "--mode", "--samples", "--seed", "--levels")
-    p.add_argument("--formats", default=",".join(ReportConfig.formats))
-    p.set_defaults(func=cmd_report)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, override in ((f, {}) if isinstance(f, str) else f for f in flags):
+            p.add_argument(flag, **{**_FLAGS[flag], **override})
+        p.set_defaults(func=func)
     return parser
 
 

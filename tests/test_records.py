@@ -4,10 +4,11 @@ Result records are immutable named tuples: a field cannot be set, and they
 compare and unpack as tuples. ``Dataset`` is immutable too and its equality
 ignores ``warnings``. The validating records check their values in ``_make``
 and ``_replace`` too. ``ReportConfig`` keeps its defaults as class attributes,
-which the CLI flags read, and an instance cannot be changed once checked;
+which no CLI flag repeats, and an instance cannot be changed once checked;
 ``ColumnMapping`` gives each mapping its own dicts.
 """
 
+import argparse
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from portview.runstore import (
     RunRecord,
     Status,
     build_dataset,
-    parse_rational,
 )
 from portview.shapley import AttributionReport, ShapleyMode
 from portview.tradeoff import TradeoffCurve, TradeoffEntry
@@ -105,16 +105,69 @@ def test_dataset_equality_ignores_warnings():
         hash(DATASET)
 
 
-def test_report_config_class_defaults_are_the_cli_defaults():
-    args = cli.build_parser().parse_args(["report", "--data", "d.csv", "--out", "out"])
-    assert ReportConfig.scenario == args.scenario == "participants"
-    assert ReportConfig.epsilon == parse_rational(args.epsilon) == 0
-    assert ReportConfig.cap == args.cap
-    assert ReportConfig.mode == args.mode == ShapleyMode.EXACT.value
-    assert ReportConfig.samples == args.samples
-    assert ReportConfig.seed == args.seed
-    assert ReportConfig.levels == tuple(map(parse_rational, args.levels.split(",")))
-    assert ReportConfig.formats == tuple(args.formats.split(","))
+# Each subcommand's flags in --help order, and the ReportConfig options among them.
+SUBCOMMAND_FLAGS = {
+    "ingest": ["--data", "--out", "--delimiter"],
+    "convert": ["--data", "--out", "--mapping"],
+    "borda": ["--data", "--out", "--format", "--scenario"],
+    "oracle": ["--data", "--out", "--format"],
+    "mincover": ["--data", "--out", "--format", "--scenario", "--epsilon", "--cap"],
+    "tradeoff": [
+        "--data", "--out", "--format", "--scenario", "--epsilon", "--cap", "--space", "--levels",
+    ],
+    "shapley": [
+        "--data", "--out", "--format", "--scenario", "--epsilon", "--cap", "--portfolio",
+        "--mode", "--samples", "--seed",
+    ],
+    "report": [
+        "--data", "--out", "--scenario", "--epsilon", "--cap", "--mode", "--samples", "--seed",
+        "--levels", "--formats",
+    ],
+}
+
+
+def _minimal_args(command: str, *flags: str):
+    out = ["--out", "out"] if command == "report" else []
+    return cli.build_parser().parse_args([command, "--data", "d.csv", *out, *flags])
+
+
+def test_build_parser_gives_each_subcommand_exactly_its_flags_in_order():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(SUBCOMMAND_FLAGS)
+    for command, flags in SUBCOMMAND_FLAGS.items():
+        actions = {a.option_strings[-1]: a for a in subparsers.choices[command]._actions}
+        assert list(actions) == ["--help", *flags], command
+        assert actions["--data"].required and actions["--out"].required == (command == "report")
+        assert actions["--data"].nargs == ("+" if command == "oracle" else None)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_an_option_left_off_the_command_line_keeps_its_class_default(command):
+    args = _minimal_args(command)
+    options = list(ReportConfig.__annotations__)
+    taken = [name for name in options if f"--{name}" in SUBCOMMAND_FLAGS[command]]
+    assert [name for name in options if name in vars(args)] == taken
+    cfg = cli._config(args)
+    assert vars(cfg).keys() == {"data", "out_dir"}
+    for name in ReportConfig.__annotations__:
+        assert getattr(cfg, name) == getattr(ReportConfig, name), name
+
+
+@pytest.mark.parametrize(
+    "flag, text, value",
+    [("--scenario", "all", "all"), ("--epsilon", "0", Fraction(0)),
+     ("--epsilon", "1/10", Fraction(1, 10)), ("--cap", "0", 0), ("--cap", "5", 5),
+     ("--mode", "sampled", "sampled"), ("--samples", "0", 0), ("--seed", "0", 0),
+     ("--seed", "3", 3), ("--levels", "0,1/2", (Fraction(0), HALF)),
+     ("--formats", "json", ("json",))],
+)
+def test_an_option_given_on_the_command_line_reaches_the_config(flag, text, value):
+    """Falsy values too: only an option that is absent keeps its default."""
+    for command, flags in SUBCOMMAND_FLAGS.items():
+        if flag in flags:
+            cfg = cli._config(_minimal_args(command, flag, text))
+            assert vars(cfg)[flag[2:]] == value, command
 
 
 def test_report_config_builds_by_keyword_and_rejects_unknown_ones():

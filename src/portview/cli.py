@@ -1,13 +1,14 @@
 """Command-line front end tying the analyses into one reporting pipeline.
 
-Subcommands: ingest, borda, oracle, mincover, tradeoff, shapley, report,
-convert. Exit codes: 0 on success, 1 on validation errors (bad data, bad
-usage), 2 on internal errors. ``report`` runs the whole pipeline (ingest,
-scenario filter, Borda, oracle ratio, minimum cover, attribution over the
-cover, trade-off curve with the cover as search space) and writes one
-deterministic bundle: delimited tables, an aligned-text report, and a JSON
-sidecar carrying every number as an exact rational. Its subcommands run the
-same helper per analysis, so they time and name the same stages.
+Exit codes: 0 on success, 1 on validation errors (bad data, bad usage), 2 on
+internal errors. ``report`` runs the whole pipeline (ingest, scenario filter,
+Borda, oracle ratio, minimum cover, attribution over the cover, trade-off
+curve with the cover as search space) and writes one deterministic bundle:
+delimited tables, an aligned-text report, and a JSON sidecar carrying every
+number as an exact rational. Its subcommands run the same helper per analysis,
+so they time and name the same stages; every command writes as stage ``write``.
+``_FLAGS`` declares each flag once and ``_COMMANDS`` each subcommand; option
+defaults are ``ReportConfig``'s class attributes alone.
 """
 
 from __future__ import annotations
@@ -74,10 +75,18 @@ def _dataset(cfg) -> tuple[Dataset, tuple[str, ...]]:
         return ds, ds.participant_ids if cfg.scenario == "participants" else ds.solver_ids
 
 
-def _borda_over(ds: Dataset, solvers, stage: str = "borda") -> ScoreMatrix:
+def _borda_over(ds: Dataset, solvers) -> ScoreMatrix:
     """Borda over ``solvers``; over ``ds`` itself, uncopied, when they are all of its solvers."""
-    with _stage(stage):
+    with _stage("borda"):
         return borda(ds if set(solvers) == ds.solvers.keys() else filter_solvers(ds, solvers))
+
+
+def _portfolio_borda(ds: Dataset, portfolio, matrix: ScoreMatrix) -> ScoreMatrix:
+    """Borda over ``portfolio``: ``matrix`` itself when it scores exactly its solvers."""
+    if set(portfolio) == matrix.totals.keys():
+        return matrix
+    with _stage("portfolio_borda"):
+        return borda(filter_solvers(ds, portfolio))
 
 
 def _oracle(ds: Dataset):
@@ -111,10 +120,11 @@ def _tradeoff(ds: Dataset, space, baseline, cfg):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _stage("write"):
+        if out:
+            Path(out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
 
 
 def _print_warnings(ds_warnings: Sequence[str]) -> None:
@@ -259,7 +269,8 @@ def cmd_shapley(args) -> int:
     ds, solvers = _dataset(cfg)
     portfolio = _cover_or_full(ds, solvers, cfg, args.portfolio)
     attribution = _shapley(ds, portfolio, solvers, cfg)
-    all_borda, core_borda = _borda_over(ds, solvers), _borda_over(ds, portfolio, "portfolio_borda")
+    all_borda = _borda_over(ds, solvers)
+    core_borda = _portfolio_borda(ds, portfolio, all_borda)
     _emit(_render(args.format, _shapley_table(attribution, all_borda, core_borda)), args.out)
     return 0
 
@@ -344,7 +355,7 @@ def run_pipeline(cfg: ReportConfig) -> dict[str, str]:
     curve, reached = _tradeoff(ds, core, solvers, cfg)
 
     tabular = "csv" in cfg.formats or "text" in cfg.formats
-    core_borda = _borda_over(ds, core, "portfolio_borda") if tabular else None
+    core_borda = _portfolio_borda(ds, core, matrix) if tabular else None
     files: dict[str, str] = {}
     with _stage("serialize"):
         if tabular:
@@ -465,25 +476,24 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out)
     created: list[Path] = []  # directories this run makes, deepest first
     written: list[Path] = []
-    try:
-        for directory in (out_dir, *out_dir.parents):
-            if directory.exists():
-                break
-            created.append(directory)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in sorted(files):
-            path = out_dir / name
-            path.write_text(files[name], encoding="utf-8")
-            written.append(path)
-    except OSError as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
-        for directory in created:
-            try:
-                directory.rmdir()
-            except OSError:
-                pass  # never made, or no longer empty: left as it is
-        raise StageError("write", exc) from exc
+    with _stage("write"):
+        try:
+            for directory in (out_dir, *out_dir.parents):
+                if directory.exists():
+                    break
+                created.append(directory)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name in sorted(files):
+                path = out_dir / name
+                path.write_text(files[name], encoding="utf-8")
+                written.append(path)
+        except OSError:
+            for path in written:
+                path.unlink(missing_ok=True)
+            for directory in created:
+                with contextlib.suppress(OSError):  # never made, or no longer empty: left as it is
+                    directory.rmdir()
+            raise
     print(f"wrote {len(written)} files to {out_dir}")
     return 0
 

@@ -16,6 +16,7 @@ import pytest
 import portview
 from portview import cli, runstore
 from portview.cli import ReportConfig, StageError, main, run_pipeline
+from portview.mincover import build_coverage, min_cover
 from portview.pairscore import borda
 from portview.portfolio import PerfRatio, perf
 from portview.runstore import DataError, ingest
@@ -30,6 +31,20 @@ EXPECTED_FILES = {
     "report.txt",
     "exact.json",
 }
+
+
+@pytest.fixture(scope="module")
+def ties_path(tmp_path_factory) -> Path:
+    """Tie-heavy 8 x 40 data whose minimum cover leaves a solver out under both
+    scenarios, so stage ``portfolio_borda`` runs; the demo's cover holds every solver."""
+    from randgen import tie_heavy_dataset
+
+    ds = tie_heavy_dataset(random.Random(3), 8, 40)
+    for solvers in (ds.participant_ids, ds.solver_ids):
+        assert min_cover(build_coverage(ds, solvers)).size < len(solvers)
+    path = tmp_path_factory.mktemp("ties") / "ties.csv"
+    runstore.save_canonical(ds, path)
+    return path
 
 
 def _csv_rows(text: str) -> list[dict]:
@@ -721,42 +736,44 @@ def _report_child(
     return done, _bundle_digest(tmp_path / "bundle")
 
 
-def test_verbose_report_times_stages_on_stderr_only(demo_path, tmp_path):
-    quiet, quiet_digest = _report_child(demo_path, tmp_path)
-    loud, loud_digest = _report_child(demo_path, tmp_path, "-v")
+def test_verbose_report_times_stages_on_stderr_only(ties_path, tmp_path):
+    quiet, quiet_digest = _report_child(ties_path, tmp_path)
+    loud, loud_digest = _report_child(ties_path, tmp_path, "-v")
     assert loud_digest == quiet_digest
     assert loud.stdout == quiet.stdout
     assert "stage" not in quiet.stderr
     stages = re.findall(r"^stage (\w+): \d+\.\d{3} s$", loud.stderr, re.MULTILINE)
     assert stages == [
         "ingest", "filter", "borda", "oracle", "mincover",
-        "shapley", "tradeoff", "thresholds", "portfolio_borda", "serialize",
+        "shapley", "tradeoff", "thresholds", "portfolio_borda", "serialize", "write",
     ]
 
 
-# Each analysis subcommand runs report's helpers, so it logs their stages, in report's order.
+# Each analysis subcommand runs report's helpers, so it logs their stages, in report's
+# order, on data whose cover leaves a solver out; then it writes its output.
 SUBCOMMAND_STAGES = {
-    "borda": ["ingest", "filter", "borda"],
-    "oracle": ["ingest", "oracle"],
-    "mincover": ["ingest", "filter", "mincover"],
-    "tradeoff --space cover": ["ingest", "filter", "mincover", "tradeoff", "thresholds"],
-    "tradeoff --space full": ["ingest", "filter", "tradeoff", "thresholds"],
+    "borda": ["ingest", "filter", "borda", "write"],
+    "oracle": ["ingest", "oracle", "write"],
+    "mincover": ["ingest", "filter", "mincover", "write"],
+    "tradeoff --space cover": ["ingest", "filter", "mincover", "tradeoff", "thresholds", "write"],
+    "tradeoff --space full": ["ingest", "filter", "tradeoff", "thresholds", "write"],
     "shapley --portfolio cover": [
-        "ingest", "filter", "mincover", "shapley", "borda", "portfolio_borda",
+        "ingest", "filter", "mincover", "shapley", "borda", "portfolio_borda", "write",
     ],
-    "shapley --portfolio full": ["ingest", "filter", "shapley", "borda", "portfolio_borda"],
+    # the portfolio is every scenario solver, so its Borda is the first one
+    "shapley --portfolio full": ["ingest", "filter", "shapley", "borda", "write"],
 }
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_STAGES))
-def test_verbose_subcommand_times_its_stages_on_stderr(command, demo_path, capsys):
+def test_verbose_subcommand_times_its_stages_on_stderr(command, ties_path, capsys):
     env = {**os.environ, "PYTHONPATH": str(Path(portview.__file__).resolve().parent.parent)}
     loud = subprocess.run(
-        [sys.executable, "-m", "portview.cli", "-v", *command.split(), "--data", str(demo_path)],
+        [sys.executable, "-m", "portview.cli", "-v", *command.split(), "--data", str(ties_path)],
         env=env, capture_output=True, text=True,
     )
     assert loud.returncode == 0, loud.stderr
-    assert main([*command.split(), "--data", str(demo_path)]) == 0
+    assert main([*command.split(), "--data", str(ties_path)]) == 0
     assert loud.stdout == capsys.readouterr().out
     stages = re.findall(r"^stage (\w+): \d+\.\d{3} s$", loud.stderr, re.MULTILINE)
     assert stages == SUBCOMMAND_STAGES[command]
@@ -778,9 +795,9 @@ def test_report_bundles_are_identical_across_hash_seeds(demo_path, tmp_path, mod
         assert len(digests) == 1, data.name
 
 
-def test_verbose_report_logs_borda_pair_counts(demo_path, tmp_path):
-    quiet, quiet_digest = _report_child(demo_path, tmp_path)
-    loud, loud_digest = _report_child(demo_path, tmp_path, "-v")
+def test_verbose_report_logs_borda_pair_counts(ties_path, tmp_path):
+    quiet, quiet_digest = _report_child(ties_path, tmp_path)
+    loud, loud_digest = _report_child(ties_path, tmp_path, "-v")
     assert loud_digest == quiet_digest
     assert "borda:" not in quiet.stderr
     counts = re.findall(
@@ -793,7 +810,7 @@ def test_verbose_report_logs_borda_pair_counts(demo_path, tmp_path):
         assert 0 <= split <= pairs == n * (n - 1) * m
 
 
-def test_portfolio_borda_failure_names_its_stage(demo_path, monkeypatch):
+def test_portfolio_borda_failure_names_its_stage(ties_path, monkeypatch):
     calls = []
 
     def fail_second_call(ds):
@@ -804,7 +821,7 @@ def test_portfolio_borda_failure_names_its_stage(demo_path, monkeypatch):
 
     monkeypatch.setattr(cli, "borda", fail_second_call)
     with pytest.raises(StageError, match="portfolio borda failed") as caught:
-        run_pipeline(ReportConfig(data=str(demo_path), out_dir="unused"))
+        run_pipeline(ReportConfig(data=str(ties_path), out_dir="unused"))
     assert caught.value.stage == "portfolio_borda"
     assert len(calls) == 2
 
@@ -823,8 +840,9 @@ def test_serialize_failure_names_its_stage(demo_path, monkeypatch):
     "args, copies",
     [(["report", "--scenario", "all"], 0),
      (["shapley", "--scenario", "all", "--portfolio", "full"], 0),
-     # two of the three solvers participate, and both are in their minimum cover
-     (["report"], 2)],
+     # two of the three solvers participate, and both are in their minimum cover,
+     # so the cover's Borda is the participants' one
+     (["report"], 1)],
     ids=["report-all", "shapley-all-full", "report-participants"],
 )
 def test_borda_copies_the_dataset_only_to_drop_solvers(
@@ -841,6 +859,36 @@ def test_borda_copies_the_dataset_only_to_drop_solvers(
         args = args + ["--out", str(tmp_path / "out")]
     assert main([*args, "--data", str(demo_path)]) == 0
     assert kept == [("alpha", "beta")] * copies
+
+
+@pytest.mark.parametrize(
+    "args", [["shapley", "--portfolio", "full"], ["report"]], ids=["shapley-full", "report"]
+)
+def test_a_portfolio_of_every_scenario_solver_reuses_the_first_borda(
+    args, demo_path, tmp_path, monkeypatch
+):
+    calls = []
+
+    def counted(ds):
+        calls.append(ds.solver_ids)
+        return borda(ds)
+
+    monkeypatch.setattr(cli, "borda", counted)
+    if args[0] == "report":
+        args = args + ["--out", str(tmp_path / "out")]
+    assert main([*args, "--data", str(demo_path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["borda", "oracle", "mincover", "tradeoff", "shapley", "ingest", "convert"]
+)
+def test_an_unwritable_out_names_stage_write(command, demo_path, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    assert main([command, "--data", str(demo_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error at stage write: [Errno 2] "), err
+    assert not out.parent.exists()
 
 
 def test_report_parses_each_cell_text_once_and_keys_each_run_once(tmp_path, monkeypatch):

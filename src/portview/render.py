@@ -3,6 +3,8 @@
 Human-facing numbers are shown to 6 significant digits; exact rationals go to
 the machine-readable sidecar untouched as ``p/q`` strings. No floats are
 involved for exact values, so identical inputs render to identical bytes.
+Callers pick an exact number's digits with integer arithmetic; ``decimal_text``
+alone places the point, pads the zeros and writes the sign.
 """
 
 from __future__ import annotations
@@ -10,11 +12,20 @@ from __future__ import annotations
 import csv
 import io
 import math
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 SIG_DIGITS = 6
+# exact arithmetic whatever the caller's context: no rounding, no overflow
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def decimal_text(digits: int, places: int, negative: bool = False) -> str:
+    """``digits / 10**places`` as plain text, whatever the ``decimal`` context: ``(-5, 3)``
+    gives ``-0.005``, ``(5, -2)`` gives ``500``, and ``negative`` signs a rounded zero."""
+    number = Decimal(digits).copy_sign(-1) if negative else Decimal(digits)
+    return format(number.scaleb(-places, EXACT), "f")
 
 
 def fmt_sig(value: Fraction) -> str:
@@ -50,13 +61,7 @@ def fmt_sig(value: Fraction) -> str:
         while shift > 0 and digits % 10 == 0:
             digits //= 10
             shift -= 1
-    text = str(digits)
-    if shift <= 0:
-        text += "0" * -shift
-    else:
-        text = text.rjust(shift + 1, "0")
-        text = text[:-shift] + "." + text[-shift:]
-    return "-" + text if value < 0 else text
+    return decimal_text(digits, shift, value < 0)
 
 
 def fmt_pct(value: Fraction) -> str:
@@ -65,13 +70,12 @@ def fmt_pct(value: Fraction) -> str:
     ``round`` of a ``Fraction`` is exact, so no precision limits the size of
     ``value``. A negative value that rounds to zero keeps its sign: ``-0.0%``.
     """
-    whole, tenth = divmod(abs(round(value * 1000)), 10)
-    return f"{'-' if value < 0 else ''}{Decimal(whole)}.{tenth}%"
+    return decimal_text(round(value * 1000), 1, value < 0) + "%"
 
 
 def frac_str(value: Fraction) -> str:
-    """Exact ``p/q`` text; ``Decimal`` has no 4300-digit limit, unlike ``str`` of an int."""
-    return str(Decimal(value.numerator)) + "/" + str(Decimal(value.denominator))
+    """Exact ``p/q`` text."""
+    return decimal_text(value.numerator, 0) + "/" + decimal_text(value.denominator, 0)
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

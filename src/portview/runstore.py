@@ -25,7 +25,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
-from .render import csv_text
+from .render import csv_text, decimal_text, frac_str
 
 
 class DataError(ValueError):
@@ -114,9 +114,7 @@ def format_duration(value: Fraction) -> str:
     ms, rest = divmod(value.numerator * 1000, d)
     if 2 * rest > d or (2 * rest == d and ms % 2):
         ms += 1  # half to even, as round(Fraction) rounds
-    sign = "-" if ms < 0 else ""
-    ms = abs(ms)
-    return f"{sign}{ms // 1000}.{ms % 1000:03d}"
+    return decimal_text(ms, 3)
 
 
 def parse_rational(text: str, *, what: str = "objective") -> Fraction:
@@ -136,8 +134,6 @@ def parse_rational(text: str, *, what: str = "objective") -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render exactly: a terminating decimal when one exists, else ``p/q``."""
     n, d = value.numerator, value.denominator
-    if d == 1:
-        return str(n)
     rest, e2, e5 = d, 0, 0
     while rest % 2 == 0:
         rest //= 2
@@ -146,12 +142,9 @@ def format_rational(value: Fraction) -> str:
         rest //= 5
         e5 += 1
     if rest != 1:
-        return f"{n}/{d}"
+        return frac_str(value)
     exp = max(e2, e5)
-    scaled = abs(n) * 10**exp // d
-    digits = str(scaled).rjust(exp + 1, "0")
-    sign = "-" if n < 0 else ""
-    return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
+    return decimal_text(n * 10**exp // d, exp)
 
 
 class CheckedRecord:

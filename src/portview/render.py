@@ -21,10 +21,25 @@ SIG_DIGITS = 6
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
+def _exact_decimal(n: int, bits: int, powers: dict[int, Decimal]) -> Decimal:
+    """``Decimal(n)`` for ``0 <= n < 2**bits``, in about M(n) log n time (Brent & Zimmermann
+    2010, *Modern Computer Arithmetic*, 1.7): ``high * 2**h + low``, h = bits // 2, joined
+    by ``EXACT``'s subquadratic multiply. Halving ``bits``, not ``n.bit_length()``, leaves
+    two sizes of h per level, and ``powers`` computes each ``2**h`` once."""
+    if bits <= 4096:  # Decimal(n) is quadratic in the digits, but fast this small
+        return Decimal(n)
+    h = bits >> 1
+    high = n >> h
+    power = powers.get(h) or powers.setdefault(h, EXACT.power(2, h))
+    low = _exact_decimal(n - (high << h), h, powers)
+    return EXACT.add(EXACT.multiply(_exact_decimal(high, bits - h, powers), power), low)
+
+
 def decimal_text(digits: int, places: int, negative: bool = False) -> str:
     """``digits / 10**places`` as plain text, whatever the ``decimal`` context: ``(-5, 3)``
     gives ``-0.005``, ``(5, -2)`` gives ``500``, and ``negative`` signs a rounded zero."""
-    number = Decimal(digits).copy_sign(-1) if negative else Decimal(digits)
+    number = _exact_decimal(abs(digits), abs(digits).bit_length(), {})
+    number = number.copy_negate() if digits < 0 or negative else number
     return format(number.scaleb(-places, EXACT), "f")
 
 

@@ -145,7 +145,7 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
             return
         # one ascending pass keeps the first instance with the fewest allowed coverers and
         # counts instances that pairwise share no allowed set (each needs its own); it prunes
-        # an instance no allowed set covers and covers too large (past the cap: not smaller)
+        # covers too large (past the cap: not smaller)
         limit = best_size - cap_reached - len(chosen)
         fewest, least, bound, hit, rest = 0, len(names) + 1, 0, 0, uncovered
         while rest:
@@ -154,8 +154,6 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
             sets = coverers[low.bit_length() - 1] & allowed
             count = sets.bit_count()
             if count < least:
-                if not count:
-                    return
                 fewest, least = sets, count
             if not hit & low:
                 bound += 1

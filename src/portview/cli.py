@@ -32,6 +32,7 @@ from .runstore import (
     DataError,
     Dataset,
     filter_solvers,
+    format_rational,
     ingest,
     parse_rational,
     write_canonical,
@@ -502,22 +503,22 @@ def cmd_report(args) -> int:
 # argument parsing
 
 
-# Each flag's argparse keywords. A ReportConfig option's flag has no default, so
-# an option left off the command line keeps its class attribute (see ``_config``).
+# Each flag's argparse keywords. A ReportConfig option's flag has no default, so an option
+# left off keeps its class attribute (``_config``), which ends the flag's help.
 _FLAGS = {
     "--data": dict(required=True, help="canonical dataset file"),
     "--out": dict(help="output file (default: stdout)"),
     "--format": dict(choices=("text", "csv"), default="text"),
-    "--scenario": dict(choices=SCENARIOS),
+    "--scenario": dict(choices=SCENARIOS, help="solvers to analyse"),
     "--epsilon": dict(help="time-tie tolerance in seconds"),
     "--cap": dict(type=int, help="max optima to enumerate"),
     "--space": dict(choices=("cover", "full"), default="cover"),
     "--portfolio": dict(choices=("cover", "full"), default="cover"),
-    "--mode": dict(choices=MODES),
-    "--samples": dict(type=int),
-    "--seed": dict(type=int),
-    "--levels": dict(),
-    "--formats": dict(),
+    "--mode": dict(choices=MODES, help="Shapley value computation"),
+    "--samples": dict(type=int, help="sampled permutations"),
+    "--seed": dict(type=int, help="sampling seed"),
+    "--levels": dict(help="ascending oracle-ratio thresholds, comma-separated"),
+    "--formats": dict(help="bundle formats, comma-separated"),
     "--delimiter": dict(default=","),
     "--mapping": dict(help="JSON column-mapping config"),
 }
@@ -554,7 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, override in ((f, {}) if isinstance(f, str) else f for f in flags):
-            p.add_argument(flag, **{**_FLAGS[flag], **override})
+            keywords = {**_FLAGS[flag], **override}
+            if flag[2:] in ReportConfig.__annotations__:  # the default, as it would be typed
+                value = getattr(ReportConfig, flag[2:])
+                text = ",".join(v if isinstance(v, str) else format_rational(v)
+                                for v in (value if isinstance(value, tuple) else (value,)))
+                keywords["help"] += f" (default: {text})".replace("%", "%%")
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
     return parser
 

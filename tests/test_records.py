@@ -4,11 +4,13 @@ Result records are immutable named tuples: a field cannot be set, and they
 compare and unpack as tuples. ``Dataset`` is immutable too and its equality
 ignores ``warnings``. The validating records check their values in ``_make``
 and ``_replace`` too. ``ReportConfig`` keeps its defaults as class attributes,
-which no CLI flag repeats, and an instance cannot be changed once checked;
+which no CLI flag repeats (``--help`` states each, rendered from them), and an
+instance cannot be changed once checked;
 ``ColumnMapping`` gives each mapping its own dicts.
 """
 
 import argparse
+import re
 from fractions import Fraction
 
 import pytest
@@ -168,6 +170,28 @@ def test_an_option_given_on_the_command_line_reaches_the_config(flag, text, valu
         if flag in flags:
             cfg = cli._config(_minimal_args(command, flag, text))
             assert vars(cfg)[flag[2:]] == value, command
+
+
+# Each option's default as --help states it: the class attribute, as it would be typed.
+HELP_DEFAULTS = {
+    "scenario": "participants", "epsilon": "0", "cap": "1000", "mode": "exact",
+    "samples": "10000", "seed": "0", "levels": "0.8,0.9,0.95", "formats": "csv,text,json",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_help_states_each_option_default(command):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # the options section, argparse's line breaks undone
+    options = " ".join(subparsers.choices[command].format_help().split()).split("options:")[1]
+    for flag in SUBCOMMAND_FLAGS[command]:
+        name = flag[2:]
+        if name in ReportConfig.__annotations__:
+            stated = re.search(rf"{flag} .*?\(default: ([^)]*)\)", options).group(1)
+            assert stated == HELP_DEFAULTS[name], (command, flag)
+            typed = cli._config(_minimal_args(command, flag, stated))
+            assert getattr(typed, name) == getattr(ReportConfig, name), (command, flag)
 
 
 def test_report_config_builds_by_keyword_and_rejects_unknown_ones():

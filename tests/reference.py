@@ -19,6 +19,9 @@ tests require the same runs and the same number of warnings.
 ``reference_fmt_sig`` and ``reference_fmt_pct`` render through ``Decimal``
 division; the package rounds exact integers and fractions instead, and the
 tests require the same text wherever the ``Decimal`` quotient is exact enough.
+``reference_frac_str`` converts each integer with ``str(Decimal(n))``, which is
+quadratic in the digits; the package splits an integer of over 4,096 bits into
+halves and joins their conversions instead, and the tests require the same text.
 ``reference_format_duration`` and ``reference_write_canonical`` round
 ``Fraction`` milliseconds and format every run's cells on their own, in sorted
 run-key order; the package rounds integer milliseconds and formats each
@@ -553,6 +556,11 @@ def reference_fmt_pct(value: Fraction) -> str:
         Decimal("0.1"), rounding=ROUND_HALF_EVEN
     )
     return f"{scaled}%"
+
+
+def reference_frac_str(value: Fraction) -> str:
+    """Exact ``p/q`` text, each integer converted by ``Decimal`` directly."""
+    return str(Decimal(value.numerator)) + "/" + str(Decimal(value.denominator))
 
 
 def reference_format_duration(value: Fraction) -> str:

@@ -60,13 +60,19 @@ def _cases() -> dict[str, list[str]]:
 
 
 CASES = _cases()
+# an exact report whose sidecar holds Shapley values over denominators of about
+# 560,000 bits, far past the 4,096 bits that render.decimal_text converts directly
+CASES["random11-report-all"] = [
+    "report", "--data", "random11.csv", "--out", "bundle", "--scenario", "all"
+]
 
 
 def write_inputs(directory: Path) -> None:
     for name in ("demo", "near"):
         shutil.copyfile(DATA_DIR / f"{name}.csv", directory / f"{name}.csv")
-    ds = make_dataset(random.Random(7), 6, 100)
-    (directory / "m100.csv").write_text(write_canonical(ds), encoding="utf-8")
+    for name, n_solvers in (("m100", 6), ("random11", 11)):
+        ds = make_dataset(random.Random(7), n_solvers, 100)
+        (directory / f"{name}.csv").write_text(write_canonical(ds), encoding="utf-8")
 
 
 def run_case(argv: list[str], directory: Path, capsys) -> str:
@@ -182,4 +188,5 @@ GOLDEN = {
     "near-tradeoff-full": "7eb3f8fb40f000f0d084342582da06efd48e70b03f9d67ba8a756f54c270aecf",
     "near-tradeoff-participants-csv": "9573672f343f21cb0cefe4eaeb9c8494ea03c83ed577f37cefc743c067ab8732",
     "near-tradeoff-participants-text": "43fba8d37773ec71d1e9e092fe7309bc82a13278df1af05d784816478866c508",
+    "random11-report-all": "980aae3eb783973f59b3dbf0ed15fcb45ebaf80372e52310b1b2b2792b72a2bd",
 }

@@ -1,8 +1,54 @@
 import random
+from decimal import Context, localcontext
 from fractions import Fraction
 
-from portview.render import fmt_pct, fmt_sig
-from reference import reference_fmt_pct, reference_fmt_sig
+from portview.render import decimal_text, fmt_pct, fmt_sig, frac_str
+from portview.runstore import format_duration, format_rational
+from reference import reference_fmt_pct, reference_fmt_sig, reference_frac_str
+
+
+def test_decimal_text_examples():
+    cases = {
+        (0, 0): "0", (0, 3): "0.000", (7, 0): "7", (-7, 0): "-7", (5, -2): "500",
+        (-5, 3): "-0.005", (361, 1): "36.1", (100000, 5): "1.00000", (123457, -1): "1234570",
+    }
+    for (digits, places), text in cases.items():
+        assert decimal_text(digits, places) == text
+    assert decimal_text(0, 1, True) == "-0.0"
+    assert decimal_text(-3, 1, True) == "-0.3"
+
+
+def _split_points():
+    """Integers at 4,096 bits, where conversion starts to split, and at 8,192, where it splits twice."""
+    for k in (*range(4093, 4100), *range(8189, 8196)):
+        yield from (2**k - 1, 2**k)
+    for k in (1232, 1233, 1234, 2465, 2466, 2467):  # 10**1233 has 4,096 bits, 10**2466 8,192
+        yield from (10**k - 1, 10**k, 10**k + 1)
+
+
+def test_frac_str_matches_the_direct_conversion():
+    rng = random.Random(28)
+    values = [Fraction(0), Fraction(1), Fraction(-1)]
+    values += [Fraction(n) * sign for n in _split_points() for sign in (1, -1)]
+    values += [Fraction(1, n) for n in _split_points()]
+    for _ in range(12):
+        num, den = (rng.getrandbits(rng.randint(4000, 300000)) for _ in range(2))
+        values.append(Fraction(num * rng.choice((1, -1)), den + 1))
+    for value in values:
+        assert frac_str(value) == reference_frac_str(value)
+
+
+def test_exact_text_does_not_depend_on_the_callers_decimal_context():
+    values = [Fraction(0), Fraction(-2, 3), Fraction(1234567), Fraction(1, 10**9),
+              Fraction(-1, 10**6), Fraction(-123456789, 1000), Fraction(3, 8),
+              Fraction(10**40, 7), Fraction(2**9000 + 1, 2**9000)]
+    funcs = (fmt_sig, fmt_pct, frac_str, format_rational, format_duration)
+    expected = [[func(value) for func in funcs] for value in values]
+    with localcontext(Context(prec=3, Emax=10)):
+        assert [[func(value) for func in funcs] for value in values] == expected
+    assert expected[1] == ["-0.666667", "-66.7%", "-2/3", "-2/3", "-0.667"]
+    assert expected[5] == ["-123457", "-12345678.9%", "-123456789/1000", "-123456.789",
+                           "-123456.789"]
 
 
 def test_fmt_sig_examples():

@@ -133,9 +133,12 @@ def _minimal_args(command: str, *flags: str):
     return cli.build_parser().parse_args([command, "--data", "d.csv", *out, *flags])
 
 
+def _subparsers() -> argparse._SubParsersAction:
+    return next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def test_build_parser_gives_each_subcommand_exactly_its_flags_in_order():
-    parser = cli.build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparsers = _subparsers()
     assert list(subparsers.choices) == list(SUBCOMMAND_FLAGS)
     for command, flags in SUBCOMMAND_FLAGS.items():
         actions = {a.option_strings[-1]: a for a in subparsers.choices[command]._actions}
@@ -181,10 +184,8 @@ HELP_DEFAULTS = {
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
 def test_help_states_each_option_default(command):
-    parser = cli.build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     # the options section, argparse's line breaks undone
-    options = " ".join(subparsers.choices[command].format_help().split()).split("options:")[1]
+    options = " ".join(_subparsers().choices[command].format_help().split()).split("options:")[1]
     for flag in SUBCOMMAND_FLAGS[command]:
         name = flag[2:]
         if name in ReportConfig.__annotations__:

@@ -15,19 +15,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
-import logging
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
+from . import render
 from .convert import convert_table, load_mapping
 from .mincover import build_coverage, min_cover
 from .pairscore import ScoreMatrix, borda
 from .portfolio import perf
-from .render import align_table, csv_text, fmt_pct, fmt_sig, frac_str
+from .render import align_table, csv_text, fmt_pct, fmt_sig, frac_str, log
 from .runstore import (
     DataError,
     Dataset,
@@ -39,8 +38,6 @@ from .runstore import (
 )
 from .shapley import ShapleyMode, shapley_exact, shapley_sampled
 from .tradeoff import best_subsets, thresholds
-
-log = logging.getLogger(__name__)
 
 SCENARIOS = ("participants", "all")
 MODES = tuple(mode.value for mode in ShapleyMode)
@@ -64,7 +61,7 @@ def _stage(name: str):
     except (DataError, OSError) as exc:
         raise StageError(name, exc) from exc
     finally:
-        log.info("stage %s: %.3f s", name, time.perf_counter() - started)
+        log("stage %s: %.3f s", name, time.perf_counter() - started)
 
 
 def _dataset(cfg) -> tuple[Dataset, tuple[str, ...]]:
@@ -417,6 +414,8 @@ def _text_report(cfg, ds, matrix, oracle, unsolvable, solution, attribution, tab
 
 
 def _json_sidecar(cfg, ds, matrix, oracle, solution, curve, reached, attribution) -> str:
+    import json  # here alone: a run that writes no sidecar never loads it
+
     payload = {
         "dataset": {
             "path": cfg.data,
@@ -572,9 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if (exc.code or 0) == 0 else 1
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING, format="%(message)s"
-    )
+    render.verbose = args.verbose
     try:
         return args.func(args) or 0
     except StageError as exc:

@@ -12,7 +12,6 @@ is repaired and the warning is the same message plus its consequence
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import IO
 
@@ -36,6 +35,8 @@ def _synonyms(raw: dict, key: str) -> dict[str, str]:
 
 def load_mapping(path: str | Path) -> ColumnMapping:
     """Read a mapping config from JSON; unlisted columns default to themselves."""
+    import json  # here alone: a run without ``--mapping`` never loads it
+
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

@@ -11,15 +11,13 @@ element-disjoint lower bound, and enumerates the optimal covers up to a cap.
 
 from __future__ import annotations
 
-import logging
 import time
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .pairscore import best_group, time_ticks
+from .render import log
 from .runstore import DataError, Dataset, known_solvers
-
-log = logging.getLogger(__name__)
 
 # Search nodes; 36 s at the slowest rate measured, 97 thousand per CPU second, and 7 s at the
 # fastest, 473 thousand (2-core x86, CPython 3.11, tie-heavy data); within shapley.EXACT_BUDGET_S.
@@ -133,7 +131,7 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
         nodes += 1
         if nodes % _PROGRESS_EVERY == 0:
             rate = nodes / (time.perf_counter() - started)
-            log.info("min_cover: %d nodes (best size %d, %.0f nodes/s)", nodes, best_size, rate)
+            log("min_cover: %d nodes (best size %d, %.0f nodes/s)", nodes, best_size, rate)
         if not uncovered:
             # the bound kept this cover from exceeding best_size
             if len(chosen) < best_size:

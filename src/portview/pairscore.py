@@ -28,16 +28,14 @@ their denominators, which leaves every split ``u / (t + u)`` unchanged.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
+from .render import log
 from .runstore import CheckedRecord, DataError, Dataset, ProblemKind, RunRecord, Status
 from .runstore import quality_key, run_shape_violation
-
-log = logging.getLogger(__name__)
 
 HALF = Fraction(1, 2)
 
@@ -193,7 +191,7 @@ def borda(ds: Dataset) -> ScoreMatrix:
                     split[sid].append(share)
                 split_pairs += size * (size - 1)
             below += size
-    log.info(
+    log(
         "borda: %d solvers x %d instances, %d time-split pairs of %d",
         n, m, split_pairs, n * (n - 1) * m,
     )

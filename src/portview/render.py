@@ -4,7 +4,8 @@ Human-facing numbers are shown to 6 significant digits; exact rationals go to
 the machine-readable sidecar untouched as ``p/q`` strings. No floats are
 involved for exact values, so identical inputs render to identical bytes.
 Callers pick an exact number's digits with integer arithmetic; ``decimal_text``
-alone places the point, pads the zeros and writes the sign.
+alone places the point, pads the zeros and writes the sign. ``log`` writes the
+``-v`` lines, which never enter the report, to stderr.
 """
 
 from __future__ import annotations
@@ -12,13 +13,23 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 SIG_DIGITS = 6
+# ``-v``: whether ``log`` writes. ``cli.main`` sets it from the flag; a library caller
+# sets ``portview.render.verbose = True`` for the same stage, count and progress lines.
+verbose = False
 # exact arithmetic whatever the caller's context: no rounding, no overflow
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def log(fmt: str, *args: object) -> None:
+    """Write ``fmt % args`` and a newline to ``sys.stderr`` when ``verbose`` is on; else nothing."""
+    if verbose:
+        sys.stderr.write(fmt % args + "\n")
 
 
 def _exact_decimal(n: int, bits: int, powers: dict[int, Decimal]) -> Decimal:

@@ -15,7 +15,6 @@ The value of a coalition is its performance ratio against the fixed baseline
 
 from __future__ import annotations
 
-import logging
 import random
 from enum import Enum
 from fractions import Fraction
@@ -23,9 +22,8 @@ from math import factorial, gcd, inf, prod
 from typing import Iterable, NamedTuple
 
 from .portfolio import SubsetScorer
+from .render import log
 from .runstore import DataError, Dataset
-
-log = logging.getLogger(__name__)
 
 # Exact mode runs only when its estimated time (``_exact_seconds``) is within
 # this many seconds; larger portfolios need ``sampled`` mode.
@@ -175,7 +173,7 @@ def shapley_exact(
         suspect_part *= g
         g = gcd(denominator // suspect_part, g)
     line = "shapley_exact: %d coalitions, %d-bit denominator, estimate %.3g s"
-    log.info(line, len(masks), denominator.bit_length(), estimate)
+    log(line, len(masks), denominator.bit_length(), estimate)
     values = {}
     for a, player in enumerate(players):
         xs = [x if mask >> a & 1 else y for mask, x, y in zip(masks, ins, outs)]

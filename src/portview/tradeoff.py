@@ -18,7 +18,6 @@ candidate costs one unit per 64-bit word of each shared instance's score.
 
 from __future__ import annotations
 
-import logging
 import time
 from fractions import Fraction
 from heapq import heappush, heapreplace
@@ -27,9 +26,8 @@ from operator import gt
 from typing import Iterable, NamedTuple, Sequence
 
 from .portfolio import PerfRatio, SubsetScorer
+from .render import log
 from .runstore import DataError, Dataset, known_solvers
-
-log = logging.getLogger(__name__)
 
 # About the 60 s of shapley.EXACT_BUDGET_S. Calibrated on a 2-core x86 machine
 # with CPython 3.11, in work units per CPU second: 274-290 million on a whole
@@ -177,7 +175,7 @@ class _Search:
         self.nodes += 1
         if self.nodes % _PROGRESS_EVERY == 0:
             rate = self.nodes / (time.perf_counter() - self.started)
-            log.info("best_subsets: %d nodes (size %d, %.0f nodes/s)", self.nodes, self.k, rate)
+            log("best_subsets: %d nodes (size %d, %.0f nodes/s)", self.nodes, self.k, rate)
         n = self.n
         start = combo[-1] + 1 if combo else 0
         if need == 1:

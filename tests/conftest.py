@@ -27,5 +27,15 @@ def demo_dataset(demo_path):
     return ingest(demo_path)
 
 
+@pytest.fixture
+def verbose(monkeypatch, capsys):
+    """The ``-v`` lines on, for this test only: call the fixture's value for the stderr lines
+    written since the last call."""
+    from portview import render
+
+    monkeypatch.setattr(render, "verbose", True)
+    return lambda: capsys.readouterr().err.splitlines()
+
+
 def frac(text: str) -> Fraction:
     return Fraction(text)

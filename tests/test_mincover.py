@@ -246,36 +246,36 @@ def test_capped_min_cover_keeps_optima_of_the_reference(covers_with_reference):
     assert capped >= 30
 
 
-def _searched(monkeypatch, caplog, cov: CoverageMap, cap: int = 1000):
+def _searched(monkeypatch, verbose, cov: CoverageMap, cap: int = 1000):
     """``min_cover``'s solution and its node count, read off one progress line per node."""
     monkeypatch.setattr(mincover, "_PROGRESS_EVERY", 1)
-    with caplog.at_level("INFO", logger="portview.mincover"):
-        solution = min_cover(cov, cap)
-    return solution, sum(r.name == "portview.mincover" for r in caplog.records)
+    verbose()
+    solution = min_cover(cov, cap)
+    return solution, sum(line.startswith("min_cover: ") for line in verbose())
 
 
-def test_the_cap_stops_the_search(monkeypatch, caplog):
+def test_the_cap_stops_the_search(monkeypatch, verbose):
     """16 pairs of twins: 2**16 optima, of which three are kept."""
     cov = _cover_map(
         {f"{twin}{j:02d}": {f"i{j:02d}"} for j in range(16) for twin in "ab"},
         {f"i{j:02d}" for j in range(16)},
     )
-    solution, nodes = _searched(monkeypatch, caplog, cov, cap=3)
+    solution, nodes = _searched(monkeypatch, verbose, cov, cap=3)
     assert (solution.size, len(solution.portfolios), solution.cap_reached) == (16, 3, True)
     assert nodes <= 100
 
 
-def test_tie_heavy_cover_of_forty_solvers_searches_few_nodes(monkeypatch, caplog):
+def test_tie_heavy_cover_of_forty_solvers_searches_few_nodes(monkeypatch, verbose):
     cov = build_coverage(tie_heavy_dataset(random.Random(0), 40, 100))
-    solution, nodes = _searched(monkeypatch, caplog, cov)
+    solution, nodes = _searched(monkeypatch, verbose, cov)
     assert (solution.size, len(solution.portfolios), solution.cap_reached) == (11, 550, False)
     assert nodes <= 20_000
 
 
-def test_tie_heavy_cover_of_forty_solvers_keeps_its_search_tree(monkeypatch, caplog):
+def test_tie_heavy_cover_of_forty_solvers_keeps_its_search_tree(monkeypatch, verbose):
     """The branching instance, the bound and the prunes fix the tree: its size is pinned."""
     cov = build_coverage(tie_heavy_dataset(random.Random(0), 40, 100))
-    assert _searched(monkeypatch, caplog, cov)[1] == 10_409
+    assert _searched(monkeypatch, verbose, cov)[1] == 10_409
 
 
 def test_work_budget_exhausted_names_nodes_and_best_size(monkeypatch):
@@ -294,13 +294,13 @@ def test_work_budget_exhausted_names_nodes_and_best_size(monkeypatch):
     assert 9 <= int(found[2]) <= 30
 
 
-def test_progress_line_reports_a_rate(monkeypatch, caplog):
+def test_progress_line_reports_a_rate(monkeypatch, verbose):
     monkeypatch.setattr(mincover, "_PROGRESS_EVERY", 1)
     cov = build_coverage(tie_heavy_dataset(random.Random(0), 12, 30))
-    with caplog.at_level("INFO", logger="portview.mincover"):
-        solution = min_cover(cov)
+    verbose()
+    solution = min_cover(cov)
     line = re.compile(r"min_cover: (\d+) nodes \(best size (\d+), \d+ nodes/s\)")
-    matches = [line.fullmatch(r.getMessage()) for r in caplog.records]
+    matches = [line.fullmatch(text) for text in verbose()]
     assert len(matches) > 5 and all(matches)
     assert [int(m[1]) for m in matches] == list(range(1, len(matches) + 1))
     sizes = [int(m[2]) for m in matches]

@@ -1,4 +1,3 @@
-import logging
 import random
 from fractions import Fraction
 
@@ -257,35 +256,35 @@ def _pairwise_borda(ds):
     return per_instance, split_pairs
 
 
-def _assert_borda_is_pairwise(ds, caplog):
+def _assert_borda_is_pairwise(ds, verbose):
     expected, split_pairs = _pairwise_borda(ds)
     assert list(_instance_scores(ds).items()) == list(expected.items())
-    with caplog.at_level(logging.INFO, logger="portview.pairscore"):
-        caplog.clear()
-        matrix = borda(ds)
+    verbose()
+    matrix = borda(ds)
+    lines = verbose()
     m = len(ds.instance_ids)
     for sid in ds.solver_ids:
         total = sum((expected[(sid, iid)] for iid in ds.instance_ids), Fraction(0))
         assert matrix.totals[sid] == total
         assert matrix.averages[sid] == total / m
     n = len(ds.solver_ids)
-    assert caplog.messages == [
+    assert lines == [
         f"borda: {n} solvers x {m} instances, {split_pairs} time-split pairs of {n * (n - 1) * m}"
     ]
 
 
-def test_borda_equals_pairwise_definition_on_tie_heavy_data(caplog):
+def test_borda_equals_pairwise_definition_on_tie_heavy_data(verbose):
     ds = tie_heavy_dataset(random.Random(2024), n_solvers=12, n_instances=100)
     statuses = {run.status for run in ds.runs.values()}
     assert statuses == {Status.COMPLETE, Status.INCOMPLETE, Status.UNSOLVED}
     assert any("disagree on the objective" in w for w in ds.warnings)
-    _assert_borda_is_pairwise(ds, caplog)
+    _assert_borda_is_pairwise(ds, verbose)
 
 
-def test_borda_equals_pairwise_definition_on_toy_grids(caplog):
+def test_borda_equals_pairwise_definition_on_toy_grids(verbose):
     rng = random.Random(808)
     for _ in range(40):
-        _assert_borda_is_pairwise(make_dataset(rng, max_solvers=6, max_instances=8), caplog)
+        _assert_borda_is_pairwise(make_dataset(rng, max_solvers=6, max_instances=8), verbose)
 
 
 def test_best_group_is_the_subsets_runs_with_the_largest_quality_key():

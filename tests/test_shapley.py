@@ -1,4 +1,3 @@
-import logging
 import pickle
 import random
 import re
@@ -341,11 +340,11 @@ def test_coprime_fraction_is_the_reduced_fraction(numerator, denominator):
     assert (copied.numerator, copied.denominator) == (numerator, denominator)
 
 
-def test_exact_logs_its_coalitions_denominator_and_estimate(caplog):
+def test_exact_logs_its_coalitions_denominator_and_estimate(verbose):
     ds = make_dataset(random.Random(67), n_solvers=5, n_instances=30, solve_all_solver=True)
-    with caplog.at_level(logging.INFO, logger="portview.shapley"):
-        report = shapley_exact(ds, ds.solver_ids, ds.solver_ids)
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "portview.shapley"]
+    verbose()
+    report = shapley_exact(ds, ds.solver_ids, ds.solver_ids)
+    (line,) = verbose()
     pattern = r"shapley_exact: (\d+) coalitions, (\d+)-bit denominator, estimate (\S+) s"
     match = re.fullmatch(pattern, line)
     assert match and int(match[1]) == 31 and len(report.values) == 5

@@ -189,13 +189,13 @@ def test_curve_matches_the_exhaustive_reference_at_m100():
         assert got == _curve_or_error(reference_best_subsets, ds, ds.solver_ids, ds.solver_ids)
 
 
-def test_progress_line_reports_a_rate(monkeypatch, caplog):
+def test_progress_line_reports_a_rate(monkeypatch, verbose):
     monkeypatch.setattr(tradeoff, "_PROGRESS_EVERY", 1)
     ds = make_dataset(random.Random(5), n_solvers=6, n_instances=8, solve_all_solver=True)
-    with caplog.at_level("INFO", logger="portview.tradeoff"):
-        best_subsets(ds, ds.solver_ids, ds.solver_ids)
+    verbose()
+    best_subsets(ds, ds.solver_ids, ds.solver_ids)
     line = re.compile(r"best_subsets: (\d+) nodes \(size (\d), \d+ nodes/s\)")
-    matches = [line.fullmatch(r.getMessage()) for r in caplog.records]
+    matches = [line.fullmatch(text) for text in verbose()]
     assert matches and all(matches)
     nodes = [int(m[1]) for m in matches]
     assert nodes == list(range(1, len(nodes) + 1))

@@ -283,8 +283,8 @@ def _parse_levels(text: str) -> tuple[Fraction, ...]:
     levels = [parse_rational(part, what="level") for part in text.split(",") if part.strip()]
     if not levels:
         raise DataError("no threshold levels given")
-    if levels != sorted(levels):
-        raise DataError("threshold levels must be ascending")
+    if levels != sorted(set(levels)):
+        raise DataError("threshold levels must be strictly ascending")
     return tuple(levels)
 
 

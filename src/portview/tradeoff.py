@@ -235,11 +235,14 @@ def _top_after(values: list[int], t: int) -> list[int]:
 def thresholds(
     curve: TradeoffCurve, levels: Sequence[Fraction]
 ) -> dict[Fraction, int]:
-    """Smallest k whose performance reaches each level; unreachable levels omitted."""
+    """Smallest k whose performance reaches each level; unreachable levels omitted.
+
+    The levels must be strictly ascending: the result is keyed by level, so a
+    repeated one would give one key for two of the caller's rows."""
     if not curve.entries:
         raise DataError("thresholds: empty curve")
-    if list(levels) != sorted(levels):
-        raise DataError("thresholds: levels must be sorted ascending")
+    if list(levels) != sorted(set(levels)):
+        raise DataError("thresholds: levels must be strictly ascending")
     out: dict[Fraction, int] = {}
     for level in levels:
         for entry in curve.entries:

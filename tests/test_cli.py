@@ -19,6 +19,7 @@ from portview.cli import ReportConfig, StageError, main, run_pipeline
 from portview.mincover import build_coverage, min_cover
 from portview.pairscore import borda
 from portview.portfolio import PerfRatio, perf
+from portview.render import fmt_pct
 from portview.runstore import DataError, ingest
 
 EXPECTED_FILES = {
@@ -921,8 +922,10 @@ def test_report_parses_each_cell_text_once_and_keys_each_run_once(tmp_path, monk
 
 @pytest.mark.parametrize(
     "levels, message",
-    [("", "no threshold levels given"), ("0.9,0.8", "threshold levels must be ascending")],
-    ids=["empty", "descending"],
+    [("", "no threshold levels given"), ("0.9,0.8", "threshold levels must be strictly ascending"),
+     ("0.5,1/2", "threshold levels must be strictly ascending"),
+     ("0.5,0.5", "threshold levels must be strictly ascending")],
+    ids=["empty", "descending", "equal", "repeated"],
 )
 @pytest.mark.parametrize("command", ["tradeoff", "report"])
 def test_bad_levels_are_validation_errors(command, levels, message, demo_path, tmp_path, capsys):
@@ -939,7 +942,18 @@ def test_tradeoff_checks_its_levels_before_the_search(demo_path, monkeypatch, ca
     monkeypatch.setattr(cli, "best_subsets", lambda *args: calls.append(args))
     assert main(["tradeoff", "--data", str(demo_path), "--levels", "0.9,0.8"]) == 1
     assert calls == []
-    assert capsys.readouterr().err == "error: threshold levels must be ascending\n"
+    assert capsys.readouterr().err == "error: threshold levels must be strictly ascending\n"
+
+
+def test_report_thresholds_table_has_one_row_per_sidecar_level(demo_path):
+    levels = (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1))
+    files = run_pipeline(ReportConfig(str(demo_path), "unused", levels=levels))
+    rows = list(csv.reader(io.StringIO(files["thresholds.csv"])))[1:]
+    sidecar = json.loads(files["exact.json"])["tradeoff"]["thresholds"]
+    levels_reached = sorted((Fraction(level), k) for level, k in sidecar.items())
+    assert [level for level, _ in levels_reached] == list(levels)
+    assert rows == [[fmt_pct(level), "unreached" if k is None else str(k)]
+                    for level, k in levels_reached]
 
 
 def test_report_rejects_an_unknown_format(demo_path, tmp_path, capsys):

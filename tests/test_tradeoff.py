@@ -159,6 +159,15 @@ def test_thresholds_require_sorted_levels():
         thresholds(curve, [Fraction(9, 10), Fraction(1, 2)])
 
 
+@pytest.mark.parametrize("levels", [(Fraction(1, 2),) * 2, (Fraction(1, 4), Fraction(1, 2), Fraction(2, 4))])
+def test_thresholds_refuse_a_repeated_level(levels):
+    """A repeated level would be one key of the result for two rows of the caller's table."""
+    ds = make_dataset(random.Random(123), n_solvers=2, n_instances=2, solve_all_solver=True)
+    curve = best_subsets(ds, ds.solver_ids, ds.solver_ids)
+    with pytest.raises(DataError, match="^thresholds: levels must be strictly ascending$"):
+        thresholds(curve, levels)
+
+
 def test_curve_matches_brute_force_at_realistic_size():
     """Six of 8 solvers x 100 instances searched against the full 8-solver baseline."""
     ds = make_dataset(random.Random(7), n_solvers=8, n_instances=100)

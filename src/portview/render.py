@@ -15,6 +15,7 @@ import io
 import math
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+from decimal import DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,8 +23,9 @@ SIG_DIGITS = 6
 # ``-v``: whether ``log`` writes. ``cli.main`` sets it from the flag; a library caller
 # sets ``portview.render.verbose = True`` for the same stage, count and progress lines.
 verbose = False
-# exact arithmetic whatever the caller's context: no rounding, no overflow
-EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# the context of every exact decimal, parsed or printed, whatever the caller's: no rounding
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                traps=[InvalidOperation, DivisionByZero, Overflow])
 
 
 def log(fmt: str, *args: object) -> None:

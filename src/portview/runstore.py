@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from decimal import Context, Decimal, InvalidOperation, ROUND_HALF_EVEN
+from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +25,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
-from .render import csv_text, decimal_text, frac_str
+from .render import EXACT, csv_text, decimal_text, frac_str
 
 
 class DataError(ValueError):
@@ -67,12 +67,9 @@ _FLAG_TOKENS = {"1": True, "TRUE": True, "YES": True, "0": False, "FALSE": False
 _STATUS_RANK = {_UNSOLVED: 0, _INCOMPLETE: 1, _COMPLETE: 2}
 
 
-# Most digits a number's integer numerator or power-of-ten denominator may need:
-# Python's default limit for converting an int to text, so every value prints.
+# Most digits a number's integer numerator or power-of-ten denominator may need: a cap on
+# the size of one input number, so no cell builds a huge integer (any value prints).
 _MAX_DIGITS = 4300
-
-# Precise enough that scaling a number within _MAX_DIGITS to milliseconds is exact.
-_MS_CONTEXT = Context(prec=_MAX_DIGITS + 3)
 
 # Most characters of a cell that a message quotes, so a huge cell gives a short line.
 _QUOTED_CHARS = 40
@@ -86,7 +83,7 @@ def _quoted(text: str) -> str:
 def _decimal(text: str, what: str) -> Decimal:
     """Finite decimal ``text`` within ``_MAX_DIGITS``; checked before any integer is built."""
     try:
-        d = Decimal(text.strip())
+        d = Decimal(text.strip(), EXACT)
     except InvalidOperation:
         raise DataError(f"unparseable {what} {_quoted(text)}") from None
     if not d.is_finite():
@@ -104,7 +101,7 @@ def _decimal(text: str, what: str) -> Decimal:
 def parse_duration(text: str, *, what: str = "time") -> Fraction:
     """Parse a duration in seconds to an exact rational, rounded to milliseconds."""
     d = _decimal(text, what)
-    ms = int(d.scaleb(3, _MS_CONTEXT).to_integral_value(rounding=ROUND_HALF_EVEN))
+    ms = int(d.scaleb(3, EXACT).to_integral_value(ROUND_HALF_EVEN, EXACT))
     return Fraction(ms, 1000)
 
 

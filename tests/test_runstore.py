@@ -1,5 +1,9 @@
 import io
+import os
 import random
+import subprocess
+import sys
+from decimal import Context, InvalidOperation, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -326,6 +330,60 @@ def test_parse_duration_millisecond_granularity():
         parse_duration("abc")
     assert format_duration(Fraction(21, 2)) == "10.500"
     assert format_duration(Fraction(0)) == "0.000"
+
+
+# Values (digit underscores too), rounding ties, huge exponents and malformed cells.
+CONTEXT_CELLS = ["1.5", " -2.50 ", "1_000.000_5", "7/3", "0.0015", "2.5e3", "1e-9", "1e4299",
+                 "abc", "1e9999999999999999999", "nan", "-inf", "1/0", "1e99999"]
+
+
+def _parsed() -> list[str]:
+    """Each cell's ``parse_rational`` and ``parse_duration`` value or message, then the message
+    of an ``ingest`` whose one objective is malformed, under the caller's decimal context."""
+    results = []
+    for parse in (parse_rational, parse_duration):
+        for text in CONTEXT_CELLS:
+            try:
+                results.append(repr(parse(text)))
+            except DataError as exc:
+                results.append(f"DataError: {exc}")
+    try:
+        ingest(io.StringIO(f"{HEADER}\na,i1,MINIMIZE,INCOMPLETE,1.5,abc,1,10\n"))
+    except DataError as exc:
+        results.append(f"DataError: {exc}")
+    return results
+
+
+def _untrapped() -> Context:
+    context = Context()
+    context.traps[InvalidOperation] = False
+    return context
+
+
+@pytest.mark.parametrize(
+    "context", [_untrapped(), Context(prec=3, Emax=10, Emin=-10)], ids=["untrapped", "prec-3"]
+)
+def test_parsing_does_not_depend_on_the_callers_decimal_context(context):
+    expected = _parsed()
+    with localcontext(context):
+        assert _parsed() == expected
+    assert expected[:3] == ["Fraction(3, 2)", "Fraction(-5, 2)", "Fraction(2000001, 2000)"]
+    assert "DataError: unparseable objective 'abc'" in expected
+    assert expected[-1] == "DataError: row 2: unparseable objective 'abc'"
+
+
+def test_parsing_does_not_depend_on_the_default_context_at_import():
+    """A caller who untraps ``InvalidOperation`` in ``DefaultContext`` before importing
+    ``portview`` gets the same values and messages."""
+    tests = Path(__file__).resolve().parent
+    code = ("import decimal; decimal.DefaultContext.traps[decimal.InvalidOperation] = False\n"
+            "from test_runstore import _parsed; print(repr(_parsed()))")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == repr(_parsed()) + "\n"
 
 
 EDGE_DURATIONS = {

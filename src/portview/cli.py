@@ -121,8 +121,12 @@ def _emit(text: str, out: str | None) -> None:
     with _stage("write"):
         if out:
             Path(out).write_text(text, encoding="utf-8")
-        else:
+            return
+        try:
             sys.stdout.write(text)
+        except UnicodeEncodeError as exc:  # raised before any byte is written; data is never escaped
+            raise DataError(f"stdout cannot encode the output ({exc}); "
+                            "use --out FILE, which writes UTF-8") from None
 
 
 def _print_warnings(ds_warnings: Sequence[str]) -> None:
@@ -193,27 +197,24 @@ def _render(fmt: str, *tables) -> str:
 # simple subcommands
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> None:
     ds = ingest(args.data, delimiter=args.delimiter)
     _print_warnings(ds.warnings)
     _emit(write_canonical(ds), args.out)
-    return 0
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> None:
     text, warnings = convert_table(args.data, load_mapping(args.mapping) if args.mapping else None)
     _print_warnings(warnings)
     _emit(text, args.out)
-    return 0
 
 
-def cmd_borda(args) -> int:
+def cmd_borda(args) -> None:
     ds, solvers = _dataset(_config(args))
     _emit(_render(args.format, _borda_table(_borda_over(ds, solvers))), args.out)
-    return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> None:
     results = []
     for path in args.data:
         with _stage("ingest"):
@@ -227,10 +228,9 @@ def cmd_oracle(args) -> int:
                 "oracles scored as symmetric ties",
                 file=sys.stderr,
             )
-    return 0
 
 
-def cmd_mincover(args) -> int:
+def cmd_mincover(args) -> None:
     cfg = _config(args)
     ds, solvers = _dataset(cfg)
     coverage, solution = _mincover(ds, solvers, cfg)
@@ -250,19 +250,17 @@ def cmd_mincover(args) -> int:
         ]
         text = "\n".join(summary) + "\n\n" + _render("text", table)
     _emit(text, args.out)
-    return 0
 
 
-def cmd_tradeoff(args) -> int:
+def cmd_tradeoff(args) -> None:
     cfg = _config(args)
     ds, solvers = _dataset(cfg)
     curve, reached = _tradeoff(ds, _cover_or_full(ds, solvers, cfg, args.space), solvers, cfg)
     text = _render(args.format, _tradeoff_table(curve), _thresholds_table(cfg.levels, reached))
     _emit(text, args.out)
-    return 0
 
 
-def cmd_shapley(args) -> int:
+def cmd_shapley(args) -> None:
     cfg = _config(args)
     ds, solvers = _dataset(cfg)
     portfolio = _cover_or_full(ds, solvers, cfg, args.portfolio)
@@ -270,7 +268,6 @@ def cmd_shapley(args) -> int:
     all_borda = _borda_over(ds, solvers)
     core_borda = _portfolio_borda(ds, portfolio, all_borda)
     _emit(_render(args.format, _shapley_table(attribution, all_borda, core_borda)), args.out)
-    return 0
 
 
 def _fmt_value(value) -> str:
@@ -470,7 +467,7 @@ def _json_sidecar(cfg, ds, matrix, oracle, solution, curve, reached, attribution
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     files = run_pipeline(_config(args))
 
     out_dir = Path(args.out)
@@ -494,8 +491,11 @@ def cmd_report(args) -> int:
                 with contextlib.suppress(OSError):  # never made, or no longer empty: left as it is
                     directory.rmdir()
             raise
-    print(f"wrote {len(written)} files to {out_dir}")
-    return 0
+    summary = f"wrote {len(written)} files to {out_dir}\n"
+    try:
+        sys.stdout.write(summary)
+    except UnicodeEncodeError as exc:  # escaped as on stderr: the bundle is already written
+        sys.stdout.write(summary.encode(exc.encoding, "backslashreplace").decode(exc.encoding))
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +573,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if (exc.code or 0) == 0 else 1
     render.verbose = args.verbose
     try:
-        return args.func(args) or 0
+        args.func(args)
     except StageError as exc:
         print(f"error at stage {exc.stage}: {exc}", file=sys.stderr)
         return 1
@@ -583,6 +583,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -892,6 +892,55 @@ def test_an_unwritable_out_names_stage_write(command, demo_path, tmp_path, capsy
     assert not out.parent.exists()
 
 
+NON_ASCII_TABLE = (
+    "solver,instance,kind,status,time,objective,participant,timeout\n"
+    "solveur-é,i1,DECISION,COMPLETE,1,,1,10\n"
+    "求解器,i1,DECISION,COMPLETE,2,,1,10\n"
+)
+
+
+def _encoding_child(tmp_path: Path, encoding: str, *argv: str) -> subprocess.CompletedProcess:
+    """``portview ARGV`` in a child, in ``tmp_path`` beside ``t.csv`` (``NON_ASCII_TABLE``),
+    whose stdout and stderr encode with ``encoding``; its output is bytes."""
+    (tmp_path / "t.csv").write_text(NON_ASCII_TABLE, encoding="utf-8")
+    env = {
+        **os.environ, "PYTHONPATH": str(Path(portview.__file__).resolve().parent.parent),
+        "PYTHONIOENCODING": encoding,
+    }
+    return subprocess.run([sys.executable, "-m", "portview.cli", *argv, "--data", "t.csv"],
+                          cwd=tmp_path, env=env, capture_output=True)
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize("command", ["borda", "ingest"])
+def test_a_stdout_that_cannot_encode_the_output_fails_at_stage_write(command, encoding, tmp_path):
+    refused = _encoding_child(tmp_path, encoding, command)
+    assert (refused.returncode, refused.stdout) == (1, b""), refused.stderr
+    assert re.fullmatch(
+        r"error at stage write: stdout cannot encode the output \('[-\w]+' codec can't encode "
+        r".*\); use --out FILE, which writes UTF-8\n",
+        refused.stderr.decode("ascii"),
+    ), refused.stderr
+    # the data is never escaped: --out writes the bytes that a UTF-8 stdout shows
+    utf8 = _encoding_child(tmp_path, "utf-8", command)
+    assert utf8.returncode == 0 and "求解器".encode() in utf8.stdout
+    written = _encoding_child(tmp_path, encoding, command, "--out", "out.txt")
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert (tmp_path / "out.txt").read_bytes() == utf8.stdout
+
+
+@pytest.mark.parametrize("encoding, shown", [
+    ("ascii", r"r\xe9pertoire-\u6c42\u89e3\u5668"),
+    ("latin-1", r"répertoire-\u6c42\u89e3\u5668"),
+    ("utf-8", "répertoire-求解器"),
+])
+def test_report_escapes_what_stdout_cannot_encode_in_its_summary(encoding, shown, tmp_path):
+    done = _encoding_child(tmp_path, encoding, "report", "--out", "répertoire-求解器")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == f"wrote 8 files to {shown}\n".encode(encoding)
+    assert len(list((tmp_path / "répertoire-求解器").iterdir())) == 8
+
+
 def test_report_parses_each_cell_text_once_and_keys_each_run_once(tmp_path, monkeypatch):
     from randgen import tie_heavy_dataset
 

@@ -43,10 +43,12 @@ def load_mapping(path: str | Path) -> ColumnMapping:
         raise DataError(f"mapping: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DataError("mapping: the top level must be a JSON object")
-    columns: dict[str, list[str]] = {}
-    for name, value in _object(raw, "columns").items():
+    named, defaults = _object(raw, "columns"), _object(raw, "defaults")
+    for name in [*named, *defaults]:
         if name not in CANONICAL_COLUMNS:
             raise DataError(f"mapping: unknown canonical column {name!r}")
+    columns: dict[str, list[str]] = {}
+    for name, value in named.items():
         sources = [value] if isinstance(value, str) else value
         if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
             raise DataError(f"mapping: column {name!r} must be a string or a list of strings")
@@ -56,7 +58,7 @@ def load_mapping(path: str | Path) -> ColumnMapping:
         raise DataError("mapping: 'join' must be a string")
     return ColumnMapping(
         columns=columns,
-        defaults={str(k): str(v) for k, v in _object(raw, "defaults").items()},
+        defaults={k: str(v) for k, v in defaults.items()},
         status_map=_synonyms(raw, "status"),
         kind_map=_synonyms(raw, "kind"),
         delimiter=raw.get("delimiter", ","),

@@ -167,6 +167,13 @@ def test_mapping_rejects_unknown_canonical_column(tmp_path):
         load_mapping(path)
 
 
+def test_mapping_rejects_a_default_for_an_unknown_canonical_column(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"defaults": {"timout": "1200"}}), encoding="utf-8")
+    with pytest.raises(DataError, match=r"^mapping: unknown canonical column 'timout'$"):
+        load_mapping(path)
+
+
 def test_converted_output_reingests_cleanly():
     raw = (
         "solver,instance,kind,status,time,objective,participant,timeout\n"

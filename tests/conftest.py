@@ -1,6 +1,5 @@
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,13 +19,6 @@ def demo_expected() -> dict:
     return json.loads((DATA_DIR / "demo_expected.json").read_text(encoding="utf-8"))
 
 
-@pytest.fixture(scope="session")
-def demo_dataset(demo_path):
-    from portview.runstore import ingest
-
-    return ingest(demo_path)
-
-
 @pytest.fixture
 def verbose(monkeypatch, capsys):
     """The ``-v`` lines on, for this test only: call the fixture's value for the stderr lines
@@ -35,7 +27,3 @@ def verbose(monkeypatch, capsys):
 
     monkeypatch.setattr(render, "verbose", True)
     return lambda: capsys.readouterr().err.splitlines()
-
-
-def frac(text: str) -> Fraction:
-    return Fraction(text)

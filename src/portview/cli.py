@@ -124,7 +124,7 @@ def _emit(text: str, out: str | None) -> None:
             return
         try:
             sys.stdout.write(text)
-        except UnicodeEncodeError as exc:  # raised before any byte is written; data is never escaped
+        except UnicodeEncodeError as exc:  # raised before a byte is written; data is never escaped
             raise DataError(f"stdout cannot encode the output ({exc}); "
                             "use --out FILE, which writes UTF-8") from None
 

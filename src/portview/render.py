@@ -23,7 +23,7 @@ SIG_DIGITS = 6
 # ``-v``: whether ``log`` writes. ``cli.main`` sets it from the flag; a library caller
 # sets ``portview.render.verbose = True`` for the same stage, count and progress lines.
 verbose = False
-# the context of every exact decimal, parsed or printed, whatever the caller's: no rounding
+# parses and prints every exact decimal, whatever the caller's context or DefaultContext's traps
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                 traps=[InvalidOperation, DivisionByZero, Overflow])
 

@@ -68,7 +68,7 @@ _STATUS_RANK = {_UNSOLVED: 0, _INCOMPLETE: 1, _COMPLETE: 2}
 
 
 # Most digits a number's integer numerator or power-of-ten denominator may need: a cap on
-# the size of one input number, so no cell builds a huge integer (any value prints).
+# the size of an input number alone, since any exact value prints however long it is.
 _MAX_DIGITS = 4300
 
 # Most characters of a cell that a message quotes, so a huge cell gives a short line.

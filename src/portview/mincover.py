@@ -11,18 +11,16 @@ element-disjoint lower bound, and enumerates the optimal covers up to a cap.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .pairscore import best_group, time_ticks
-from .render import log
+from .render import Meter
 from .runstore import DataError, Dataset, known_solvers
 
 # Search nodes; 36 s at the slowest rate measured, 97 thousand per CPU second, and 7 s at the
 # fastest, 473 thousand (2-core x86, CPython 3.11, tie-heavy data); within shapley.EXACT_BUDGET_S.
 NODE_BUDGET = 3_500_000
-_PROGRESS_EVERY = 1 << 12
 
 
 class CoverageMap(NamedTuple):
@@ -119,19 +117,16 @@ def min_cover(cov: CoverageMap, cap: int = 1000) -> CoverSolution:
     best_size = len(names)
     solutions: list[tuple[int, ...]] = []
     cap_reached = False
-    nodes, started = 0, time.perf_counter()
+    meter = Meter("min_cover: %d nodes (best size %d, %.0f nodes/s)")
 
     def dfs(chosen: tuple[int, ...], uncovered: int, allowed: int) -> None:
-        nonlocal best_size, solutions, cap_reached, nodes
-        if nodes > NODE_BUDGET:
+        nonlocal best_size, solutions, cap_reached
+        if meter.nodes > NODE_BUDGET:
             raise DataError(
-                f"min_cover: work budget exhausted after {nodes} nodes, with a cover of "
+                f"min_cover: work budget exhausted after {meter.nodes} nodes, with a cover of "
                 f"{best_size} solvers found; use fewer solvers"
             )
-        nodes += 1
-        if nodes % _PROGRESS_EVERY == 0:
-            rate = nodes / (time.perf_counter() - started)
-            log("min_cover: %d nodes (best size %d, %.0f nodes/s)", nodes, best_size, rate)
+        meter.tick(best_size)
         if not uncovered:
             # the bound kept this cover from exceeding best_size
             if len(chosen) < best_size:

@@ -5,7 +5,8 @@ the machine-readable sidecar untouched as ``p/q`` strings. No floats are
 involved for exact values, so identical inputs render to identical bytes.
 Callers pick an exact number's digits with integer arithmetic; ``decimal_text``
 alone places the point, pads the zeros and writes the sign. ``log`` writes the
-``-v`` lines, which never enter the report, to stderr.
+``-v`` lines, which never enter the report, to stderr, and a ``Meter`` counts a search's
+nodes and logs its progress.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ import csv
 import io
 import math
 import sys
+import time
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from decimal import DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 SIG_DIGITS = 6
 # ``-v``: whether ``log`` writes. ``cli.main`` sets it from the flag; a library caller
 # sets ``portview.render.verbose = True`` for the same stage, count and progress lines.
 verbose = False
+PROGRESS_EVERY = 1 << 12  # nodes between two progress lines of a search
 # parses and prints every exact decimal, whatever the caller's context or DefaultContext's traps
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                 traps=[InvalidOperation, DivisionByZero, Overflow])
@@ -34,24 +38,41 @@ def log(fmt: str, *args: object) -> None:
         sys.stderr.write(fmt % args + "\n")
 
 
-def _exact_decimal(n: int, bits: int, powers: dict[int, Decimal]) -> Decimal:
+class Meter:
+    """A search's node count. Every ``PROGRESS_EVERY`` nodes it logs ``line % (nodes,
+    detail, rate)``: the caller's ``detail``, and nodes per second since the meter was made."""
+
+    def __init__(self, line: str) -> None:
+        self.line, self.nodes, self.started = line, 0, time.perf_counter()
+
+    def tick(self, detail: int) -> None:
+        self.nodes += 1
+        if self.nodes % PROGRESS_EVERY == 0:
+            log(self.line, self.nodes, detail, self.nodes / (time.perf_counter() - self.started))
+
+
+@lru_cache(maxsize=64)  # every width an exact 12 x 100 report needs: 45, about 1.4 MB
+def _power_of_two(h: int) -> Decimal:
+    return EXACT.power(2, h)
+
+
+def _exact_decimal(n: int, bits: int) -> Decimal:
     """``Decimal(n)`` for ``0 <= n < 2**bits``, in about M(n) log n time (Brent & Zimmermann
     2010, *Modern Computer Arithmetic*, 1.7): ``high * 2**h + low``, h = bits // 2, joined
     by ``EXACT``'s subquadratic multiply. Halving ``bits``, not ``n.bit_length()``, leaves
-    two sizes of h per level, and ``powers`` computes each ``2**h`` once."""
+    two sizes of h per level, and one cache per process computes each ``2**h`` once."""
     if bits <= 4096:  # Decimal(n) is quadratic in the digits, but fast this small
         return Decimal(n)
     h = bits >> 1
     high = n >> h
-    power = powers.get(h) or powers.setdefault(h, EXACT.power(2, h))
-    low = _exact_decimal(n - (high << h), h, powers)
-    return EXACT.add(EXACT.multiply(_exact_decimal(high, bits - h, powers), power), low)
+    low = _exact_decimal(n - (high << h), h)
+    return EXACT.add(EXACT.multiply(_exact_decimal(high, bits - h), _power_of_two(h)), low)
 
 
 def decimal_text(digits: int, places: int, negative: bool = False) -> str:
     """``digits / 10**places`` as plain text, whatever the ``decimal`` context: ``(-5, 3)``
     gives ``-0.005``, ``(5, -2)`` gives ``500``, and ``negative`` signs a rounded zero."""
-    number = _exact_decimal(abs(digits), abs(digits).bit_length(), {})
+    number = _exact_decimal(abs(digits), abs(digits).bit_length())
     number = number.copy_negate() if digits < 0 or negative else number
     return format(number.scaleb(-places, EXACT), "f")
 

@@ -20,7 +20,7 @@ import operator
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
@@ -620,26 +620,14 @@ def ingest(source: str | Path | IO[str], *, delimiter: str = ",") -> Dataset:
     return read_table(source, ColumnMapping(delimiter=delimiter), strict=True)
 
 
-class _Formatted(dict):
-    """Value -> its text by ``render``, which runs once per distinct value."""
-
-    def __init__(self, render) -> None:
-        self.render = render
-
-    def __missing__(self, value) -> str:
-        text = self[value] = self.render(value)
-        return text
-
-
 def write_canonical(ds: Dataset) -> str:
     """Emit the canonical form; deterministic for a given Dataset.
 
     Rows run over the sorted solver x instance grid. Per call, each distinct
     duration and objective is formatted once, as are each instance's and solver's cells.
     """
-    durations, objectives = _Formatted(format_duration), _Formatted(format_rational)
-    objectives[None] = ""
-    cells = {iid: (ds.instances[iid].kind.value, durations[ds.instances[iid].timeout])
+    duration, objective = cache(format_duration), cache(format_rational)
+    cells = {iid: (ds.instances[iid].kind.value, duration(ds.instances[iid].timeout))
              for iid in ds.instance_ids}
 
     def rows():
@@ -647,8 +635,8 @@ def write_canonical(ds: Dataset) -> str:
             flag = "1" if ds.solvers[sid] else "0"
             for iid, (kind, timeout) in cells.items():
                 run = ds.runs[(sid, iid)]
-                time, objective = durations[run.time], objectives[run.objective]
-                yield sid, iid, kind, run.status.value, time, objective, flag, timeout
+                value = "" if run.objective is None else objective(run.objective)
+                yield sid, iid, kind, run.status.value, duration(run.time), value, flag, timeout
 
     return csv_text(CANONICAL_COLUMNS, rows())
 

@@ -169,7 +169,7 @@ def shapley_exact(
         levels.append(level)
     denominator = scale * prod(qs)
     suspect_part, g = 1, gcd(denominator, suspects)
-    while g > 1:  # gather the suspect primes of the denominator to their full powers
+    while g > 1:  # gather each suspect prime of the denominator to its full power
         suspect_part *= g
         g = gcd(denominator // suspect_part, g)
     line = "shapley_exact: %d coalitions, %d-bit denominator, estimate %.3g s"

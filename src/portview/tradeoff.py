@@ -18,7 +18,6 @@ candidate costs one unit per 64-bit word of each shared instance's score.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from heapq import heappush, heapreplace
 from itertools import accumulate, compress
@@ -26,7 +25,7 @@ from operator import gt
 from typing import Iterable, NamedTuple, Sequence
 
 from .portfolio import PerfRatio, SubsetScorer
-from .render import log
+from .render import Meter
 from .runstore import DataError, Dataset, known_solvers
 
 # About the 60 s of shapley.EXACT_BUDGET_S. Calibrated on a 2-core x86 machine
@@ -35,7 +34,6 @@ from .runstore import DataError, Dataset, known_solvers
 # the 15-solver cover of 16 solvers x 1,000 instances (313 nodes/s), whose
 # scores have ~12,800 bits against ~3,700.
 WORK_BUDGET = 16_000_000_000
-_PROGRESS_EVERY = 1 << 12
 
 
 class TradeoffEntry(NamedTuple):
@@ -120,8 +118,8 @@ class _Search:
         # instances, and each integer score there costs in proportion to its words
         words = max(self.suffix_max[0], default=0).bit_length() // 64 + 1
         self.width = max(1, len(shared)) * words
-        self.nodes = self.work = 0
-        self.started = time.perf_counter()
+        self.work = 0
+        self.meter = Meter("best_subsets: %d nodes (size %d, %.0f nodes/s)")
         self.k = 0
         self.value, self.subset = 0, ()
 
@@ -169,13 +167,10 @@ class _Search:
         """
         if self.work > WORK_BUDGET:
             raise DataError(
-                f"best_subsets: work budget exhausted after {self.nodes} nodes, at size "
+                f"best_subsets: work budget exhausted after {self.meter.nodes} nodes, at size "
                 f"{self.k} of {self.n}; use a smaller search space"
             )
-        self.nodes += 1
-        if self.nodes % _PROGRESS_EVERY == 0:
-            rate = self.nodes / (time.perf_counter() - self.started)
-            log("best_subsets: %d nodes (size %d, %.0f nodes/s)", self.nodes, self.k, rate)
+        self.meter.tick(self.k)
         n = self.n
         start = combo[-1] + 1 if combo else 0
         if need == 1:

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from portview import mincover
+from portview import mincover, render
 from portview.mincover import CoverageMap, build_coverage, min_cover
 from portview.portfolio import perf
 from portview.runstore import (
@@ -249,7 +249,7 @@ def test_capped_min_cover_keeps_optima_of_the_reference(covers_with_reference):
 def _searched(monkeypatch, verbose, cov: CoverageMap, cap: int = 1000):
     """``min_cover``'s solution and its node count, read off one progress line per node;
     a search that writes no line fails, so no bound on the count passes by reading 0."""
-    monkeypatch.setattr(mincover, "_PROGRESS_EVERY", 1)
+    monkeypatch.setattr(render, "PROGRESS_EVERY", 1)
     verbose()
     solution = min_cover(cov, cap)
     nodes = sum(line.startswith("min_cover: ") for line in verbose())
@@ -298,7 +298,7 @@ def test_work_budget_exhausted_names_nodes_and_best_size(monkeypatch):
 
 
 def test_progress_line_reports_a_rate(monkeypatch, verbose):
-    monkeypatch.setattr(mincover, "_PROGRESS_EVERY", 1)
+    monkeypatch.setattr(render, "PROGRESS_EVERY", 1)
     cov = build_coverage(tie_heavy_dataset(random.Random(0), 12, 30))
     verbose()
     solution = min_cover(cov)

@@ -2,8 +2,12 @@ import random
 from decimal import Context, localcontext
 from fractions import Fraction
 
+from portview import render
+from portview.mincover import build_coverage, min_cover
 from portview.render import decimal_text, fmt_pct, fmt_sig, frac_str
 from portview.runstore import format_duration, format_rational
+from portview.tradeoff import best_subsets
+from randgen import make_dataset
 from reference import reference_fmt_pct, reference_fmt_sig, reference_frac_str
 
 
@@ -103,3 +107,16 @@ def test_fmt_pct_rounds_the_exact_value_once():
 def test_fmt_pct_renders_any_size():
     assert fmt_pct(Fraction(10**30)) == "1" + "0" * 32 + ".0%"
     assert fmt_pct(Fraction(-(10**4299))) == "-1" + "0" * 4301 + ".0%"
+
+
+def test_one_progress_interval_meters_both_searches(monkeypatch, verbose):
+    """``render.PROGRESS_EVERY`` alone sets how often both searches write progress."""
+    monkeypatch.setattr(render, "PROGRESS_EVERY", 1)
+    ds = make_dataset(random.Random(5), n_solvers=6, n_instances=8, solve_all_solver=True)
+    verbose()
+    min_cover(build_coverage(ds))
+    best_subsets(ds, ds.solver_ids, ds.solver_ids)
+    lines = verbose()
+    for search in ("min_cover", "best_subsets"):
+        nodes = [int(line.split()[1]) for line in lines if line.startswith(f"{search}: ")]
+        assert nodes and nodes == list(range(1, len(nodes) + 1)), search

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from portview import tradeoff
+from portview import render, tradeoff
 from portview.runstore import (
     DataError,
     InstanceMeta,
@@ -199,7 +199,7 @@ def test_curve_matches_the_exhaustive_reference_at_m100():
 
 
 def test_progress_line_reports_a_rate(monkeypatch, verbose):
-    monkeypatch.setattr(tradeoff, "_PROGRESS_EVERY", 1)
+    monkeypatch.setattr(render, "PROGRESS_EVERY", 1)
     ds = make_dataset(random.Random(5), n_solvers=6, n_instances=8, solve_all_solver=True)
     verbose()
     best_subsets(ds, ds.solver_ids, ds.solver_ids)
@@ -254,7 +254,7 @@ def test_the_bounds_keep_the_18_solver_search_small(monkeypatch):
     searches = _counted_searches(monkeypatch)
     ds = make_dataset(random.Random(7), n_solvers=18, n_instances=100)
     best_subsets(ds, ds.solver_ids, ds.solver_ids)
-    assert len(searches) == 1 and searches[0].nodes <= 5_000
+    assert len(searches) == 1 and searches[0].meter.nodes <= 5_000
 
 
 def test_the_work_budget_counts_shared_instances(monkeypatch):
@@ -273,7 +273,7 @@ def test_the_work_budget_counts_shared_instances(monkeypatch):
         e.subset for e in curve.entries
     ]
     original, tenfold = searches
-    assert original.nodes == tenfold.nodes and original.work > 0
+    assert original.meter.nodes == tenfold.meter.nodes and original.work > 0
     assert tenfold.work == 10 * original.work
     monkeypatch.setattr(tradeoff, "WORK_BUDGET", 5 * original.work)
     best_subsets(ds, ds.solver_ids, ds.solver_ids)

@@ -12,10 +12,13 @@ is repaired and the warning is the same message plus its consequence
 
 from __future__ import annotations
 
+from enum import Enum
 from pathlib import Path
 from typing import IO
 
-from .runstore import CANONICAL_COLUMNS, ColumnMapping, DataError, read_table, write_canonical
+from .runstore import (
+    CANONICAL_COLUMNS, ColumnMapping, DataError, ProblemKind, Status, read_table, write_canonical,
+)
 
 
 def _object(raw: dict, key: str) -> dict:
@@ -25,11 +28,13 @@ def _object(raw: dict, key: str) -> dict:
     return value
 
 
-def _synonyms(raw: dict, key: str) -> dict[str, str]:
+def _synonyms(raw: dict, key: str, tokens: type[Enum]) -> dict[str, str]:
     table = _object(raw, key)
     for token, canonical in table.items():
         if not isinstance(canonical, str):
             raise DataError(f"mapping: {key!r} synonym for {token!r} must be a string")
+        if canonical.upper() not in {member.value for member in tokens}:
+            raise DataError(f"mapping: {key!r} synonym for {token!r} names no {key}: {canonical!r}")
     return {token.upper(): canonical.upper() for token, canonical in table.items()}
 
 
@@ -59,8 +64,8 @@ def load_mapping(path: str | Path) -> ColumnMapping:
     return ColumnMapping(
         columns=columns,
         defaults={k: str(v) for k, v in defaults.items()},
-        status_map=_synonyms(raw, "status"),
-        kind_map=_synonyms(raw, "kind"),
+        status_map=_synonyms(raw, "status", Status),
+        kind_map=_synonyms(raw, "kind", ProblemKind),
         delimiter=raw.get("delimiter", ","),
         join=join,
     )

@@ -174,6 +174,36 @@ def test_mapping_rejects_a_default_for_an_unknown_canonical_column(tmp_path):
         load_mapping(path)
 
 
+@pytest.mark.parametrize(
+    "status, kind, message",
+    [
+        ("INCOMPLET", "MINIMIZE", "mapping: 'status' synonym for 'S' names no status: 'INCOMPLET'"),
+        ("incomplete", "Minimise", "mapping: 'kind' synonym for 'min' names no kind: 'Minimise'"),
+    ],
+    ids=["status", "kind"],
+)
+def test_mapping_rejects_a_synonym_that_names_no_canonical_token(
+    status, kind, message, tmp_path, capsys
+):
+    """Refused once, as the mapping loads, before any row is read or repaired."""
+    table = tmp_path / "table.csv"
+    table.write_text(f"{HEADER}\na,i1,min,S,1.000,3,1,10.000\n", encoding="utf-8")
+    config = tmp_path / "map.json"
+    argv = ["convert", "--data", str(table), "--mapping", str(config)]
+    synonyms = {"status": {"S": status}, "kind": {"min": kind}}
+    config.write_text(json.dumps(synonyms), encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_mapping(config)
+    assert str(info.value) == message
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # with canonical targets the same table converts cleanly
+    synonyms = {"status": {"S": "incomplete"}, "kind": {"min": "MINIMIZE"}}
+    config.write_text(json.dumps(synonyms), encoding="utf-8")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "a,i1,MINIMIZE,INCOMPLETE,1.000,3,1,10.000"
+
+
 def test_converted_output_reingests_cleanly():
     raw = (
         "solver,instance,kind,status,time,objective,participant,timeout\n"

@@ -485,12 +485,20 @@ def read_table(
     header or row shape, an empty id, a repeated (solver, instance) pair, an
     unknown problem kind, a bad timeout, and a redeclared instance or
     participant flag. Row numbers in messages count the header as row 1.
+    A path is read once, as bytes, and checked to be UTF-8 before any row is
+    parsed; the rows are then decoded from those bytes as they are read, with
+    universal newlines. While parsing, the reader holds the file's bytes and
+    one string per distinct solver or instance id, which every key and record
+    shares.
     """
     if isinstance(source, (str, Path)):
+        raw = Path(source).read_bytes()  # once: a pipe gives its bytes to one read only
         try:
-            source = io.StringIO(Path(source).read_text(encoding="utf-8-sig"))
+            raw.decode("utf-8-sig")  # whole: a message counts bytes from the text's start
         except UnicodeDecodeError as exc:
             raise DataError(f"input is not UTF-8 text: {exc}") from None
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig") as text:
+            return read_table(text, mapping, strict=strict)
     try:
         reader = csv.reader(source, delimiter=mapping.delimiter)
     except TypeError:
@@ -523,6 +531,7 @@ def _read_rows(reader, mapping: ColumnMapping, strict: bool) -> Dataset:
     objectives: dict[str, Fraction] = {}
     solver_flags: dict[str, bool] = {}
     runs: dict[tuple[str, str], RunRecord] = {}
+    ids: dict[str, str] = {}  # one string per distinct id, shared by every key and record
     strip, width, flags = str.strip, len(header), _FLAG_TOKENS
     for row_no, cells in enumerate(reader, start=2):
         if not "".join(cells).strip():
@@ -533,6 +542,7 @@ def _read_rows(reader, mapping: ColumnMapping, strict: bool) -> Dataset:
             timeout_text = map(strip, canonical_cells(cells))
         if not solver or not instance:
             raise DataError(f"row {row_no}: empty solver or instance id")
+        solver, instance = ids.setdefault(solver, solver), ids.setdefault(instance, instance)
         key = (solver, instance)
         if key in runs:
             raise DataError(

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Context, InvalidOperation, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,7 @@ from portview.runstore import (
     parse_rational,
     read_table,
     run_shape_violation,
+    save_canonical,
     write_canonical,
 )
 from randgen import make_dataset, random_subset, tie_heavy_dataset
@@ -229,6 +231,95 @@ def test_byte_order_mark_is_accepted(demo_path, tmp_path, capsys):
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
         assert outputs[0].out == demo_path.read_text(encoding="utf-8")
+
+
+def _canonical_row(solver: str, instance: str = "i1") -> str:
+    return f"{solver},{instance},DECISION,COMPLETE,1.000,,1,10.000"
+
+
+def _straddling_table() -> str:
+    """Over 8 KiB of CRLF rows whose ``\r\n`` spans bytes 8,191 and 8,192, where a
+    text reader's first 8 KiB chunk ends."""
+    rows = [HEADER, *(_canonical_row(f"s{k:03d}") for k in range(250))]
+    ends = [len("\r\n".join(rows[: k + 1])) for k in range(len(rows))]  # each row's \r
+    pad = 8191 - max(end for end in ends if end <= 8191)
+    rows[1] = _canonical_row("s000" + "x" * pad)
+    return "\r\n".join(rows) + "\r\n"
+
+
+_LINES = [HEADER, _canonical_row("a"), _canonical_row("b", "i2")]
+PATH_INPUTS = {
+    "lf": "\n".join(_LINES) + "\n",
+    "crlf": "\r\n".join(_LINES) + "\r\n",
+    "cr": "\r".join(_LINES) + "\r",
+    "bom": "\ufeff" + "\n".join(_LINES) + "\n",
+    "no-final-newline": "\n".join(_LINES),
+    "quoted-two-lines": "\r\n".join([*_LINES, _canonical_row('"c\r\nd"')]) + "\r\n",
+    "form-feed-id": "\n".join([*_LINES, _canonical_row("c\x0cd")]) + "\n",
+    "over-8kib": _straddling_table(),
+}
+# a last row that the strict policy refuses and the lenient one repairs with a warning
+FAULT_ROW = "z,i1,DECISION,COMPLETE,1.000,5,1,10.000"
+
+
+def _read_outcome(source, strict: bool):
+    try:
+        ds = read_table(source, ColumnMapping(), strict=strict)
+    except DataError as exc:
+        return "error", str(exc)
+    return "read", repr(ds), ds.warnings
+
+
+@pytest.mark.parametrize("name", sorted(PATH_INPUTS))
+def test_the_path_reader_reads_what_the_io_reader_reads(name, tmp_path):
+    """Line ends, a BOM, cells across lines and chunk edges read the same from a path
+    as from the decoded text, which universal newlines give: datasets and warnings
+    match, and so does the strict error's row number."""
+    clean = PATH_INPUTS[name]
+    newline = "\r\n" if "\r\n" in clean else "\r" if "\r" in clean else "\n"
+    data = tmp_path / "data.csv"
+    for text in (clean, clean.rstrip("\r\n") + newline + FAULT_ROW + newline):
+        data.write_bytes(text.encode())
+        if name == "over-8kib":
+            assert data.read_bytes()[8191:8193] == b"\r\n"
+        decoded = data.read_text(encoding="utf-8-sig")
+        for strict in (True, False):
+            outcome = _read_outcome(data, strict)
+            assert outcome == _read_outcome(io.StringIO(decoded), strict)
+            assert outcome[0] == ("error" if strict and text != clean else "read")
+
+
+def test_a_bad_byte_after_a_bad_row_is_reported_as_not_utf8(tmp_path):
+    """The whole file is checked before any row is read, and the message counts bytes
+    from the start of the file, past any 8 KiB chunk."""
+    head = f"{HEADER}\na,i1,DECISION\n" + "".join(
+        _canonical_row(f"s{k:03d}") + "\n" for k in range(250)
+    )
+    data = tmp_path / "data.csv"
+    data.write_bytes(head.encode() + b"t,i1,DECISION,COMPLETE,\xff,,1,10\n")
+    position = len(head.encode()) + len("t,i1,DECISION,COMPLETE,")
+    assert position > 8192
+    for strict in (True, False):
+        with pytest.raises(DataError) as info:
+            read_table(data, ColumnMapping(), strict=strict)
+        assert str(info.value) == (
+            f"input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position "
+            f"{position}: invalid start byte"
+        )
+
+
+def test_ingest_holds_under_eight_bytes_per_file_byte(tmp_path):
+    """A track-width table (30 x 250, 7,500 rows): the file's bytes, parsed rows and
+    one string per distinct id stay under 8 bytes per file byte at the peak."""
+    data = tmp_path / "ties30.csv"
+    save_canonical(tie_heavy_dataset(random.Random(0), 30, 250), data)
+    tracemalloc.start()
+    try:
+        ingest(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * data.stat().st_size
 
 
 def test_duplicate_run_rejected_by_build_dataset():

@@ -147,11 +147,10 @@ def _borda_table(matrix: ScoreMatrix):
 
 
 def _oracle_table(results):
-    """One row per (label, dataset, participant-oracle ratio) triple."""
+    """One row per (label, participant count, solver count, participant-oracle ratio)."""
     rows = [
-        [label, str(len(ds.participant_ids)), str(len(ds.solver_ids)),
-         fmt_sig(ratio.value), fmt_pct(ratio.value)]
-        for label, ds, ratio in results
+        [label, str(participants), str(solvers), fmt_sig(ratio.value), fmt_pct(ratio.value)]
+        for label, participants, solvers, ratio in results
     ]
     return ("dataset", "participants", "solvers", "ratio", "percent"), rows
 
@@ -219,9 +218,10 @@ def cmd_oracle(args) -> None:
     for path in args.data:
         with _stage("ingest"):
             ds = ingest(path)
-        results.append((Path(path).stem, ds, _oracle(ds)))
+        results.append((Path(path).stem, len(ds.participant_ids), len(ds.solvers), _oracle(ds)))
+        del ds  # the table needs only the counts and the ratio: free it before the next ingest
     _emit(_render(args.format, _oracle_table(results)), args.out)
-    for label, _, ratio in results:
+    for label, _, _, ratio in results:
         if ratio.tied_unsolved:
             print(
                 f"note: {label}: {ratio.tied_unsolved} instance(s) unsolved by both "
@@ -356,7 +356,9 @@ def run_pipeline(cfg: ReportConfig) -> dict[str, str]:
         if tabular:
             tables = {
                 "borda": _borda_table(matrix),
-                "oracle": _oracle_table([(Path(cfg.data).stem, ds, oracle)]),
+                "oracle": _oracle_table(
+                    [(Path(cfg.data).stem, len(ds.participant_ids), len(ds.solvers), oracle)]
+                ),
                 "mincover": _mincover_table(ds, core),
                 "tradeoff": _tradeoff_table(curve),
                 "thresholds": _thresholds_table(cfg.levels, reached),

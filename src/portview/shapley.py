@@ -96,10 +96,27 @@ def _coalition_totals(rows: list[list[int]], m: int) -> list[tuple[int, int, int
     return totals
 
 
+def _denominator_slot() -> bool:
+    """Whether writing ``_denominator`` sets a ``Fraction``'s denominator, as it does on
+    CPython 3.10-3.13; ``pyproject.toml`` admits later versions, which are not verified."""
+    probe = Fraction(2)
+    try:
+        probe._denominator = 3
+    except AttributeError:
+        return False
+    return (probe.numerator, probe.denominator) == (2, 3) and probe == Fraction(2, 3)
+
+
+_DENOMINATOR_SLOT = _denominator_slot()
+
+
 def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
     """``Fraction(numerator, denominator)`` of coprime ints, ``denominator > 0``, without a
     gcd: ``Fraction(numerator)`` runs none, and ``_denominator`` is the slot that holds the
-    denominator on CPython 3.10-3.13, so the result is the reduced ``Fraction`` it equals."""
+    denominator on CPython 3.10-3.13, so the result is the reduced ``Fraction`` it equals.
+    Where the slot is not there (``_DENOMINATOR_SLOT``), the public constructor builds it."""
+    if not _DENOMINATOR_SLOT:
+        return Fraction(numerator, denominator)
     value = Fraction(numerator)
     value._denominator = denominator
     return value

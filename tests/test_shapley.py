@@ -1,6 +1,7 @@
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
@@ -338,6 +339,18 @@ def test_coprime_fraction_is_the_reduced_fraction(numerator, denominator):
     copied = pickle.loads(pickle.dumps(value))
     assert type(copied) is Fraction and copied == expected and hash(copied) == hash(expected)
     assert (copied.numerator, copied.denominator) == (numerator, denominator)
+
+
+def test_exact_values_are_the_same_through_the_public_constructor(monkeypatch):
+    """The slot is found on every verified CPython; where it is not, the public
+    constructor builds each value, and they equal the slot's on a small grid."""
+    assert shapley._DENOMINATOR_SLOT or sys.version_info >= (3, 14)
+    ds = make_dataset(random.Random(71), n_solvers=5, n_instances=20)
+    modes = (ShapleyMode.EXACT, ShapleyMode.SUM)
+    with_slot = [shapley_exact(ds, ds.solver_ids, ds.solver_ids, mode).values for mode in modes]
+    monkeypatch.setattr(shapley, "_DENOMINATOR_SLOT", False)
+    built = [shapley_exact(ds, ds.solver_ids, ds.solver_ids, mode).values for mode in modes]
+    assert built == with_slot  # equal numerators and denominators: the slot's are reduced
 
 
 def test_exact_logs_its_coalitions_denominator_and_estimate(verbose):

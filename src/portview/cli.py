@@ -34,6 +34,7 @@ from .runstore import (
     format_rational,
     ingest,
     parse_rational,
+    save_canonical,
     write_canonical,
 )
 from .shapley import ShapleyMode, shapley_exact, shapley_sampled
@@ -199,7 +200,11 @@ def _render(fmt: str, *tables) -> str:
 def cmd_ingest(args) -> None:
     ds = ingest(args.data, delimiter=args.delimiter)
     _print_warnings(ds.warnings)
-    _emit(write_canonical(ds), args.out)
+    if args.out:
+        with _stage("write"):
+            save_canonical(ds, args.out)  # line by line
+    else:
+        _emit(write_canonical(ds), None)  # one write: an id stdout cannot encode writes nothing
 
 
 def cmd_convert(args) -> None:

@@ -4,9 +4,10 @@ Human-facing numbers are shown to 6 significant digits; exact rationals go to
 the machine-readable sidecar untouched as ``p/q`` strings. No floats are
 involved for exact values, so identical inputs render to identical bytes.
 Callers pick an exact number's digits with integer arithmetic; ``decimal_text``
-alone places the point, pads the zeros and writes the sign. ``log`` writes the
-``-v`` lines, which never enter the report, to stderr, and a ``Meter`` counts a search's
-nodes and logs its progress.
+alone places the point, pads the zeros and writes the sign. ``format_duration``,
+``format_rational`` and ``csv_cell`` write the canonical table's numbers and ids.
+``log`` writes the ``-v`` lines, which never enter the report, to stderr, and a
+``Meter`` counts a search's nodes and logs its progress.
 """
 
 from __future__ import annotations
@@ -127,12 +128,44 @@ def frac_str(value: Fraction) -> str:
     return decimal_text(value.numerator, 0) + "/" + decimal_text(value.denominator, 0)
 
 
+def format_duration(value: Fraction) -> str:
+    """Render a millisecond-granular duration as seconds with 3 decimals."""
+    d = value.denominator
+    ms, rest = divmod(value.numerator * 1000, d)
+    if 2 * rest > d or (2 * rest == d and ms % 2):
+        ms += 1  # half to even, as round(Fraction) rounds
+    return decimal_text(ms, 3)
+
+
+def format_rational(value: Fraction) -> str:
+    """Render exactly: a terminating decimal when one exists, else ``p/q``."""
+    n, d = value.numerator, value.denominator
+    rest, e2, e5 = d, 0, 0
+    while rest % 2 == 0:
+        rest //= 2
+        e2 += 1
+    while rest % 5 == 0:
+        rest //= 5
+        e5 += 1
+    if rest != 1:
+        return frac_str(value)
+    exp = max(e2, e5)
+    return decimal_text(n * 10**exp // d, exp)
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
+
+
+def csv_cell(text: str) -> str:
+    """``text`` as ``csv_text`` writes it in a row of several cells: quoted where csv quotes."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((text, ""))  # one lone "" cell is quoted
+    return out.getvalue()[:-2]
 
 
 def align_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

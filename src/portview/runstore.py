@@ -20,12 +20,12 @@ import operator
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import groupby
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .render import EXACT, csv_text, decimal_text, frac_str
+from .render import EXACT, csv_cell, format_duration, format_rational
 
 
 class DataError(ValueError):
@@ -105,15 +105,6 @@ def parse_duration(text: str, *, what: str = "time") -> Fraction:
     return Fraction(ms, 1000)
 
 
-def format_duration(value: Fraction) -> str:
-    """Render a millisecond-granular duration as seconds with 3 decimals."""
-    d = value.denominator
-    ms, rest = divmod(value.numerator * 1000, d)
-    if 2 * rest > d or (2 * rest == d and ms % 2):
-        ms += 1  # half to even, as round(Fraction) rounds
-    return decimal_text(ms, 3)
-
-
 def parse_rational(text: str, *, what: str = "objective") -> Fraction:
     """Parse finite decimal or ``p/q`` text to an exact rational."""
     text = text.strip()
@@ -126,22 +117,6 @@ def parse_rational(text: str, *, what: str = "objective") -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise DataError(f"unparseable {what} {_quoted(text)}") from None
-
-
-def format_rational(value: Fraction) -> str:
-    """Render exactly: a terminating decimal when one exists, else ``p/q``."""
-    n, d = value.numerator, value.denominator
-    rest, e2, e5 = d, 0, 0
-    while rest % 2 == 0:
-        rest //= 2
-        e2 += 1
-    while rest % 5 == 0:
-        rest //= 5
-        e5 += 1
-    if rest != 1:
-        return frac_str(value)
-    exp = max(e2, e5)
-    return decimal_text(n * 10**exp // d, exp)
 
 
 class CheckedRecord:
@@ -374,6 +349,11 @@ def build_dataset(
             raise DataError(f"duplicate instance {_quoted(meta.instance_id)}")
         inst_map[meta.instance_id] = meta
     solver_map = dict(solvers)
+    for what, ids in (("instance", inst_map), ("solver", solver_map)):
+        for ident in ids:  # the ids that read_table never produces from a file
+            if not ident or ident != ident.strip() or "\r" in ident:
+                raise DataError(f"{what} id {_quoted(ident)} is empty, padded or holds a "
+                                "carriage return, which the canonical table cannot carry")
 
     run_map: dict[tuple[str, str], RunRecord] = {}
     for run in runs:
@@ -630,29 +610,38 @@ def ingest(source: str | Path | IO[str], *, delimiter: str = ",") -> Dataset:
     return read_table(source, ColumnMapping(delimiter=delimiter), strict=True)
 
 
+def _canonical_lines(ds: Dataset) -> Iterator[str]:
+    """The canonical form's lines, header first, over the sorted solver x instance grid. Per
+    call, each distinct id (as ``csv_cell`` quotes it), instance, solver and status is rendered
+    once, and each distinct duration and objective once, keyed by its (numerator, denominator)."""
+    texts = {}  # (renderer, numerator, denominator) -> cell: a Fraction hashes slowly
+
+    def cell(render, value):
+        key = render, value.numerator, value.denominator
+        return texts.get(key) or texts.setdefault(key, render(value))
+
+    statuses = {id(member): member.value for member in Status}  # an enum member hashes slowly
+    yield ",".join(CANONICAL_COLUMNS) + "\n"
+    cells = [(iid, f",{csv_cell(iid)},{meta.kind.value},",
+              f",{cell(format_duration, meta.timeout)}\n")
+             for iid, meta in sorted(ds.instances.items())]
+    for sid in ds.solver_ids:
+        solver, flag = csv_cell(sid), "1" if ds.solvers[sid] else "0"
+        for iid, head, tail in cells:
+            run = ds.runs[sid, iid]
+            time = cell(format_duration, run.time)
+            value = "" if run.objective is None else cell(format_rational, run.objective)
+            yield f"{solver}{head}{statuses[id(run.status)]},{time},{value},{flag}{tail}"
+
+
 def write_canonical(ds: Dataset) -> str:
-    """Emit the canonical form; deterministic for a given Dataset.
-
-    Rows run over the sorted solver x instance grid. Per call, each distinct
-    duration and objective is formatted once, as are each instance's and solver's cells.
-    """
-    duration, objective = cache(format_duration), cache(format_rational)
-    cells = {iid: (ds.instances[iid].kind.value, duration(ds.instances[iid].timeout))
-             for iid in ds.instance_ids}
-
-    def rows():
-        for sid in ds.solver_ids:
-            flag = "1" if ds.solvers[sid] else "0"
-            for iid, (kind, timeout) in cells.items():
-                run = ds.runs[(sid, iid)]
-                value = "" if run.objective is None else objective(run.objective)
-                yield sid, iid, kind, run.status.value, duration(run.time), value, flag, timeout
-
-    return csv_text(CANONICAL_COLUMNS, rows())
+    """Emit the canonical form; deterministic for a given Dataset (see ``_canonical_lines``)."""
+    return "".join(_canonical_lines(ds))
 
 
 def save_canonical(ds: Dataset, path: str | Path) -> None:
-    Path(path).write_text(write_canonical(ds), encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.writelines(_canonical_lines(ds))  # line by line: no whole-text copy, no encoded one
 
 
 def known_solvers(ds: Dataset, solvers: Iterable[str], what: str) -> tuple[str, ...]:

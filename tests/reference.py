@@ -24,9 +24,12 @@ quadratic in the digits; the package splits an integer of over 4,096 bits into
 halves and joins their conversions instead, and the tests require the same text.
 ``reference_format_duration`` and ``reference_write_canonical`` round
 ``Fraction`` milliseconds and format every run's cells on their own, in sorted
-run-key order; the package rounds integer milliseconds and formats each
-distinct value once per call over the sorted grid instead, and the tests
-require the same text, byte for byte.
+run-key order, through one ``csv`` writer call per row; the package rounds
+integer milliseconds and, per call over the sorted grid, quotes each distinct
+id once as the ``csv`` writer quotes that one cell, renders each instance's
+and solver's cells and each status once, formats each distinct duration and
+objective once, keyed by its numerator and denominator, and joins each row as
+one string instead. The tests require the same text, byte for byte.
 ``reference_best_subsets`` scores every subset of the search space with
 ``SubsetScorer.evaluate_mask``; the package finds each size's best subset by
 branch and bound instead, and the tests require the same curve, subset for

@@ -501,7 +501,24 @@ def test_format_duration_matches_the_reference_on_random_values():
         assert format_duration(value) == reference_format_duration(value), value
 
 
-def test_write_canonical_matches_the_reference_byte_for_byte():
+def _id_grid(solvers, instances, rng: random.Random) -> Dataset:
+    """A full MINIMIZE grid over the given ids. As ``perfbench/datagen.py`` does, it builds a
+    new ``Fraction`` per run, so equal times, objectives and timeouts are distinct objects,
+    and a time is drawn either as whole seconds or as milliseconds."""
+    def value(upper: int) -> Fraction:
+        whole = rng.randint(0, upper)
+        return Fraction(whole) if rng.random() < 0.5 else Fraction(whole * 1000, 1000)
+
+    return build_dataset(
+        [InstanceMeta(iid, ProblemKind.MINIMIZE, Fraction(10)) for iid in instances],
+        {sid: j % 2 == 0 for j, sid in enumerate(solvers)},
+        [RunRecord(sid, iid, *rng.choice([(Status.UNSOLVED, value(10), None),
+                                          (Status.INCOMPLETE, value(10), value(2))]))
+         for sid in solvers for iid in instances],
+    )
+
+
+def test_write_canonical_matches_the_reference_byte_for_byte(tmp_path):
     rng = random.Random(14)
     datasets = [make_dataset(rng) for _ in range(20)]
     datasets += [make_dataset(rng, n, m) for n, m in ((1, 1), (7, 40), (25, 100))]
@@ -514,8 +531,36 @@ def test_write_canonical_matches_the_reference_byte_for_byte():
         [RunRecord(sid, f"i{k}", Status.INCOMPLETE, odd[k + j], odd[k + 2 * j])
          for j, sid in enumerate("ab") for k in range(3)],
     ))
-    for ds in datasets:
-        assert write_canonical(ds) == reference_write_canonical(ds)
+    # ids the csv writer quotes, non-ASCII ids, inner separators that str.splitlines and
+    # str.strip treat as breaks or whitespace, and plain ids on datagen's distinct Fractions
+    quoted = ["a,b", 'say "hi"', "two\nlines", '"', "plain"]
+    unusual = ["solveur-é", "求解器", "form\x0cfeed", "file\x1csep", "tab\tinside"]
+    grids = [_id_grid(quoted, quoted[::-1], rng), _id_grid(unusual, unusual[1:], rng),
+             _id_grid([f"s{j}" for j in range(6)], [f"i{k}" for k in range(30)], rng)]
+    runs = grids[-1].runs.values()
+    assert len({id(r.time) for r in runs}) > len({r.time for r in runs})  # equal, not shared
+    path = tmp_path / "data.csv"
+    for ds in datasets + grids:
+        text = write_canonical(ds)
+        assert text == reference_write_canonical(ds)
+        save_canonical(ds, path)
+        assert path.read_bytes() == text.encode("utf-8")
+    for ds in grids:
+        assert ingest(io.StringIO(write_canonical(ds))) == ds
+        save_canonical(ds, path)
+        assert ingest(path) == ds
+
+
+@pytest.mark.parametrize("ident", ["", " a", "a\n", "a\x1c", "a\rb"],
+                         ids=["empty", "leading-space", "trailing-newline", "trailing-x1c", "cr"])
+@pytest.mark.parametrize("what", ["solver", "instance"])
+def test_build_dataset_refuses_an_id_the_canonical_table_cannot_carry(what, ident):
+    meta = InstanceMeta(ident if what == "instance" else "i1", ProblemKind.DECISION, Fraction(10))
+    solvers = {ident if what == "solver" else "a": True}
+    with pytest.raises(DataError) as refused:
+        build_dataset([meta], solvers, [])
+    assert str(refused.value) == (f"{what} id {ident!r} is empty, padded or holds a carriage "
+                                  "return, which the canonical table cannot carry")
 
 
 def test_write_canonical_formats_each_distinct_duration_once(monkeypatch):
